@@ -8,7 +8,7 @@ its docstring.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -16,11 +16,20 @@ from . import rng
 from .operators import (ForwardOperator, l1_resolvent, make_affine_forward,
                         make_lasso_forward, soft_threshold,
                         symmetric_affine_resolvent)
-from .splitting import (StopRule, fb, fbf, frb, gfrb_adaptive, gfrb_fixed,
-                        rfb)
-from .stepsize import GammaSpec, make_stepsize_state
+from .splitting import (_STEP_BOUNDS, StopRule, fb, fbf, frb, gfrb_adaptive,
+                        gfrb_fixed, rfb)
+from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
 
-SOLVERS = ("gfrb_adaptive", "gfrb_fixed", "frb", "fbf", "rfb", "fb")
+# Fixed-step solvers as run from a config: every seed iterate is x0.
+_FIXED_STEP_RUNS = {
+    "gfrb_fixed": lambda A, B, x0, lam, delta, stop:
+        gfrb_fixed(A, B, x0, x0, x0, lam, delta, stop),
+    "frb": lambda A, B, x0, lam, delta, stop: frb(A, B, x0, x0, lam, stop),
+    "fbf": lambda A, B, x0, lam, delta, stop: fbf(A, B, x0, lam, stop),
+    "rfb": lambda A, B, x0, lam, delta, stop: rfb(A, B, x0, x0, lam, stop),
+    "fb": lambda A, B, x0, lam, delta, stop: fb(A, B, x0, lam, stop),
+}
+SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS)
 PROBLEMS = ("example1", "example2", "lasso")
 
 
@@ -193,19 +202,14 @@ class ExperimentConfig:
     norm_k: float = None
 
 
-_CONFIG_TYPES = {
-    "problem": str, "solvers": (list, tuple), "m": int, "n": int, "k": int,
-    "seed": int, "delta": (int, float), "lam": (int, float, type(None)),
-    "lambda0": (int, float), "lambda_minus1": (int, float, type(None)),
-    "epsilon": (int, float), "c1": (int, float, type(None)),
-    "c2": (int, float, type(None)), "gamma_kind": str,
-    "gamma_ratio": (int, float), "gamma_scale": (int, float),
-    "tol": (int, float), "max_iter": int, "x0_kind": str,
-    "noise_sigma": (int, float), "reg_lambda": (int, float),
-    "tau": (int, float, type(None)), "sigma": (int, float, type(None)),
-    "b_reflect": (int, float), "lipschitz": (int, float, type(None)),
-    "norm_k": (int, float, type(None)),
-}
+def _accepted_types(f):
+    # float fields take ints too, tuple fields take JSON lists, and a
+    # None default admits None.
+    types = {float: (int, float), tuple: (list, tuple)}.get(f.type, (f.type,))
+    return types + (type(None),) if f.default is None else types
+
+
+_CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(d):
@@ -237,9 +241,9 @@ def config_from_dict(d):
     for key in ("lambda0", "tol"):
         if getattr(cfg, key) <= 0:
             raise ValueError(f"config field '{key}': must be positive")
-    if cfg.gamma_kind not in ("geometric", "inverse_square", "zero"):
-        raise ValueError("config field 'gamma_kind': must be 'geometric', "
-                         "'inverse_square' or 'zero'")
+    if cfg.gamma_kind not in GAMMA_KINDS:
+        raise ValueError(
+            f"config field 'gamma_kind': must be one of {GAMMA_KINDS}")
     return cfg
 
 
@@ -252,13 +256,11 @@ def validate_config(cfg):
     2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
     """
     from .primal_dual import check_stepsizes
-    from .stepsize import coefficient_bound, validate_coefficients
+    from .stepsize import _default_coefficients, validate_coefficients
 
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
-    bound = coefficient_bound(cfg.delta, cfg.epsilon)
-    c2 = cfg.c2 if cfg.c2 is not None else 0.99 * bound
-    c1 = cfg.c1 if cfg.c1 is not None else 0.9 * c2
+    c1, c2 = _default_coefficients(cfg.c1, cfg.c2, cfg.delta, cfg.epsilon)
     try:
         validate_coefficients(c1, c2, cfg.delta, cfg.epsilon)
     except ValueError as exc:
@@ -294,15 +296,6 @@ def generate(cfg):
         return gen_lasso(cfg.m, cfg.n, cfg.k, cfg.noise_sigma,
                          cfg.reg_lambda, cfg.seed)
     raise ValueError(f"unknown problem {cfg.problem!r}")
-
-
-_STEP_BOUNDS = {
-    "gfrb_fixed": lambda L, delta: 1.0 / (2.0 * L * (1.0 + abs(delta))),
-    "frb": lambda L, delta: 1.0 / (2.0 * L),
-    "fbf": lambda L, delta: 1.0 / L,
-    "rfb": lambda L, delta: (np.sqrt(2.0) - 1.0) / L,
-    "fb": lambda L, delta: 1.0 / L,
-}
 
 
 def default_fixed_step(solver, L, delta=0.0):
@@ -349,16 +342,7 @@ def run_solver(instance, solver, cfg):
     else:
         lam = cfg.lam if cfg.lam is not None else \
             default_fixed_step(solver, L, cfg.delta)
-        if solver == "gfrb_fixed":
-            x, trace = gfrb_fixed(A, B, x0, x0, x0, lam, cfg.delta, stop)
-        elif solver == "frb":
-            x, trace = frb(A, B, x0, x0, lam, stop)
-        elif solver == "fbf":
-            x, trace = fbf(A, B, x0, lam, stop)
-        elif solver == "rfb":
-            x, trace = rfb(A, B, x0, x0, lam, stop)
-        else:
-            x, trace = fb(A, B, x0, lam, stop)
+        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, lam, cfg.delta, stop)
     iterations = len(trace)
     return RunResult(problem=instance.name, solver=solver, m=cfg.m,
                      n=instance.dim, seed=cfg.seed, iterations=iterations,

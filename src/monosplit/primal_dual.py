@@ -17,15 +17,13 @@ with dense solves for linear instances and is the reference the update
 formulas are validated against.
 """
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import power_norm
-from .splitting import (DIVERGENCE_LIMIT, DivergenceError, IterationTrace,
-                        StepSizeWarning, StopRule)
+from .splitting import StepSizeWarning, _drive, _resolve
 
 
 @dataclass
@@ -114,11 +112,6 @@ def resolvent_of_inverse(resolvent_c, sigma, y):
                                   dtype=float)
 
 
-def _resolve(op, z, lam):
-    res = getattr(op, "resolve", None)
-    return res(z, lam) if res is not None else op(z, lam)
-
-
 def epdtr_step(state, cfg, resolvent_a, forward_b, linmap_k, resolvent_c_inv):
     """One primal-dual pass; returns the advanced state.
 
@@ -159,7 +152,6 @@ def epdtr_solve(problem, cfg=None, stop=None):
     Histories are seeded x_{-1} = x_{-2} = x_0.  An inadmissible step
     pair warns and iterates anyway.
     """
-    stop = stop or StopRule()
     K = problem.linmap_k
     m, n = K.shape
     x0 = np.zeros(n) if problem.x0 is None else \
@@ -187,26 +179,18 @@ def epdtr_solve(problem, cfg=None, stop=None):
         return resolvent_of_inverse(problem.resolvent_c, sigma, v)
 
     Bx0 = np.asarray(problem.forward_b(x0), dtype=float)
-    state = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0,
-                            Bx=Bx0, Bx_prev=Bx0, Bx_prev2=Bx0,
-                            Kx=np.asarray(K.apply(x0), dtype=float))
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
+    seed = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0,
+                           Bx=Bx0, Bx_prev=Bx0, Bx_prev2=Bx0,
+                           Kx=np.asarray(K.apply(x0), dtype=float))
+
+    def step(state):
         new = epdtr_step(state, cfg, problem.resolvent_a, problem.forward_b,
                          K, resolvent_c_inv)
         err = float(np.hypot(np.linalg.norm(new.x - state.x),
                              np.linalg.norm(new.y - state.y)))
-        trace.append(k, err, cfg.tau, time.perf_counter() - t0)
-        if not np.isfinite(err) or err > DIVERGENCE_LIMIT or \
-                not (np.all(np.isfinite(new.x)) and np.all(np.isfinite(new.y))):
-            raise DivergenceError(
-                f"primal-dual iteration diverged at iteration {k} "
-                f"(err={err:g}); trace attached", trace)
-        state = new
-        if err <= stop.tol:
-            trace.converged = True
-            break
+        return new, err, cfg.tau
+
+    state, trace = _drive(step, seed, stop, "epdtr_solve")
     x, y = state.x, state.y
     fresh_Bx = np.asarray(problem.forward_b(x), dtype=float)
     px = np.asarray(_resolve(problem.resolvent_a,

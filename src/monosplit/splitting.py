@@ -6,11 +6,15 @@ seed iterates, and a StopRule.  They return the final iterate together
 with an IterationTrace whose rows are (k, err, lambda, elapsed_s) with
 err_k = ||x_{k+1} - x_k||.
 
-The three reflected multi-step methods (frb, gfrb_fixed, gfrb_adaptive)
-route through one shared update kernel so that their analytic reductions
-(delta = 0, constant step) hold bitwise, not just to rounding.
+Every solver, and the primal-dual epdtr_solve, is setup code plus a step
+function run by one driver, ``_drive``, which owns the trace, the clock,
+the divergence test and the stop test.  The three reflected multi-step
+methods (frb, gfrb_fixed, gfrb_adaptive) share one runner and one update
+kernel so that their analytic reductions (delta = 0, constant step) hold
+bitwise, not just to rounding.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -79,8 +83,20 @@ def _resolve(A, z, lam):
     return res(z, lam) if res is not None else A(z, lam)
 
 
-def _lipschitz_hint(B):
-    return getattr(B, "lipschitz_hint", None)
+def _seed(v):
+    return np.array(v, dtype=float)
+
+
+# Convergence-theory step bound of each fixed-step method for an
+# L-Lipschitz B; the warnings below and experiments.default_fixed_step
+# both read it.
+_STEP_BOUNDS = {
+    "gfrb_fixed": lambda L, delta: 1.0 / (2.0 * L * (1.0 + abs(delta))),
+    "frb": lambda L, delta: 1.0 / (2.0 * L),
+    "fbf": lambda L, delta: 1.0 / L,
+    "rfb": lambda L, delta: (np.sqrt(2.0) - 1.0) / L,
+    "fb": lambda L, delta: 1.0 / L,
+}
 
 
 def _require_positive_step(lam):
@@ -88,19 +104,43 @@ def _require_positive_step(lam):
         raise ValueError(f"step lambda must be positive and finite, got {lam!r}")
 
 
-def _warn_if_beyond(lam, bound, method):
-    if bound is not None and lam >= bound:
-        warnings.warn(
-            f"{method}: step {lam:g} is at or beyond the convergence bound "
-            f"{bound:g}; iterating anyway", StepSizeWarning, stacklevel=3)
+def _check_fixed_step(lam, B, method, delta=0.0):
+    _require_positive_step(lam)
+    L = getattr(B, "lipschitz_hint", None)
+    if L:
+        bound = _STEP_BOUNDS[method](L, delta)
+        if lam >= bound:
+            warnings.warn(
+                f"{method}: step {lam:g} is at or beyond the convergence "
+                f"bound {bound:g}; iterating anyway", StepSizeWarning,
+                stacklevel=3)
 
 
-def _check_divergence(err, x_new, trace, method):
-    if not np.isfinite(err) or err > DIVERGENCE_LIMIT or \
-            not np.all(np.isfinite(x_new)):
-        raise DivergenceError(
-            f"{method} diverged at iteration {trace.ks[-1]} "
-            f"(err={err:g}); trace attached", trace)
+def _drive(step, x0, stop, method):
+    """The one iteration loop: x <- step(x) until ``stop`` ends it.
+
+    ``step(x)`` returns (x_new, err, lam) with err the displacement from
+    x to x_new, and keeps whatever history its method needs.  Each row
+    is traced before the divergence test, so a DivergenceError carries
+    the offending row.  A finite err from a finite x implies a finite
+    x_new (and a non-finite seed gives a non-finite first err), so
+    testing err alone also catches non-finite iterates.
+    """
+    stop = stop or StopRule()
+    trace = IterationTrace()
+    x = x0
+    t0 = time.perf_counter()
+    for k in range(stop.max_iter):
+        x, err, lam = step(x)
+        trace.append(k, err, lam, time.perf_counter() - t0)
+        if not math.isfinite(err) or err > DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"{method} diverged at iteration {k} (err={err:g}); "
+                f"trace attached", trace)
+        if err <= stop.tol:
+            trace.converged = True
+            break
+    return x, trace
 
 
 def _reflected_target(x, Bx, Bx_p, Bx_pp, lam, lam_p, lam_pp, delta):
@@ -111,6 +151,35 @@ def _reflected_target(x, Bx, Bx_p, Bx_pp, lam, lam_p, lam_pp, delta):
     return (x - lam * Bx
             - lam_p * (1.0 + delta) * (Bx - Bx_p)
             + lam_pp * delta * (Bx_p - Bx_pp))
+
+
+def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
+               state=None, dx=None):
+    """Run the three-term reflected recursion from B(x_{-1}) = B_p and
+    B(x_{-2}) = B_pp.
+
+    With a controller ``state`` each step comes from next_step, fed the
+    previous displacement (dx, the seed displacement on the first pass)
+    and ||B x_{k-1} - B x_k||; without one the step is the constant lam.
+    """
+    lam_p, lam_pp = (lam, lam) if state is None else \
+        (state.lambda_curr, state.lambda_prev)
+
+    def step(x):
+        nonlocal B_p, B_pp, lam_p, lam_pp, dx
+        Bx = np.asarray(B(x), dtype=float)
+        lam_k = lam_p if state is None else \
+            next_step(state, dx, float(np.linalg.norm(B_p - Bx)))
+        target = _reflected_target(x, Bx, B_p, B_pp, lam_k, lam_p, lam_pp,
+                                   delta)
+        x_new = np.asarray(_resolve(A, target, lam_k), dtype=float)
+        # ||x_{k+1} - x_k|| is also the controller's next dx, bitwise.
+        dx = float(np.linalg.norm(x_new - x))
+        B_pp, B_p = B_p, Bx
+        lam_pp, lam_p = lam_p, lam_k
+        return x_new, dx, lam_k
+
+    return _drive(step, x0, stop, method)
 
 
 def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
@@ -142,33 +211,12 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
     sees dx = ||x_{k-1} - x_k|| and dB = ||B x_{k-1} - B x_k|| and
     either shrinks the step or grows it by its summable schedule.
     """
-    stop = stop or StopRule()
     validate_coefficients(state.c1, state.c2, delta, state.epsilon)
-    x_p = np.asarray(x_minus1, dtype=float).copy()
-    x = np.asarray(x0, dtype=float).copy()
+    x_p = _seed(x_minus1)
+    x = _seed(x0)
     B_p = np.asarray(B(x_p), dtype=float)
-    B_pp = B_p
-    lam_p = state.lambda_curr
-    lam_pp = state.lambda_prev
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
-        Bx = np.asarray(B(x), dtype=float)
-        dx = float(np.linalg.norm(x_p - x))
-        dB = float(np.linalg.norm(B_p - Bx))
-        lam = next_step(state, dx, dB)
-        target = _reflected_target(x, Bx, B_p, B_pp, lam, lam_p, lam_pp, delta)
-        x_new = np.asarray(_resolve(A, target, lam), dtype=float)
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "gfrb_adaptive")
-        x_p, x = x, x_new
-        B_pp, B_p = B_p, Bx
-        lam_pp, lam_p = lam_p, lam
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+    return _reflected(A, B, x, B_p, B_p, delta, stop, "gfrb_adaptive",
+                      state=state, dx=float(np.linalg.norm(x_p - x)))
 
 
 def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
@@ -179,63 +227,22 @@ def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     One B evaluation and one resolvent call per pass after the two seed
     evaluations.
     """
-    stop = stop or StopRule()
-    _require_positive_step(lam)
-    L = _lipschitz_hint(B)
-    if L:
-        _warn_if_beyond(lam, 1.0 / (2.0 * L * (1.0 + abs(delta))), "gfrb_fixed")
-    x_pp = np.asarray(x_minus2, dtype=float).copy()
-    x_p = np.asarray(x_minus1, dtype=float).copy()
-    x = np.asarray(x0, dtype=float).copy()
-    B_pp = np.asarray(B(x_pp), dtype=float)
-    B_p = np.asarray(B(x_p), dtype=float)
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
-        Bx = np.asarray(B(x), dtype=float)
-        target = _reflected_target(x, Bx, B_p, B_pp, lam, lam, lam, delta)
-        x_new = np.asarray(_resolve(A, target, lam), dtype=float)
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "gfrb_fixed")
-        x_p, x = x, x_new
-        B_pp, B_p = B_p, Bx
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+    _check_fixed_step(lam, B, "gfrb_fixed", delta)
+    B_pp = np.asarray(B(_seed(x_minus2)), dtype=float)
+    B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
+    return _reflected(A, B, _seed(x0), B_p, B_pp, delta, stop, "gfrb_fixed",
+                      lam=lam)
 
 
 def frb(A, B, x0, x_minus1, lam, stop=None):
     """Reflected splitting with one step of operator memory.
 
     The delta = 0 case of gfrb_fixed (same kernel, so the reduction is
-    bitwise); needs lam < 1 / (2 L).
+    bitwise) with one seed evaluation; needs lam < 1 / (2 L).
     """
-    stop = stop or StopRule()
-    _require_positive_step(lam)
-    L = _lipschitz_hint(B)
-    if L:
-        _warn_if_beyond(lam, 1.0 / (2.0 * L), "frb")
-    x_p = np.asarray(x_minus1, dtype=float).copy()
-    x = np.asarray(x0, dtype=float).copy()
-    B_p = np.asarray(B(x_p), dtype=float)
-    B_pp = B_p
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
-        Bx = np.asarray(B(x), dtype=float)
-        target = _reflected_target(x, Bx, B_p, B_pp, lam, lam, lam, 0.0)
-        x_new = np.asarray(_resolve(A, target, lam), dtype=float)
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "frb")
-        x_p, x = x, x_new
-        B_pp, B_p = B_p, Bx
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+    _check_fixed_step(lam, B, "frb")
+    B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
+    return _reflected(A, B, _seed(x0), B_p, B_p, 0.0, stop, "frb", lam=lam)
 
 
 def fbf(A, B, x0, lam, stop=None):
@@ -244,26 +251,15 @@ def fbf(A, B, x0, lam, stop=None):
     x_{k+1} = y_k - lam*B(y_k) + lam*B(x_k) with
     y_k = J_{lam A}(x_k - lam*B(x_k)); needs lam < 1/L.
     """
-    stop = stop or StopRule()
-    _require_positive_step(lam)
-    L = _lipschitz_hint(B)
-    if L:
-        _warn_if_beyond(lam, 1.0 / L, "fbf")
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
+    _check_fixed_step(lam, B, "fbf")
+
+    def step(x):
         Bx = np.asarray(B(x), dtype=float)
         y = np.asarray(_resolve(A, x - lam * Bx, lam), dtype=float)
         x_new = y - lam * np.asarray(B(y), dtype=float) + lam * Bx
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "fbf")
-        x = x_new
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+        return x_new, float(np.linalg.norm(x_new - x)), lam
+
+    return _drive(step, _seed(x0), stop, "fbf")
 
 
 def rfb(A, B, x0, x_minus1, lam, stop=None):
@@ -271,27 +267,18 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
 
     One B evaluation per pass; needs lam < (sqrt(2) - 1) / L.
     """
-    stop = stop or StopRule()
-    _require_positive_step(lam)
-    L = _lipschitz_hint(B)
-    if L:
-        _warn_if_beyond(lam, (np.sqrt(2.0) - 1.0) / L, "rfb")
-    x_p = np.asarray(x_minus1, dtype=float).copy()
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
+    _check_fixed_step(lam, B, "rfb")
+    x_p = _seed(x_minus1)
+
+    def step(x):
+        nonlocal x_p
         y = 2.0 * x - x_p
         x_new = np.asarray(_resolve(A, x - lam * np.asarray(B(y), dtype=float),
                                     lam), dtype=float)
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "rfb")
-        x_p, x = x, x_new
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+        x_p = x
+        return x_new, float(np.linalg.norm(x_new - x)), lam
+
+    return _drive(step, _seed(x0), stop, "rfb")
 
 
 def fb(A, B, x0, lam, stop=None):
@@ -300,20 +287,12 @@ def fb(A, B, x0, lam, stop=None):
     Kept as the baseline that fails on rotation-like monotone problems
     where the reflected variants succeed.
     """
-    stop = stop or StopRule()
     _require_positive_step(lam)
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    for k in range(stop.max_iter):
+
+    def step(x):
         x_new = np.asarray(
             _resolve(A, x - lam * np.asarray(B(x), dtype=float), lam),
             dtype=float)
-        err = float(np.linalg.norm(x_new - x))
-        trace.append(k, err, lam, time.perf_counter() - t0)
-        _check_divergence(err, x_new, trace, "fb")
-        x = x_new
-        if err <= stop.tol:
-            trace.converged = True
-            break
-    return x, trace
+        return x_new, float(np.linalg.norm(x_new - x)), lam
+
+    return _drive(step, _seed(x0), stop, "fb")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from monosplit.operators import ForwardOperator, l1_resolvent, zero_resolvent
+from monosplit.operators import (ForwardOperator, LinearMap,
+                                 ResolventOperator, l1_resolvent,
+                                 zero_resolvent)
+from monosplit.primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from monosplit.splitting import (DivergenceError, IterationTrace,
                                  StepSizeWarning, StopRule, fb, fbf, frb,
                                  gfrb_adaptive, gfrb_fixed, rfb)
@@ -142,20 +145,49 @@ def test_eval_counts_per_iteration():
     assert c.count == T + 1
 
 
-def test_divergence_raises_with_trace():
+def _run_from_ones(solver, A, B):
+    x0 = np.ones(3)
+    stop = StopRule(tol=1e-12, max_iter=200)
+    if solver == "gfrb_adaptive":
+        return gfrb_adaptive(A, B, x0, x0, 0.2, make_stepsize_state(0.2, 0.1),
+                             stop)
+    if solver == "gfrb_fixed":
+        return gfrb_fixed(A, B, x0, x0, x0, 1.0, 0.5, stop)
+    if solver == "frb":
+        return frb(A, B, x0, x0, 1.0, stop)
+    if solver == "fbf":
+        return fbf(A, B, x0, 1.0, stop)
+    if solver == "rfb":
+        return rfb(A, B, x0, x0, 1.0, stop)
+    if solver == "fb":
+        return fb(A, B, x0, 1.0, stop)
+    problem = CompositeProblem(resolvent_a=A, forward_b=B,
+                               linmap_k=LinearMap.from_matrix(np.eye(3)),
+                               resolvent_c=zero_resolvent(), x0=x0)
+    return epdtr_solve(problem, EPDTRConfig(tau=1.0, sigma=1.0), stop)
+
+
+@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
+                                    "gfrb_adaptive", "epdtr_solve"])
+def test_divergence_raises_with_trace(solver):
+    # An expansive B blows past the limit; a resolvent returning NaN
+    # gives a non-finite iterate on the first pass.
     expansive = ForwardOperator(lambda x: -2.0 * x)
-    with pytest.raises(DivergenceError) as info:
-        fb(zero_resolvent(), expansive, np.ones(3), 1.0,
-           StopRule(tol=1e-12, max_iter=200))
-    trace = info.value.trace
-    assert len(trace) > 0
-    assert trace.errs[-1] > 1e12 or not np.isfinite(trace.errs[-1])
+    nan_resolvent = ResolventOperator(lambda z, lam: np.full_like(z, np.nan))
+    for A, B in ((zero_resolvent(), expansive),
+                 (nan_resolvent, ForwardOperator(lambda x: x))):
+        with pytest.raises(DivergenceError, match=f"^{solver} diverged") \
+                as info:
+            _run_from_ones(solver, A, B)
+        trace = info.value.trace
+        assert len(trace) > 0
+        assert trace.errs[-1] > 1e12 or not np.isfinite(trace.errs[-1])
 
 
 def test_step_bound_warnings():
     B = shifted_identity(np.zeros(2))  # L = 1
     x0 = np.zeros(2)
-    with pytest.warns(StepSizeWarning):
+    with pytest.warns(StepSizeWarning, match="^frb: step 0.5 "):
         frb(zero_resolvent(), B, x0, x0, 0.5, StopRule(max_iter=1))
     with pytest.warns(StepSizeWarning):
         fbf(zero_resolvent(), B, x0, 1.0, StopRule(max_iter=1))
