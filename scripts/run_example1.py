@@ -6,10 +6,10 @@ size under the output directory.
 """
 
 import argparse
-import json
 import pathlib
+import sys
 
-from monosplit.experiments import (config_from_dict, run_benchmark,
+from monosplit.experiments import (load_config, run_benchmark,
                                    summary_header, summary_row,
                                    validate_config)
 
@@ -25,11 +25,14 @@ def main():
     parser.add_argument("--out", default="results/example1")
     args = parser.parse_args()
 
+    try:
+        cfg = validate_config(load_config(args.config))
+    except ValueError as exc:
+        sys.exit(f"config error: {exc}")
+
     print(summary_header())
     for m in args.sizes:
-        cfg = config_from_dict(json.load(open(args.config)))
         cfg.m = m
-        validate_config(cfg)
         out_dir = pathlib.Path(args.out) / f"m{m}"
         for result in run_benchmark(cfg, out_dir=str(out_dir)):
             print(summary_row(result))

@@ -6,12 +6,12 @@ writes summary + trace CSVs.
 """
 
 import argparse
-import json
 import pathlib
+import sys
 
 import numpy as np
 
-from monosplit.experiments import (config_from_dict, generate,
+from monosplit.experiments import (generate, load_config,
                                    run_benchmark, summary_header,
                                    summary_row, validate_config)
 
@@ -26,10 +26,13 @@ def main():
     parser.add_argument("--out", default="results/example2")
     args = parser.parse_args()
 
-    cfg = config_from_dict(json.load(open(args.config)))
-    if args.m is not None:
-        cfg.m = args.m
-    validate_config(cfg)
+    try:
+        cfg = load_config(args.config)
+        if args.m is not None:
+            cfg.m = args.m
+        validate_config(cfg)
+    except ValueError as exc:
+        sys.exit(f"config error: {exc}")
     oracle = generate(cfg).x_star
 
     print(summary_header())

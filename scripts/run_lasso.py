@@ -6,10 +6,10 @@ against the planted sparse signal, and writes summary + trace CSVs.
 """
 
 import argparse
-import json
 import pathlib
+import sys
 
-from monosplit.experiments import (config_from_dict, generate,
+from monosplit.experiments import (generate, load_config,
                                    run_benchmark, snr, summary_header,
                                    summary_row, validate_config)
 
@@ -24,10 +24,13 @@ def main():
     parser.add_argument("--out", default="results/lasso")
     args = parser.parse_args()
 
-    cfg = config_from_dict(json.load(open(args.config)))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    validate_config(cfg)
+    try:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        validate_config(cfg)
+    except ValueError as exc:
+        sys.exit(f"config error: {exc}")
     x_true = generate(cfg).data["x_true"]
 
     print(summary_header())

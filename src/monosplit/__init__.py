@@ -14,8 +14,8 @@ from .primal_dual import (CompositeProblem, EPDTRConfig, check_stepsizes,
                           default_stepsizes, epdtr_solve, epdtr_step,
                           resolvent_of_inverse)
 from .rate_analysis import (RateDesign, RateReport, SchurCohnPair,
-                            build_matrix, characteristic_roots, design_rate,
-                            rate_report, rate_table, schur_cohn,
+                            build_matrix, characteristic_roots, cubic_roots,
+                            design_rate, rate_report, rate_table, schur_cohn,
                             spectral_radius)
 from .splitting import (DivergenceError, IterationTrace, StepSizeWarning,
                         StopRule, fb, fbf, frb, gfrb_adaptive, gfrb_fixed,

@@ -17,14 +17,12 @@ files (timing columns aside).
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
-from .experiments import (config_from_dict, run_benchmark, run_solver,
-                          summary_header, summary_row, validate_config,
-                          generate)
+from .experiments import (load_config, run_benchmark, summary_header,
+                          summary_row, validate_config)
 from .primal_dual import region_grid
 from .rate_analysis import design_rate, rate_table
 from .splitting import DivergenceError
@@ -42,60 +40,49 @@ def _out_dir(args, command):
     return path
 
 
-def _load_config(path):
+def _run(cfg, out, diverged_name):
+    """run_benchmark into ``out``; on divergence write the partial trace to
+    ``diverged_name`` there, report it and return None."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path!r}: invalid JSON ({exc})") \
-            from exc
-    return config_from_dict(raw)
+        return run_benchmark(cfg, out_dir=out)
+    except DivergenceError as exc:
+        path = os.path.join(out, diverged_name)
+        exc.trace.to_csv(path)
+        print(f"divergence: {exc}; partial trace at {path}")
+        return None
 
 
 def _cmd_validate_config(args):
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     validate_config(cfg)
     print(f"config ok: problem={cfg.problem}, solvers={list(cfg.solvers)}")
     return 0
 
 
 def _cmd_solve(args):
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     validate_config(cfg)
     out = _out_dir(args, "solve")
-    instance = generate(cfg)
-    solver = cfg.solvers[0]
-    try:
-        result = run_solver(instance, solver, cfg)
-    except DivergenceError as exc:
-        path = os.path.join(out, f"{solver}_trace.csv")
-        exc.trace.to_csv(path)
-        print(f"divergence: {exc}; partial trace at {path}")
+    cfg.solvers = cfg.solvers[:1]
+    results = _run(cfg, out, f"{cfg.solvers[0]}_trace.csv")
+    if results is None:
         return 3
-    result.trace.to_csv(os.path.join(out, f"{solver}_trace.csv"))
-    with open(os.path.join(out, "summary.csv"), "w") as fh:
-        fh.write(summary_header() + "\n")
-        fh.write(summary_row(result) + "\n")
+    (result,) = results
     status = "converged" if result.converged else "stopped"
-    print(f"{solver} on {cfg.problem}: {status} after {result.iterations} "
-          f"iterations, final err {result.final_err:.6g}; outputs in {out}")
+    print(f"{result.solver} on {cfg.problem}: {status} after "
+          f"{result.iterations} iterations, final err "
+          f"{result.final_err:.6g}; outputs in {out}")
     return 0
 
 
 def _cmd_experiment(args):
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     if args.name is not None:
         cfg.problem = args.name
     validate_config(cfg)
     out = _out_dir(args, "experiment")
-    try:
-        results = run_benchmark(cfg, out_dir=out)
-    except DivergenceError as exc:
-        path = os.path.join(out, "diverged_trace.csv")
-        exc.trace.to_csv(path)
-        print(f"divergence: {exc}; partial trace at {path}")
+    results = _run(cfg, out, "diverged_trace.csv")
+    if results is None:
         return 3
     print(summary_header())
     for res in results:
@@ -130,13 +117,15 @@ def _cmd_region(args):
     path = os.path.join(out, "region.csv")
     taus, sigmas, slack = region_grid(args.b, args.L, args.normK,
                                       n=args.grid)
+    # Float formatting dominates the write: format each tau and sigma
+    # once, not once per row.
+    sigma_strs = [f"{sigma:.17g}" for sigma in sigmas.tolist()]
     with open(path, "w") as fh:
         fh.write("tau,sigma,admissible,slack\n")
-        for i, tau in enumerate(taus):
-            for j, sigma in enumerate(sigmas):
-                s = slack[i, j]
-                fh.write(f"{tau:.17g},{sigma:.17g},{int(s > 0.0)},"
-                         f"{s:.17g}\n")
+        for tau, row in zip(taus.tolist(), slack.tolist()):
+            tau_str = f"{tau:.17g}"
+            fh.writelines(f"{tau_str},{sigma_str},{int(s > 0.0)},{s:.17g}\n"
+                          for sigma_str, s in zip(sigma_strs, row))
     print(f"admissibility grid written to {path}")
     return 0
 

@@ -7,6 +7,8 @@ Stream allocation is part of each generator's contract and is listed in
 its docstring.
 """
 
+import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -238,13 +240,48 @@ def config_from_dict(d):
     for key in ("m", "n", "k", "max_iter"):
         if getattr(cfg, key) <= 0:
             raise ValueError(f"config field '{key}': must be positive")
-    for key in ("lambda0", "tol"):
-        if getattr(cfg, key) <= 0:
-            raise ValueError(f"config field '{key}': must be positive")
+    if cfg.problem == "lasso" and cfg.k > cfg.n:
+        raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
+                         f" exceeds the signal length n={cfg.n}")
+    for key in ("lambda0", "tol", "lam", "lambda_minus1"):
+        value = getattr(cfg, key)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"config field '{key}': must be positive and "
+                             "finite")
+    if not math.isfinite(cfg.delta):
+        raise ValueError("config field 'delta': must be finite")
+    for key in ("noise_sigma", "reg_lambda"):
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"config field '{key}': must be nonnegative and "
+                             "finite")
     if cfg.gamma_kind not in GAMMA_KINDS:
         raise ValueError(
             f"config field 'gamma_kind': must be one of {GAMMA_KINDS}")
+    try:
+        GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
+                  scale=cfg.gamma_scale)
+    except ValueError as exc:
+        raise ValueError(
+            f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
     return cfg
+
+
+def load_config(path):
+    """Read and check the JSON config file at ``path``.
+
+    An unreadable file, invalid JSON and every config_from_dict failure
+    raise ValueError naming the file or the field.
+    """
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path!r}: invalid JSON ({exc})") \
+            from exc
+    return config_from_dict(raw)
 
 
 def validate_config(cfg):
@@ -265,8 +302,6 @@ def validate_config(cfg):
         validate_coefficients(c1, c2, cfg.delta, cfg.epsilon)
     except ValueError as exc:
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
-    if cfg.lam is not None and cfg.lam <= 0.0:
-        raise ValueError("config field 'lam': must be positive")
     pd_fields = (cfg.tau, cfg.sigma, cfg.lipschitz, cfg.norm_k)
     if any(v is not None for v in pd_fields):
         if any(v is None for v in pd_fields):

@@ -1,14 +1,13 @@
 """Linear rate analysis for the multi-step reflected scheme.
 
-On the plane, with B the 90-degree rotation and A = 0, the scheme is the
-linear three-term recursion u_{k+1} = M u_k on stacked iterates
-u_k = (x_k, x_{k-1}, x_{k-2}), and its asymptotic rate is the spectral
-radius of the 6x6 companion-block matrix M.  This module builds M,
-computes its spectrum two independent ways (dense eigenvalues and roots
-of the expanded characteristic polynomial), evaluates the closed-form
-stability pair, and solves the inverse design problem: pick the mix-in
-weight delta so that the scalar recursion contracts at exactly 1/r per
-step.
+With A = 0 and a normal linear B, the three-term recursion splits into
+one scalar recursion per eigenvalue mu of B, with characteristic cubic
+z^3 - (1 - lam (delta+2) mu) z^2 - lam (2 delta+1) mu z + lam delta mu.
+``cubic_roots`` solves it in batches and is the one route to a rate: the
+rotation table and report (mu = +-i) and the inverse design problem
+(mu = 1: pick delta so the recursion contracts at exactly 1/r per
+step).  The rotation's 6x6 companion-block matrix and its degree-6
+characteristic polynomial stay as independent oracles.
 """
 
 from dataclasses import dataclass
@@ -30,6 +29,25 @@ STEP_RULES = (
     ("1/(3d+3)", lambda d: 1.0 / (3.0 * d + 3.0)),
     ("1/(2d+3)", lambda d: 1.0 / (2.0 * d + 3.0)),
 )
+
+
+def cubic_roots(mu, lam, delta):
+    """Roots of the scalar cubic for eigenvalue mu, step lam, weight delta.
+
+    Broadcasts over its arguments and returns the three roots along a new
+    last axis: the eigenvalues of stacked 3x3 companion matrices, which
+    are real when mu, lam and delta are, so real roots stay real.  On the
+    rotation they match build_matrix's eigenvalues to about 1e-13 away
+    from delta = 0; the delta = 0, lam = 1/2 double root (1 -+ i)/2 is
+    resolved only to about sqrt(eps) ~ 1e-8.
+    """
+    mu, lam, delta = np.broadcast_arrays(mu, lam, delta)
+    C = np.zeros(mu.shape + (3, 3), dtype=np.result_type(mu, lam, delta, 1.0))
+    C[..., 0, 0] = 1.0 - lam * (delta + 2.0) * mu
+    C[..., 0, 1] = lam * (2.0 * delta + 1.0) * mu
+    C[..., 0, 2] = -lam * delta * mu
+    C[..., 1, 0] = C[..., 2, 1] = 1.0
+    return np.linalg.eigvals(C)
 
 
 def build_matrix(B, lam, delta):
@@ -108,22 +126,17 @@ class SchurCohnPair:
 def schur_cohn(delta):
     """Closed-form stability pair at lam = 1/(2|delta| + 2).
 
-    Defined for delta != 0 with separate branches for the two signs.
-    d1 changes sign at delta = sqrt(2) + 1 (exactly zero there in
-    floating point).
+    Defined for delta != 0; both signs share one formula in |delta|, with
+    d2 negated for delta < 0.  d1 changes sign at delta = sqrt(2) + 1
+    (exactly zero there in floating point).
     """
     if delta == 0.0:
         raise ValueError("stability pair is defined for delta != 0")
-    d = float(delta)
-    if d > 0.0:
-        d1 = (-d * d + 2.0 * d + 1.0) / (d + 1.0) ** 2
-        d2 = (3.0 * d ** 4 + 6.0 * d ** 3 + 5.0 * d ** 2 + 12.0 * d + 6.0) \
-            / (2.0 * (d + 1.0) ** 4)
-    else:
-        d1 = (-d * d - 2.0 * d + 1.0) / (d - 1.0) ** 2
-        d2 = -(3.0 * d ** 4 - 6.0 * d ** 3 + 5.0 * d ** 2 - 12.0 * d + 6.0) \
-            / (2.0 * (d - 1.0) ** 4)
-    return SchurCohnPair(d1=d1, d2=d2)
+    a = abs(float(delta))
+    d1 = (-a * a + 2.0 * a + 1.0) / (a + 1.0) ** 2
+    d2 = (3.0 * a ** 4 + 6.0 * a ** 3 + 5.0 * a ** 2 + 12.0 * a + 6.0) \
+        / (2.0 * (a + 1.0) ** 4)
+    return SchurCohnPair(d1=d1, d2=d2 if delta > 0.0 else -d2)
 
 
 # Rates r at which the design map delta(r) is rejected.
@@ -147,8 +160,8 @@ def design_rate(r):
 
     Solves (r^2 + r - 3) / (r^3 - 2 r^2 - 2 r + 3) for delta and pairs
     it with lam = 1/(3 (delta + 1)), which balances the x_k and x_{k-1}
-    coefficients.  The returned roots are all three characteristic roots
-    of z^3 - p z^2 - p z + q with p = (2 delta + 1)/(3 (delta + 1)),
+    coefficients.  The returned roots are those of the mu = 1 cubic,
+    z^3 - p z^2 - p z + q with p = (2 delta + 1)/(3 (delta + 1)),
     q = delta/(3 (delta + 1)); z = 1/r is one of them with residual
     below 1e-12.
 
@@ -175,10 +188,8 @@ def design_rate(r):
         raise ValueError(f"design map undefined at r={r!r}: delta + 1 = 0 "
                          "gives an infinite step")
     lam = 1.0 / (3.0 * (delta + 1.0))
-    p = (2.0 * delta + 1.0) * lam
-    q = delta * lam
-    roots = np.roots([1.0, -p, -p, q])
-    return RateDesign(r=r, delta=delta, lam=lam, roots=roots)
+    return RateDesign(r=r, delta=delta, lam=lam,
+                      roots=cubic_roots(1.0, lam, delta))
 
 
 @dataclass
@@ -194,37 +205,26 @@ class RateReport:
 
 
 def rate_report(delta, lam=None):
-    """Matrix-route rate plus the closed-form pair where it is defined."""
+    """Rotation rate, roots at mu = i then -i, and the pair where defined."""
     if lam is None:
         lam = 1.0 / (2.0 * abs(delta) + 2.0)
-    M = build_matrix(ROTATION, lam, delta)
-    try:
-        eigs = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigenvalue iteration failed at delta={delta:g}, "
-            f"lam={lam:g}") from exc
-    rho = float(np.max(np.abs(eigs)))
-    if delta != 0.0:
-        pair = schur_cohn(delta)
-        return RateReport(delta=float(delta), lam=float(lam), rho=rho,
-                          eigenvalues=eigs, d1=pair.d1, d2=pair.d2)
-    return RateReport(delta=float(delta), lam=float(lam), rho=rho,
-                      eigenvalues=eigs)
+    eigs = cubic_roots(np.array([1j, -1j]), lam, delta).ravel()
+    pair = schur_cohn(delta) if delta != 0.0 else SchurCohnPair(None, None)
+    return RateReport(delta=float(delta), lam=float(lam),
+                      rho=float(np.max(np.abs(eigs))), eigenvalues=eigs,
+                      d1=pair.d1, d2=pair.d2)
 
 
 def rate_table(deltas=None):
     """Computed spectral radii over the delta grid and the three step rules.
 
-    Returns a list of (delta, rule_label, lam, rho) rows in grid-major,
-    rule-minor order.
+    Returns (delta, rule_label, lam, rho) rows in grid-major, rule-minor
+    order; mu = i alone gives the rate, as the mu = -i roots are conjugates.
     """
     if deltas is None:
         deltas = TABLE_DELTAS
-    rows = []
-    for d in deltas:
-        for label, rule in STEP_RULES:
-            lam = rule(d)
-            rho = spectral_radius(build_matrix(ROTATION, lam, d))
-            rows.append((float(d), label, float(lam), rho))
-    return rows
+    d = np.asarray(deltas, dtype=float)
+    lams = np.stack([rule(d) for _, rule in STEP_RULES], axis=-1)
+    rhos = np.max(np.abs(cubic_roots(1j, lams, d[:, None])), axis=-1)
+    return [(float(d[i]), label, float(lams[i, j]), float(rhos[i, j]))
+            for i in range(len(d)) for j, (label, _) in enumerate(STEP_RULES)]

@@ -160,7 +160,9 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
 
     With a controller ``state`` each step comes from next_step, fed the
     previous displacement (dx, the seed displacement on the first pass)
-    and ||B x_{k-1} - B x_k||; without one the step is the constant lam.
+    and dB = ||B x_{k-1} - B x_k||; without one the step is the constant
+    lam.  A non-finite dB is returned as the row's err, so the driver
+    reports it as divergence.
     """
     lam_p, lam_pp = (lam, lam) if state is None else \
         (state.lambda_curr, state.lambda_prev)
@@ -168,8 +170,13 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
     def step(x):
         nonlocal B_p, B_pp, lam_p, lam_pp, dx
         Bx = np.asarray(B(x), dtype=float)
-        lam_k = lam_p if state is None else \
-            next_step(state, dx, float(np.linalg.norm(B_p - Bx)))
+        if state is None:
+            lam_k = lam_p
+        else:
+            dB = float(np.linalg.norm(B_p - Bx))
+            if not math.isfinite(dB):
+                return x, dB, lam_p
+            lam_k = next_step(state, dx, dB)
         target = _reflected_target(x, Bx, B_p, B_pp, lam_k, lam_p, lam_pp,
                                    delta)
         x_new = np.asarray(_resolve(A, target, lam_k), dtype=float)

@@ -38,8 +38,8 @@ class GammaSpec:
             raise ValueError(f"unknown gamma kind {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ValueError("geometric ratio must lie in (0, 1)")
-        if self.kind != "zero" and self.scale <= 0.0:
-            raise ValueError("gamma scale must be positive")
+        if self.kind != "zero" and not 0.0 < self.scale < np.inf:
+            raise ValueError("gamma scale must be positive and finite")
 
     def value(self, k):
         if self.kind == "geometric":

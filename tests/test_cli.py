@@ -84,6 +84,14 @@ def test_validate_config_bad_coefficients(tmp_path, capsys):
     assert "c1" in err
 
 
+def test_validate_config_bad_gamma_box(tmp_path, capsys):
+    path = write_config(tmp_path, "gamma.json", {"gamma_ratio": 2})
+    assert main(["validate-config", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "gamma_ratio" in err
+
+
 def test_validate_config_unknown_field(tmp_path, capsys):
     path = write_config(tmp_path, "unknown.json", {"stepsize": 0.1})
     assert main(["validate-config", "--config", path]) == 2

@@ -121,6 +121,15 @@ def test_config_from_dict_defaults_and_errors():
         config_from_dict({"x0_kind": "spiral"})
     with pytest.raises(ValueError, match="'m'"):
         config_from_dict({"m": True})
+    for key, value in (("tol", float("nan")), ("tol", float("inf")),
+                       ("lambda0", float("inf")), ("lam", float("nan")),
+                       ("lam", -1.0), ("noise_sigma", -0.1),
+                       ("reg_lambda", -0.01), ("gamma_ratio", 2.0),
+                       ("gamma_scale", -1.0), ("delta", float("nan"))):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_dict({key: value})
+    with pytest.raises(ValueError, match="'k'"):
+        config_from_dict({"problem": "lasso", "k": 30, "n": 10})
 
 
 def test_validate_config_boxes():

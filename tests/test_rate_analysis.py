@@ -6,9 +6,9 @@ from monosplit.operators import zero_resolvent
 from monosplit.rate_analysis import (EXCLUDED_RATES, ROTATION, STEP_RULES,
                                      TABLE_DELTAS, build_matrix,
                                      characteristic_coefficients,
-                                     characteristic_roots, design_rate,
-                                     rate_report, rate_table, schur_cohn,
-                                     spectral_radius)
+                                     characteristic_roots, cubic_roots,
+                                     design_rate, rate_report, rate_table,
+                                     schur_cohn, spectral_radius)
 from monosplit.splitting import StopRule, gfrb_fixed
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -31,6 +31,34 @@ def test_zero_forward_gives_shift_matrix():
 def test_spectral_radius_of_rotation_at_half_step():
     rho = spectral_radius(build_matrix(ROTATION, 0.5, 0.0))
     assert rho == pytest.approx(INV_SQRT2, abs=1e-6)
+
+
+def test_cubic_roots_match_matrix_oracle():
+    # The rotation's spectrum is the cubic's roots at mu = i and mu = -i;
+    # away from the delta = 0 cusp both routes agree to rounding.
+    gen = np.random.default_rng(2024)
+    deltas = gen.uniform(-2.0, 2.0, 500)
+    deltas = deltas[np.abs(deltas) >= 1e-3]
+    lams = gen.uniform(0.05, 0.6, deltas.shape)
+    roots = cubic_roots(np.array([1j, -1j]), lams[:, None], deltas[:, None])
+    assert roots.shape == (len(deltas), 2, 3)
+    for delta, lam, z in zip(deltas, lams, roots):
+        M = build_matrix(ROTATION, lam, delta)
+        rho_mat = spectral_radius(M)
+        assert abs(np.max(np.abs(z)) - rho_mat) <= 1e-10
+        rep = rate_report(delta, lam)
+        assert abs(rep.rho - rho_mat) <= 1e-10
+        # The whole spectrum, not just its radius: each of the six
+        # eigenvalues of M is one of the report's roots.
+        gaps = np.abs(np.linalg.eigvals(M)[:, None] - rep.eigenvalues)
+        assert np.max(np.min(gaps, axis=1)) <= 1e-10
+        assert np.max(np.min(gaps, axis=0)) <= 1e-10
+    # At delta = 0, lam = 1/2 the double root (1 -+ i)/2 limits the
+    # accuracy to about sqrt(eps).
+    assert abs(np.max(np.abs(cubic_roots(1j, 0.5, 0.0))) - INV_SQRT2) <= 1e-8
+    assert abs(rate_table([0.0])[0][3] - INV_SQRT2) <= 1e-8
+    # Real arguments give a real companion, hence real roots.
+    assert cubic_roots(1.0, 0.25, 0.5).dtype == np.float64
 
 
 def test_characteristic_polynomial_matches_determinant():

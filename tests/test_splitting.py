@@ -171,11 +171,14 @@ def _run_from_ones(solver, A, B):
                                     "gfrb_adaptive", "epdtr_solve"])
 def test_divergence_raises_with_trace(solver):
     # An expansive B blows past the limit; a resolvent returning NaN
-    # gives a non-finite iterate on the first pass.
+    # gives a non-finite iterate on the first pass, and so does a B
+    # returning NaN.
     expansive = ForwardOperator(lambda x: -2.0 * x)
     nan_resolvent = ResolventOperator(lambda z, lam: np.full_like(z, np.nan))
+    nan_forward = ForwardOperator(lambda x: np.full_like(x, np.nan))
     for A, B in ((zero_resolvent(), expansive),
-                 (nan_resolvent, ForwardOperator(lambda x: x))):
+                 (nan_resolvent, ForwardOperator(lambda x: x)),
+                 (zero_resolvent(), nan_forward)):
         with pytest.raises(DivergenceError, match=f"^{solver} diverged") \
                 as info:
             _run_from_ones(solver, A, B)
