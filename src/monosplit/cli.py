@@ -9,6 +9,10 @@ design-rate R    print the mix-in weight and step achieving rate 1/R
 region           admissibility slack grid for the primal-dual step pair
 validate-config  check parameter boxes without running
 
+solve, experiment and validate-config take --m and --seed, which replace
+the config file's fields before it is checked, so a bad override fails
+like a bad file, naming the field.
+
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
 the offending field), 3 divergence (partial trace CSV path printed).
 Outputs land in --out, defaulting to ./results/<command>-<timestamp>;
@@ -52,16 +56,20 @@ def _run(cfg, out, diverged_name):
         return None
 
 
+def _config(args):
+    """The --config file with the command line's overrides merged in."""
+    return load_config(args.config, problem=getattr(args, "name", None),
+                       m=args.m, seed=args.seed)
+
+
 def _cmd_validate_config(args):
-    cfg = load_config(args.config)
-    validate_config(cfg)
+    cfg = validate_config(_config(args))
     print(f"config ok: problem={cfg.problem}, solvers={list(cfg.solvers)}")
     return 0
 
 
 def _cmd_solve(args):
-    cfg = load_config(args.config)
-    validate_config(cfg)
+    cfg = validate_config(_config(args))
     out = _out_dir(args, "solve")
     cfg.solvers = cfg.solvers[:1]
     results = _run(cfg, out, f"{cfg.solvers[0]}_trace.csv")
@@ -76,10 +84,7 @@ def _cmd_solve(args):
 
 
 def _cmd_experiment(args):
-    cfg = load_config(args.config)
-    if args.name is not None:
-        cfg.problem = args.name
-    validate_config(cfg)
+    cfg = validate_config(_config(args))
     out = _out_dir(args, "experiment")
     results = _run(cfg, out, "diverged_trace.csv")
     if results is None:
@@ -87,6 +92,8 @@ def _cmd_experiment(args):
     print(summary_header())
     for res in results:
         print(summary_row(res))
+    for res in results:
+        print(f"{res.solver}: {res.known_answer}")
     print(f"outputs in {out}")
     return 0
 
@@ -144,15 +151,22 @@ def build_parser():
                        help="drop the timestamp from the default "
                             "output directory")
 
+    def add_config(p):
+        p.add_argument("--config", required=True)
+        p.add_argument("--m", type=int, default=None,
+                       help="override the config's m")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config's seed")
+
     p = sub.add_parser("solve", help="run the first configured solver")
-    p.add_argument("--config", required=True)
+    add_config(p)
     add_common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("experiment", help="run every configured solver")
     p.add_argument("name", nargs="?", default=None,
                    help="problem name overriding the config")
-    p.add_argument("--config", required=True)
+    add_config(p)
     add_common(p)
     p.set_defaults(func=_cmd_experiment)
 
@@ -176,7 +190,7 @@ def build_parser():
 
     p = sub.add_parser("validate-config",
                        help="check parameter boxes without running")
-    p.add_argument("--config", required=True)
+    add_config(p)
     p.set_defaults(func=_cmd_validate_config)
 
     return parser

@@ -240,6 +240,8 @@ def config_from_dict(d):
     for key in ("m", "n", "k", "max_iter"):
         if getattr(cfg, key) <= 0:
             raise ValueError(f"config field '{key}': must be positive")
+    if cfg.seed < 0:
+        raise ValueError("config field 'seed': must be nonnegative")
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
@@ -267,9 +269,11 @@ def config_from_dict(d):
     return cfg
 
 
-def load_config(path):
+def load_config(path, **overrides):
     """Read and check the JSON config file at ``path``.
 
+    Each keyword override that is not None replaces the file's field
+    before the check, so it is checked, and named, like the file's own.
     An unreadable file, invalid JSON and every config_from_dict failure
     raise ValueError naming the file or the field.
     """
@@ -281,6 +285,8 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path!r}: invalid JSON ({exc})") \
             from exc
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     return config_from_dict(raw)
 
 
@@ -356,6 +362,7 @@ class RunResult:
     converged: bool
     x: np.ndarray
     trace: object
+    known_answer: str = None
 
 
 def run_solver(instance, solver, cfg):
@@ -396,14 +403,27 @@ def summary_row(result):
             f"{result.elapsed_s:.17g}")
 
 
+def known_answer(instance, x):
+    """How far x is from what the instance knows of its solution: the
+    distance to x_star (example1, example2), else the SNR against the
+    planted data['x_true'] (lasso)."""
+    if instance.x_star is not None:
+        gap = np.linalg.norm(x - instance.x_star)
+        return f"distance to oracle {gap:.3e}"
+    return f"terminal SNR {snr(instance.data['x_true'], x):.2f} dB"
+
+
 def run_benchmark(cfg, out_dir=None):
     """Run every configured solver on the configured problem.
 
-    Returns the list of RunResults; with out_dir set, writes
-    summary.csv plus one <solver>_trace.csv per run.
+    Returns the list of RunResults, each with its known_answer line;
+    with out_dir set, writes summary.csv plus one <solver>_trace.csv
+    per run.
     """
     instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
+    for res in results:
+        res.known_answer = known_answer(instance, res.x)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "summary.csv"), "w") as fh:

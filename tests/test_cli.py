@@ -1,9 +1,13 @@
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 
-from monosplit.cli import main
+from monosplit.cli import build_parser, main
+from monosplit.experiments import (generate, load_config, run_solver,
+                                   summary_header, summary_row)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -192,3 +196,100 @@ def test_summary_final_err_is_accurate(tmp_path, capsys):
     trace = out / "gfrb_fixed_trace.csv"
     last = trace.read_text().strip().splitlines()[-1]
     assert float(last.split(",")[1]) == final_err
+
+
+@pytest.mark.parametrize("flags, field", [(["--m", "0"], "'m'"),
+                                          (["--m", "-3"], "'m'"),
+                                          (["--seed", "-1"], "'seed'")])
+@pytest.mark.parametrize("command", ["experiment", "solve",
+                                     "validate-config"])
+def test_bad_override_names_field(tmp_path, capsys, command, flags, field):
+    cfg = write_config(tmp_path, "ok.json", {"problem": "example1", "m": 20})
+    out = tmp_path / "never"
+    argv = [command, "--config", cfg] + flags
+    if command != "validate-config":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not out.exists()
+
+
+def test_problem_override_is_checked_like_the_file(tmp_path, capsys):
+    with open(REPO_ROOT / "configs" / "example1.json") as fh:
+        payload = json.load(fh)
+    cfg = write_config(tmp_path, "k.json", dict(payload, k=5000))
+    out = tmp_path / "never"
+    assert main(["experiment", "lasso", "--config", cfg,
+                 "--out", str(out)]) == 2
+    assert "'k'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate-config", "--config", cfg]) == 0
+
+
+def test_good_override_reaches_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ov.json",
+                       {"problem": "example1", "m": 20, "seed": 0,
+                        "solvers": ["frb"]})
+    out = tmp_path / "ov"
+    assert main(["experiment", "--config", cfg, "--m", "30", "--seed", "4",
+                 "--out", str(out)]) == 0
+    summary = (out / "summary.csv").read_text().strip().splitlines()
+    assert summary[1].startswith("example1,frb,30,30,4,")
+    capsys.readouterr()
+    assert main(["validate-config", "--config", cfg, "--m", "30",
+                 "--seed", "4"]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload, phrase", [
+    ({"problem": "example1", "m": 30}, "distance to oracle"),
+    ({"problem": "lasso", "m": 32, "n": 64, "k": 4}, "terminal SNR"),
+])
+def test_experiment_prints_known_answer_lines(tmp_path, capsys, payload,
+                                              phrase):
+    solvers = ["gfrb_adaptive", "frb", "fbf"]
+    cfg = write_config(tmp_path, "ka.json", dict(payload, solvers=solvers))
+    out = tmp_path / "ka"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if phrase in line]
+    assert [line.partition(":")[0] for line in lines] == solvers
+    # The known answers leave summary.csv as the bare solver runs give it,
+    # up to elapsed_s, its last column.
+    config = load_config(cfg)
+    instance = generate(config)
+    bare = [summary_header()] + [
+        summary_row(run_solver(instance, solver, config))
+        for solver in solvers]
+    written = (out / "summary.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[0] for line in written] == \
+        [line.rsplit(",", 1)[0] for line in bare]
+
+
+def _readme_sh_lines():
+    text = (REPO_ROOT / "README.md").read_text()
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.splitlines():
+            line = line.partition("#")[0].strip()
+            if line:
+                yield line
+
+
+def test_readme_commands_exist_and_parse():
+    parser = build_parser()
+    commands = scripts = 0
+    for line in _readme_sh_lines():
+        # A monosplit command may open the line or follow `do`/`;`, as in
+        # a shell loop; a loop variable stands in for one number.
+        for cmd in re.findall(r"(?:^|;|\bdo)\s*monosplit\s+([^;]*)", line):
+            try:
+                parser.parse_args(shlex.split(re.sub(r"\$\w+", "1", cmd)))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+            commands += 1
+        for script in re.findall(r"python3\s+(scripts/\S+\.py)", line):
+            assert (REPO_ROOT / script).is_file(), script
+            scripts += 1
+    assert commands > 0 and scripts > 0

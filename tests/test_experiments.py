@@ -125,7 +125,8 @@ def test_config_from_dict_defaults_and_errors():
                        ("lambda0", float("inf")), ("lam", float("nan")),
                        ("lam", -1.0), ("noise_sigma", -0.1),
                        ("reg_lambda", -0.01), ("gamma_ratio", 2.0),
-                       ("gamma_scale", -1.0), ("delta", float("nan"))):
+                       ("gamma_scale", -1.0), ("delta", float("nan")),
+                       ("seed", -1)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict({key: value})
     with pytest.raises(ValueError, match="'k'"):
