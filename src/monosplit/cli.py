@@ -44,13 +44,14 @@ def _out_dir(args, command):
     return path
 
 
-def _run(cfg, out, diverged_name):
+def _run(cfg, out):
     """run_benchmark into ``out``; on divergence write the partial trace to
-    ``diverged_name`` there, report it and return None."""
+    ``<method>_trace.csv`` there, named after the solver that diverged,
+    report it and return None."""
     try:
         return run_benchmark(cfg, out_dir=out)
     except DivergenceError as exc:
-        path = os.path.join(out, diverged_name)
+        path = os.path.join(out, f"{exc.method}_trace.csv")
         exc.trace.to_csv(path)
         print(f"divergence: {exc}; partial trace at {path}")
         return None
@@ -72,7 +73,7 @@ def _cmd_solve(args):
     cfg = validate_config(_config(args))
     out = _out_dir(args, "solve")
     cfg.solvers = cfg.solvers[:1]
-    results = _run(cfg, out, f"{cfg.solvers[0]}_trace.csv")
+    results = _run(cfg, out)
     if results is None:
         return 3
     (result,) = results
@@ -86,7 +87,7 @@ def _cmd_solve(args):
 def _cmd_experiment(args):
     cfg = validate_config(_config(args))
     out = _out_dir(args, "experiment")
-    results = _run(cfg, out, "diverged_trace.csv")
+    results = _run(cfg, out)
     if results is None:
         return 3
     print(summary_header())

@@ -1,8 +1,9 @@
 """Reproducible problem generators and benchmark drivers.
 
 Each generator draws every array from its own PCG64 substream keyed by
-(seed, array index), so instances reproduce bitwise for a given seed on
-any platform and adding arrays later cannot shift existing draws.
+(seed, array index), so a given seed draws the same uniforms on any
+platform and adding arrays later cannot shift existing draws.  Normal
+draws (see rng) are bitwise only for one numpy build and CPU target.
 Stream allocation is part of each generator's contract and is listed in
 its docstring.
 """

@@ -72,9 +72,21 @@ class LinearMap:
 
 
 def soft_threshold(z, lam):
-    """Componentwise shrinkage sign(z) * max(|z| - lam, 0)."""
+    """Componentwise shrinkage sign(z) * max(|z| - lam, 0).
+
+    Computed as copysign(max(|z| - lam, 0), z) in place on the fresh
+    |z| array, which equals the sign form bit for bit except that
+    z = -0.0 maps to -0.0.  The input is never written to.
+    """
     z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
+    out = np.abs(z)
+    if out.ndim == 0:
+        # Ufuncs return a scalar for 0-d input, which has no buffer to
+        # write into.
+        return np.copysign(np.maximum(out - lam, 0.0), z)
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, z, out=out)
 
 
 def l1_resolvent(weight=1.0):
@@ -87,22 +99,36 @@ def zero_resolvent():
     return ResolventOperator(lambda z, lam: np.asarray(z, dtype=float))
 
 
-def resolvent_symmetric_affine(z, lam, P, eigs, beta):
+def symmetric_affine_resolvent(E, beta=0.0):
     """Resolvent of x -> (E + beta*I) x for symmetric E = P diag(eigs) P^T.
 
-    Solves (I + lam*(E + beta*I)) x = z in the eigenbasis; one matvec
-    pair per call, no refactorization.
+    Decomposes E once; each call solves (I + lam*(E + beta*I)) x = z in
+    the eigenbasis as P @ (1 / (1 + lam*(eigs + beta)) * (P^T @ z)), one
+    matvec pair and no refactorization.  The shifted spectrum
+    eigs + beta is formed once, and the coefficient vector is kept for
+    the last lam seen, so a fixed-step run builds it once.
     """
-    coeff = 1.0 / (1.0 + lam * (eigs + beta))
-    return P @ (coeff * (P.T @ z))
-
-
-def symmetric_affine_resolvent(E, beta=0.0):
-    """Cache the eigendecomposition of symmetric E and return its resolvent."""
     E = np.asarray(E, dtype=float)
     eigs, P = np.linalg.eigh(E)
-    return ResolventOperator(
-        lambda z, lam: resolvent_symmetric_affine(z, lam, P, eigs, beta))
+    shifted = eigs + beta
+    # P.T stays a view: a contiguous copy could change the BLAS path and
+    # with it the last bits of the product.
+    P_t = P.T
+    # (lam, coefficient) replaced as one tuple, so callers sharing the
+    # resolvent across threads never pair a lam with another's vector.
+    cached = (None, None)
+
+    def resolve(z, lam):
+        nonlocal cached
+        lam_cached, coeff = cached
+        if lam != lam_cached:
+            coeff = 1.0 / (1.0 + lam * shifted)
+            cached = (lam, coeff)
+        v = P_t @ z
+        v *= coeff
+        return P @ v
+
+    return ResolventOperator(resolve)
 
 
 def make_affine_forward(M, b):

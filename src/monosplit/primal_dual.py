@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import power_norm
-from .splitting import StepSizeWarning, _drive, _resolve
+from .splitting import StepSizeWarning, _drive, _norm, _resolver
 
 
 @dataclass
@@ -121,15 +121,22 @@ def epdtr_step(state, cfg, resolvent_a, forward_b, linmap_k, resolvent_c_inv):
     Exactly one evaluation each of B, K and K* per call.
     """
     tau, sigma, b = cfg.tau, cfg.sigma, cfg.b
-    drive = (state.x - tau * linmap_k.apply_adjoint(state.y)
-             - (b + 2.0) * tau * state.Bx
-             + (2.0 * b + 1.0) * tau * state.Bx_prev
-             - b * tau * state.Bx_prev2)
-    x_new = np.asarray(_resolve(resolvent_a, drive, tau), dtype=float)
+    # The formula's grouping, term by term, in place on the fresh drive
+    # and dual arrays (see splitting's notes on bitwise step kernels).
+    drive = state.x - tau * linmap_k.apply_adjoint(state.y)
+    work = ((b + 2.0) * tau) * state.Bx
+    drive -= work
+    np.multiply((2.0 * b + 1.0) * tau, state.Bx_prev, out=work)
+    drive += work
+    np.multiply(b * tau, state.Bx_prev2, out=work)
+    drive -= work
+    x_new = np.asarray(_resolver(resolvent_a)(drive, tau), dtype=float)
     Kx_new = np.asarray(linmap_k.apply(x_new), dtype=float)
-    y_new = np.asarray(
-        resolvent_c_inv(state.y + sigma * (2.0 * Kx_new - state.Kx), sigma),
-        dtype=float)
+    dual = 2.0 * Kx_new
+    dual -= state.Kx
+    dual *= sigma
+    dual += state.y
+    y_new = np.asarray(resolvent_c_inv(dual, sigma), dtype=float)
     Bx_new = np.asarray(forward_b(x_new), dtype=float)
     return PrimalDualState(x=x_new, x_prev=state.x, x_prev2=state.x_prev,
                            y=y_new, Bx=Bx_new, Bx_prev=state.Bx,
@@ -182,20 +189,20 @@ def epdtr_solve(problem, cfg=None, stop=None):
     seed = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0,
                            Bx=Bx0, Bx_prev=Bx0, Bx_prev2=Bx0,
                            Kx=np.asarray(K.apply(x0), dtype=float))
+    tau = float(cfg.tau)
 
     def step(state):
         new = epdtr_step(state, cfg, problem.resolvent_a, problem.forward_b,
                          K, resolvent_c_inv)
-        err = float(np.hypot(np.linalg.norm(new.x - state.x),
-                             np.linalg.norm(new.y - state.y)))
-        return new, err, cfg.tau
+        # np.hypot, not math.hypot: the two differ in the last bit.
+        err = float(np.hypot(_norm(new.x - state.x), _norm(new.y - state.y)))
+        return new, err, tau
 
     state, trace = _drive(step, seed, stop, "epdtr_solve")
     x, y = state.x, state.y
     fresh_Bx = np.asarray(problem.forward_b(x), dtype=float)
-    px = np.asarray(_resolve(problem.resolvent_a,
-                             x - cfg.tau * (fresh_Bx + K.apply_adjoint(y)),
-                             cfg.tau), dtype=float)
+    px = np.asarray(_resolver(problem.resolvent_a)(
+        x - cfg.tau * (fresh_Bx + K.apply_adjoint(y)), cfg.tau), dtype=float)
     py = resolvent_c_inv(y + cfg.sigma * np.asarray(K.apply(x), dtype=float),
                          cfg.sigma)
     trace.primal_residual = float(np.linalg.norm(x - px))

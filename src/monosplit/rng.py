@@ -6,8 +6,10 @@ so adding a new array to a generator never shifts the draws of existing
 ones.  Normal variates use Box-Muller on uniform doubles instead of the
 generator's native ziggurat sampler: the ziggurat's rejection loop makes
 draw counts depend on library internals, while Box-Muller consumes a fixed
-number of uniforms per sample and therefore reproduces bitwise across
-versions.
+number of uniforms per sample.  The uniforms are portable; the normals
+agree only to rounding across numpy builds and CPU targets, because
+numpy picks the SIMD kernels of ``np.log``, ``np.cos`` and ``np.sin`` by
+build and CPU, and kernels can differ in the last bit.
 """
 
 import numpy as np

@@ -12,6 +12,31 @@ the divergence test and the stop test.  The three reflected multi-step
 methods (frb, gfrb_fixed, gfrb_adaptive) share one runner and one update
 kernel so that their analytic reductions (delta = 0, constant step) hold
 bitwise, not just to rounding.
+
+The step kernels are written to cost few numpy calls per iteration (the
+m = 200 problems are bound by per-call overhead) while producing the
+same bits as the plain formulas in the docstrings.  They rest on these
+identities, which any rewrite must keep:
+
+- ``np.linalg.norm(v)`` of a 1-d float64 array is
+  ``math.sqrt(np.vdot(v, v))``, bit for bit (``_norm``).
+- ``a - b`` is exactly ``-(b - a)``, so one difference
+  ``D_k = B x_k - B x_{k-1}`` serves as the controller's ``dB``, as the
+  ``(1 + delta)`` term and, one iteration later, as the ``delta`` term.
+- Scalar factors such as ``lam_p * (1 + delta)`` are formed first and
+  then applied to the array, exactly as the formula groups them.
+  Reassociating a product changes the last bits.
+- ``x - y``, ``s * v`` and ``v + w`` give the same bits written into a
+  fresh result or in place (``np.subtract(x, t, out=t)``), and addition
+  and multiplication commute exactly.
+- ``math.isfinite`` agrees with ``np.isfinite`` on Python floats.
+
+One rule keeps the in-place forms safe: write only into arrays the step
+itself has just allocated, and keep no work buffer that lives from one
+step to the next and can escape it.  The target handed to a resolvent
+can come back as the new iterate (``zero_resolvent`` returns its input),
+and a forward operator may return its argument, so neither output is
+ever written to.
 """
 
 import math
@@ -33,12 +58,14 @@ class StepSizeWarning(UserWarning):
 class DivergenceError(RuntimeError):
     """Iteration blew past DIVERGENCE_LIMIT or produced non-finite values.
 
-    Carries the trace recorded up to and including the offending row.
+    Carries the trace recorded up to and including the offending row,
+    and the name of the method that diverged.
     """
 
-    def __init__(self, message, trace):
+    def __init__(self, message, trace, method):
         super().__init__(message)
         self.trace = trace
+        self.method = method
 
 
 @dataclass
@@ -78,13 +105,20 @@ class IterationTrace:
                 fh.write(f"{k},{err:.17g},{lam:.17g},{el:.17g}\n")
 
 
-def _resolve(A, z, lam):
-    res = getattr(A, "resolve", None)
-    return res(z, lam) if res is not None else A(z, lam)
+def _resolver(A):
+    """The callable behind A: its ``resolve`` method, else A itself."""
+    return getattr(A, "resolve", A)
 
 
 def _seed(v):
-    return np.array(v, dtype=float)
+    """A fresh 1-d float copy of a seed iterate; a scalar becomes shape (1,),
+    so the in-place kernels always have an array to write into."""
+    return np.array(v, dtype=float, ndmin=1)
+
+
+def _norm(v):
+    """``np.linalg.norm(v)`` for a 1-d float array, bitwise, as a float."""
+    return math.sqrt(np.vdot(v, v))
 
 
 # Convergence-theory step bound of each fixed-step method for an
@@ -120,37 +154,36 @@ def _drive(step, x0, stop, method):
     """The one iteration loop: x <- step(x) until ``stop`` ends it.
 
     ``step(x)`` returns (x_new, err, lam) with err the displacement from
-    x to x_new, and keeps whatever history its method needs.  Each row
-    is traced before the divergence test, so a DivergenceError carries
-    the offending row.  A finite err from a finite x implies a finite
-    x_new (and a non-finite seed gives a non-finite first err), so
-    testing err alone also catches non-finite iterates.
+    x to x_new, err and lam Python floats, and keeps whatever history
+    its method needs.  Each row is traced before the divergence test, so
+    a DivergenceError carries the offending row.  A finite err from a
+    finite x implies a finite x_new (and a non-finite seed gives a
+    non-finite first err), so testing err alone also catches non-finite
+    iterates.
     """
     stop = stop or StopRule()
     trace = IterationTrace()
+    # The rows are appended column by column, skipping
+    # IterationTrace.append's conversions: step already returns floats.
+    add_k, add_err = trace.ks.append, trace.errs.append
+    add_lam, add_elapsed = trace.lambdas.append, trace.elapsed.append
+    clock = time.perf_counter
     x = x0
-    t0 = time.perf_counter()
+    t0 = clock()
     for k in range(stop.max_iter):
         x, err, lam = step(x)
-        trace.append(k, err, lam, time.perf_counter() - t0)
+        add_k(k)
+        add_err(err)
+        add_lam(lam)
+        add_elapsed(clock() - t0)
         if not math.isfinite(err) or err > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"{method} diverged at iteration {k} (err={err:g}); "
-                f"trace attached", trace)
+                f"trace attached", trace, method)
         if err <= stop.tol:
             trace.converged = True
             break
     return x, trace
-
-
-def _reflected_target(x, Bx, Bx_p, Bx_pp, lam, lam_p, lam_pp, delta):
-    # Shared kernel: x - lam*Bx - lam_p*(1+delta)*(Bx - Bx_p)
-    #                  + lam_pp*delta*(Bx_p - Bx_pp).
-    # At delta = 0 the last term is an exact zero multiple, which is what
-    # makes the frb reduction bitwise.
-    return (x - lam * Bx
-            - lam_p * (1.0 + delta) * (Bx - Bx_p)
-            + lam_pp * delta * (Bx_p - Bx_pp))
 
 
 def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
@@ -158,31 +191,48 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
     """Run the three-term reflected recursion from B(x_{-1}) = B_p and
     B(x_{-2}) = B_pp.
 
+    Each pass computes, with x = x_k, Bx = B x_k and lam = lam_k,
+
+        x_{k+1} = J_{lam A}(x - lam*Bx - lam_p*(1+delta)*(Bx - B_p)
+                            + lam_pp*delta*(B_p - B_pp))
+
+    grouped exactly so.  At delta = 0 the last term is an exact zero
+    multiple, which is what makes the frb reduction bitwise.
+
     With a controller ``state`` each step comes from next_step, fed the
     previous displacement (dx, the seed displacement on the first pass)
     and dB = ||B x_{k-1} - B x_k||; without one the step is the constant
     lam.  A non-finite dB is returned as the row's err, so the driver
     reports it as divergence.
     """
+    resolve = _resolver(A)
     lam_p, lam_pp = (lam, lam) if state is None else \
         (state.lambda_curr, state.lambda_prev)
+    reflect = 1.0 + delta
+    # D_p = B_p - B_pp; each pass's D = Bx - B_p becomes the next D_p.
+    D_p = B_p - B_pp
 
     def step(x):
-        nonlocal B_p, B_pp, lam_p, lam_pp, dx
+        nonlocal B_p, D_p, lam_p, lam_pp, dx
         Bx = np.asarray(B(x), dtype=float)
+        D = Bx - B_p
         if state is None:
             lam_k = lam_p
         else:
-            dB = float(np.linalg.norm(B_p - Bx))
+            dB = _norm(D)
             if not math.isfinite(dB):
                 return x, dB, lam_p
             lam_k = next_step(state, dx, dB)
-        target = _reflected_target(x, Bx, B_p, B_pp, lam_k, lam_p, lam_pp,
-                                   delta)
-        x_new = np.asarray(_resolve(A, target, lam_k), dtype=float)
+        target = lam_k * Bx
+        np.subtract(x, target, out=target)
+        work = (lam_p * reflect) * D
+        target -= work
+        np.multiply(lam_pp * delta, D_p, out=work)
+        target += work
+        x_new = np.asarray(resolve(target, lam_k), dtype=float)
         # ||x_{k+1} - x_k|| is also the controller's next dx, bitwise.
-        dx = float(np.linalg.norm(x_new - x))
-        B_pp, B_p = B_p, Bx
+        dx = _norm(x_new - x)
+        B_p, D_p = Bx, D
         lam_pp, lam_p = lam_p, lam_k
         return x_new, dx, lam_k
 
@@ -223,7 +273,7 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
     x = _seed(x0)
     B_p = np.asarray(B(x_p), dtype=float)
     return _reflected(A, B, x, B_p, B_p, delta, stop, "gfrb_adaptive",
-                      state=state, dx=float(np.linalg.norm(x_p - x)))
+                      state=state, dx=_norm(x_p - x))
 
 
 def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
@@ -235,6 +285,7 @@ def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     evaluations.
     """
     _check_fixed_step(lam, B, "gfrb_fixed", delta)
+    lam = float(lam)
     B_pp = np.asarray(B(_seed(x_minus2)), dtype=float)
     B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
     return _reflected(A, B, _seed(x0), B_p, B_pp, delta, stop, "gfrb_fixed",
@@ -248,6 +299,7 @@ def frb(A, B, x0, x_minus1, lam, stop=None):
     bitwise) with one seed evaluation; needs lam < 1 / (2 L).
     """
     _check_fixed_step(lam, B, "frb")
+    lam = float(lam)
     B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
     return _reflected(A, B, _seed(x0), B_p, B_p, 0.0, stop, "frb", lam=lam)
 
@@ -259,12 +311,16 @@ def fbf(A, B, x0, lam, stop=None):
     y_k = J_{lam A}(x_k - lam*B(x_k)); needs lam < 1/L.
     """
     _check_fixed_step(lam, B, "fbf")
+    lam = float(lam)
+    resolve = _resolver(A)
 
     def step(x):
-        Bx = np.asarray(B(x), dtype=float)
-        y = np.asarray(_resolve(A, x - lam * Bx, lam), dtype=float)
-        x_new = y - lam * np.asarray(B(y), dtype=float) + lam * Bx
-        return x_new, float(np.linalg.norm(x_new - x)), lam
+        lam_Bx = lam * np.asarray(B(x), dtype=float)
+        y = np.asarray(resolve(x - lam_Bx, lam), dtype=float)
+        x_new = lam * np.asarray(B(y), dtype=float)
+        np.subtract(y, x_new, out=x_new)
+        x_new += lam_Bx
+        return x_new, _norm(x_new - x), lam
 
     return _drive(step, _seed(x0), stop, "fbf")
 
@@ -272,34 +328,42 @@ def fbf(A, B, x0, lam, stop=None):
 def rfb(A, B, x0, x_minus1, lam, stop=None):
     """Reflected forward-backward: forward step at y_k = 2 x_k - x_{k-1}.
 
-    One B evaluation per pass; needs lam < (sqrt(2) - 1) / L.
+    x_{k+1} = J_{lam A}(x_k - lam*B(y_k)); one B evaluation per pass;
+    needs lam < (sqrt(2) - 1) / L.
     """
     _check_fixed_step(lam, B, "rfb")
+    lam = float(lam)
+    resolve = _resolver(A)
     x_p = _seed(x_minus1)
 
     def step(x):
         nonlocal x_p
-        y = 2.0 * x - x_p
-        x_new = np.asarray(_resolve(A, x - lam * np.asarray(B(y), dtype=float),
-                                    lam), dtype=float)
+        y = 2.0 * x
+        y -= x_p
+        target = lam * np.asarray(B(y), dtype=float)
+        np.subtract(x, target, out=target)
+        x_new = np.asarray(resolve(target, lam), dtype=float)
         x_p = x
-        return x_new, float(np.linalg.norm(x_new - x)), lam
+        return x_new, _norm(x_new - x), lam
 
     return _drive(step, _seed(x0), stop, "rfb")
 
 
 def fb(A, B, x0, lam, stop=None):
-    """Plain forward-backward; convergent only for cocoercive B.
+    """Plain forward-backward, x_{k+1} = J_{lam A}(x_k - lam*B(x_k));
+    convergent only for cocoercive B.
 
     Kept as the baseline that fails on rotation-like monotone problems
     where the reflected variants succeed.
     """
     _require_positive_step(lam)
+    lam = float(lam)
+    resolve = _resolver(A)
 
     def step(x):
-        x_new = np.asarray(
-            _resolve(A, x - lam * np.asarray(B(x), dtype=float), lam),
-            dtype=float)
-        return x_new, float(np.linalg.norm(x_new - x)), lam
+        target = lam * np.asarray(B(x), dtype=float)
+        np.subtract(x, target, out=target)
+        x_new = np.asarray(resolve(target, lam), dtype=float)
+        return x_new, _norm(x_new - x), lam
 
     return _drive(step, _seed(x0), stop, "fb")

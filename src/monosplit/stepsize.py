@@ -8,6 +8,7 @@ branch fires only on the strict test lambda_{k-1} * dB > c2 * dx, so a
 tie, and in particular dB = 0, takes the growth branch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ def next_step(state, dx, dB):
     Mutates ``state``: lambda_curr becomes the returned step, lambda_prev
     the step before it, and the update counter k advances.
     """
-    if not (np.isfinite(dx) and np.isfinite(dB)) or dx < 0.0 or dB < 0.0:
+    if not (math.isfinite(dx) and math.isfinite(dB)) or dx < 0.0 or dB < 0.0:
         raise ValueError(f"displacements must be finite and nonnegative, "
                          f"got dx={dx!r}, dB={dB!r}")
     if dx == 0.0 and dB > 0.0:

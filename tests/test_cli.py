@@ -145,6 +145,19 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
+def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
+    # gfrb_adaptive converges on this instance; fb with lam = 1 diverges.
+    cfg = write_config(tmp_path, "div.json",
+                       {"problem": "example2", "m": 30, "seed": 10,
+                        "solvers": ["gfrb_adaptive", "fb"], "lam": 1.0})
+    out = tmp_path / "div"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+    assert str(out / "fb_trace.csv") in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["fb_trace.csv"]
+    trace = (out / "fb_trace.csv").read_text().strip().splitlines()
+    assert float(trace[-1].split(",")[1]) > 1e12
+
+
 def test_experiment_runs_all_solvers(tmp_path, capsys):
     cfg = write_config(tmp_path, "exp.json",
                        {"problem": "example1", "m": 25, "seed": 1,

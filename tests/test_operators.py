@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 from monosplit.operators import (ForwardOperator, LinearMap,
                                  l1_resolvent, make_affine_forward,
                                  make_lasso_forward, power_norm,
-                                 resolvent_symmetric_affine, soft_threshold,
-                                 symmetric_affine_resolvent, zero_resolvent)
+                                 soft_threshold, symmetric_affine_resolvent,
+                                 zero_resolvent)
 
 finite_vectors = hnp.arrays(np.float64, st.integers(1, 12),
                             elements=st.floats(-10, 10))
@@ -46,6 +46,53 @@ def test_l1_resolvent_satisfies_optimality(z, lam, weight):
     assert np.all(np.abs(grad[~on]) <= lam * weight + 1e-12)
 
 
+def test_soft_threshold_matches_sign_form_bitwise():
+    t = 0.75
+    z = np.concatenate([
+        [2.0, -2.0, t, -t, 0.5, -0.5, 0.0, np.inf, -np.inf, np.nan,
+         5e-324, -1e300],
+        np.random.default_rng(8).standard_normal(200)])
+    before = z.copy()
+    out = soft_threshold(z, t)
+    ref = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    np.testing.assert_array_equal(out, ref)
+    finite = ~np.isnan(ref)
+    assert out[finite].tobytes() == ref[finite].tobytes()
+    assert z.tobytes() == before.tobytes()
+    # Exact ties |z| = t land on a zero carrying z's sign.
+    assert out[2] == 0.0 and not np.signbit(out[2])
+    assert out[3] == 0.0 and np.signbit(out[3])
+
+
+def test_soft_threshold_signed_zero_list_and_scalar_inputs():
+    # The one bit that differs from the sign form: -0.0 keeps its sign.
+    out = soft_threshold([-0.0, 0.0, -3.0], 1.0)
+    assert isinstance(out, np.ndarray)
+    assert out.tobytes() == np.array([-0.0, 0.0, -2.0]).tobytes()
+    assert soft_threshold(-3.0, 1.0) == -2.0
+    assert soft_threshold(0.25, 1.0) == 0.0
+
+
+def test_symmetric_affine_resolvent_bitwise_as_step_changes():
+    # lambda in the order (l1, l2, l1): every call must use its own
+    # lambda's coefficient, so a stale cached coefficient would show.
+    gen = np.random.default_rng(21)
+    m = 9
+    R = gen.standard_normal((m, m))
+    E = 0.5 * (R + R.T)
+    beta = float(np.max(np.abs(np.linalg.eigvalsh(E))))
+    eigs, P = np.linalg.eigh(E)
+    res = symmetric_affine_resolvent(E, beta)
+    z = gen.standard_normal(m)
+    outs = []
+    for lam in (0.3, 1.7, 0.3):
+        expected = P @ (1.0 / (1.0 + lam * (eigs + beta)) * (P.T @ z))
+        out = res.resolve(z, lam)
+        assert out.tobytes() == expected.tobytes()
+        outs.append(out)
+    assert not np.array_equal(outs[0], outs[1])
+
+
 def test_zero_resolvent_is_identity():
     z = np.array([1.5, -2.0, 0.0])
     np.testing.assert_array_equal(zero_resolvent().resolve(z, 3.7), z)
@@ -68,9 +115,8 @@ def test_symmetric_affine_resolvent_matches_dense_solve():
 
 def test_resolvent_symmetric_affine_explicit_basis():
     E = np.diag([1.0, 3.0])
-    eigs, P = np.linalg.eigh(E)
     z = np.array([2.0, 4.0])
-    out = resolvent_symmetric_affine(z, 0.5, P, eigs, 1.0)
+    out = symmetric_affine_resolvent(E, 1.0).resolve(z, 0.5)
     np.testing.assert_allclose(out, [2.0 / 2.0, 4.0 / 3.0])
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from monosplit.experiments import (default_fixed_step, gen_example1,
+                                   gen_example2, gen_lasso)
 from monosplit.operators import (ForwardOperator, LinearMap,
                                  ResolventOperator, l1_resolvent,
                                  zero_resolvent)
@@ -182,9 +184,32 @@ def test_divergence_raises_with_trace(solver):
         with pytest.raises(DivergenceError, match=f"^{solver} diverged") \
                 as info:
             _run_from_ones(solver, A, B)
+        assert info.value.method == solver
         trace = info.value.trace
         assert len(trace) > 0
         assert trace.errs[-1] > 1e12 or not np.isfinite(trace.errs[-1])
+
+
+@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
+                                    "gfrb_adaptive"])
+def test_scalar_seed_runs_as_length_one_vector(solver):
+    # The in-place step kernels need array iterates; a scalar seed is
+    # taken as shape (1,).  0 in d|x| + x - 2 has the solution x = 1.
+    A = l1_resolvent()
+    B = ForwardOperator(lambda x: x - 2.0, lipschitz_hint=1.0)
+    stop = StopRule(tol=1e-10, max_iter=500)
+    runs = {"fb": lambda: fb(A, B, 3.0, 0.5, stop),
+            "fbf": lambda: fbf(A, B, 3.0, 0.5, stop),
+            "rfb": lambda: rfb(A, B, 3.0, 3.0, 0.3, stop),
+            "frb": lambda: frb(A, B, 3.0, 3.0, 0.3, stop),
+            "gfrb_fixed": lambda: gfrb_fixed(A, B, 3.0, 3.0, 3.0, 0.3, 0.1,
+                                             stop),
+            "gfrb_adaptive": lambda: gfrb_adaptive(
+                A, B, 3.0, 3.0, 0.1, make_stepsize_state(0.1, 0.1), stop)}
+    x, trace = runs[solver]()
+    assert x.shape == (1,)
+    assert trace.converged
+    np.testing.assert_allclose(x, [1.0], atol=1e-8)
 
 
 def test_step_bound_warnings():
@@ -240,3 +265,134 @@ def test_max_iter_respected_and_converged_flag():
                   StopRule(tol=1e-30, max_iter=7))
     assert len(trace) == 7
     assert not trace.converged
+
+
+# Reference loops for the hot-path test: each solver written out as its
+# plain formula, with np.linalg.norm, sign-based shrinkage and a resolvent
+# coefficient built fresh on every call.
+
+def _ref_resolvent(instance):
+    if instance.name == "example2":
+        beta = instance.data["beta"]
+        eigs, P = np.linalg.eigh(instance.data["E"])
+
+        def resolve(z, lam):
+            coeff = 1.0 / (1.0 + lam * (eigs + beta))
+            return P @ (coeff * (P.T @ z))
+        return resolve
+    weight = instance.data.get("reg_lambda", 1.0)
+
+    def shrink(z, lam):
+        t = lam * weight
+        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return shrink
+
+
+def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
+    # x_m2=None seeds B(x_{-2}) = B(x_{-1}) from one evaluation.
+    B_pp = B(x_m1 if x_m2 is None else x_m2)
+    B_p = B_pp if x_m2 is None else B(x_m1)
+    if state is None:
+        lam_p = lam_pp = lam
+    else:
+        lam_p, lam_pp = state.lambda_curr, state.lambda_prev
+        c1, c2, gamma = state.c1, state.c2, state.gamma_spec
+    dx = float(np.linalg.norm(x_m1 - x))
+    errs, lams = [], []
+    for k in range(1, stop.max_iter + 1):
+        Bx = B(x)
+        lam_k = lam
+        if state is not None:
+            dB = float(np.linalg.norm(B_p - Bx))
+            if lam_p * dB > c2 * dx:
+                lam_k = c1 * dx / dB
+            else:
+                lam_k = (1.0 + gamma.scale * gamma.ratio ** k) * lam_p
+        x_new = J(x - lam_k * Bx - lam_p * (1.0 + delta) * (Bx - B_p)
+                  + lam_pp * delta * (B_p - B_pp), lam_k)
+        dx = float(np.linalg.norm(x_new - x))
+        errs.append(dx)
+        lams.append(lam_k)
+        x, B_p, B_pp, lam_p, lam_pp = x_new, Bx, B_p, lam_k, lam_p
+        if dx <= stop.tol:
+            break
+    return x, errs, lams
+
+
+def _ref_one_step(J, B, x, x_m1, solver, lam, stop):
+    errs = []
+    for _ in range(stop.max_iter):
+        if solver == "fb":
+            x_new = J(x - lam * B(x), lam)
+        elif solver == "fbf":
+            Bx = B(x)
+            y = J(x - lam * Bx, lam)
+            x_new = y - lam * B(y) + lam * Bx
+        else:
+            x_new = J(x - lam * B(2.0 * x - x_m1), lam)
+            x_m1 = x
+        errs.append(float(np.linalg.norm(x_new - x)))
+        x = x_new
+        if errs[-1] <= stop.tol:
+            break
+    return x, errs, [lam] * len(errs)
+
+
+def _hot_path_runs(solver, J, B, L, dim, reference):
+    """One solver from fixed seeds, through the package or the reference."""
+    delta = 0.1
+    x0, x_m1, x_m2 = np.ones(dim), np.full(dim, 0.5), np.zeros(dim)
+    stop = StopRule(tol=1e-9, max_iter=400)
+    if solver == "gfrb_adaptive":
+        state = make_stepsize_state(delta, 0.1)
+        if reference:
+            return _ref_reflected(J, B, x0, x_m1, None, delta, stop,
+                                  state=state)
+        x, trace = gfrb_adaptive(J, B, x0, x_m1, delta, state, stop)
+    else:
+        lam = default_fixed_step(solver, L, delta)
+        if reference and solver in ("gfrb_fixed", "frb"):
+            d, x_m2 = (delta, x_m2) if solver == "gfrb_fixed" else (0.0, None)
+            return _ref_reflected(J, B, x0, x_m1, x_m2, d, stop, lam=lam)
+        if reference:
+            return _ref_one_step(J, B, x0, x_m1, solver, lam, stop)
+        runs = {"gfrb_fixed": lambda: gfrb_fixed(J, B, x0, x_m1, x_m2, lam,
+                                                 delta, stop),
+                "frb": lambda: frb(J, B, x0, x_m1, lam, stop),
+                "fbf": lambda: fbf(J, B, x0, lam, stop),
+                "rfb": lambda: rfb(J, B, x0, x_m1, lam, stop),
+                "fb": lambda: fb(J, B, x0, lam, stop)}
+        x, trace = runs[solver]()
+    return x, trace.errs, trace.lambdas
+
+
+@pytest.mark.parametrize("solver", ["gfrb_adaptive", "gfrb_fixed", "frb",
+                                    "fbf", "rfb", "fb"])
+def test_hot_path_matches_reference_loops(solver):
+    # The step kernels are rewritten for speed; they must still give the
+    # plain formulas' bits: every point B is evaluated at (so every
+    # iterate), the final iterate, and every err and lambda.
+    instances = [gen_example1(30, 2), gen_example2(30, 12),
+                 gen_lasso(32, 64, 4, seed=5)]
+    for instance in instances:
+        B = instance.forward_b
+        results = []
+        for reference in (False, True):
+            points = []
+
+            def recording(x, points=points):
+                points.append(np.array(x))
+                return B(x)
+            J = _ref_resolvent(instance) if reference else \
+                instance.resolvent_a
+            x, errs, lams = _hot_path_runs(
+                solver, J, ForwardOperator(recording, B.lipschitz_hint),
+                B.lipschitz_hint, instance.dim, reference)
+            results.append((x, errs, lams, points))
+        (x, errs, lams, points), (rx, rerrs, rlams, rpoints) = results
+        assert len(errs) > 5 and np.all(np.isfinite(errs)), instance.name
+        assert errs == rerrs and lams == rlams, instance.name
+        assert len(points) == len(rpoints)
+        for p, rp in zip(points, rpoints):
+            assert np.all(p == rp)
+        assert np.all(x == rx)
