@@ -18,7 +18,10 @@ class ForwardOperator:
     Parameters
     ----------
     evaluate : callable
-        Maps a point to the operator value, same shape.
+        Maps a point to the operator value, an array of the point's
+        shape.  The solvers write into it in place and raise ValueError
+        for any other shape, so a scalar value for a length-1 point is
+        rejected rather than broadcast.
     lipschitz_hint : float or None
         Known Lipschitz constant of ``evaluate``, used by solvers to
         check step-size ranges.  None disables those checks.

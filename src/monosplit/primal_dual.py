@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import power_norm
-from .splitting import StepSizeWarning, _drive, _norm, _resolver
+from .splitting import StepSizeWarning, _drive, _forward, _norm, _resolver
 
 
 @dataclass
@@ -137,7 +137,7 @@ def epdtr_step(state, cfg, resolvent_a, forward_b, linmap_k, resolvent_c_inv):
     dual *= sigma
     dual += state.y
     y_new = np.asarray(resolvent_c_inv(dual, sigma), dtype=float)
-    Bx_new = np.asarray(forward_b(x_new), dtype=float)
+    Bx_new = _forward(forward_b, x_new)
     return PrimalDualState(x=x_new, x_prev=state.x, x_prev2=state.x_prev,
                            y=y_new, Bx=Bx_new, Bx_prev=state.Bx,
                            Bx_prev2=state.Bx_prev, Kx=Kx_new)
@@ -185,7 +185,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
     def resolvent_c_inv(v, sigma):
         return resolvent_of_inverse(problem.resolvent_c, sigma, v)
 
-    Bx0 = np.asarray(problem.forward_b(x0), dtype=float)
+    Bx0 = _forward(problem.forward_b, x0)
     seed = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0,
                            Bx=Bx0, Bx_prev=Bx0, Bx_prev2=Bx0,
                            Kx=np.asarray(K.apply(x0), dtype=float))
@@ -200,7 +200,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
 
     state, trace = _drive(step, seed, stop, "epdtr_solve")
     x, y = state.x, state.y
-    fresh_Bx = np.asarray(problem.forward_b(x), dtype=float)
+    fresh_Bx = _forward(problem.forward_b, x)
     px = np.asarray(_resolver(problem.resolvent_a)(
         x - cfg.tau * (fresh_Bx + K.apply_adjoint(y)), cfg.tau), dtype=float)
     py = resolvent_c_inv(y + cfg.sigma * np.asarray(K.apply(x), dtype=float),

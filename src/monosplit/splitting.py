@@ -1,8 +1,9 @@
 """Forward-backward style splitting iterations for 0 in (A + B)(x).
 
 All solvers share the same calling convention: a resolvent for the
-set-valued part A, a point evaluation for the single-valued part B,
-seed iterates, and a StopRule.  They return the final iterate together
+set-valued part A, a point evaluation for the single-valued part B
+(which must return an array of the iterate's shape), seed iterates, and
+a StopRule.  They return the final iterate together
 with an IterationTrace whose rows are (k, err, lambda, elapsed_s) with
 err_k = ||x_{k+1} - x_k||.
 
@@ -116,6 +117,20 @@ def _seed(v):
     return np.array(v, dtype=float, ndmin=1)
 
 
+def _forward(B, x):
+    """B(x) as a float array of x's shape.
+
+    The step kernels write into ``lam * B(x)`` in place, so a forward
+    value that would only broadcast against x (a scalar for a length-1
+    iterate, say) is rejected here with a ValueError.
+    """
+    Bx = np.asarray(B(x), dtype=float)
+    if Bx.shape != x.shape:
+        raise ValueError(f"B(x) has shape {Bx.shape}; it must have the "
+                         f"iterate's shape {x.shape}")
+    return Bx
+
+
 def _norm(v):
     """``np.linalg.norm(v)`` for a 1-d float array, bitwise, as a float."""
     return math.sqrt(np.vdot(v, v))
@@ -163,19 +178,12 @@ def _drive(step, x0, stop, method):
     """
     stop = stop or StopRule()
     trace = IterationTrace()
-    # The rows are appended column by column, skipping
-    # IterationTrace.append's conversions: step already returns floats.
-    add_k, add_err = trace.ks.append, trace.errs.append
-    add_lam, add_elapsed = trace.lambdas.append, trace.elapsed.append
     clock = time.perf_counter
     x = x0
     t0 = clock()
     for k in range(stop.max_iter):
         x, err, lam = step(x)
-        add_k(k)
-        add_err(err)
-        add_lam(lam)
-        add_elapsed(clock() - t0)
+        trace.append(k, err, lam, clock() - t0)
         if not math.isfinite(err) or err > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"{method} diverged at iteration {k} (err={err:g}); "
@@ -214,7 +222,7 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
 
     def step(x):
         nonlocal B_p, D_p, lam_p, lam_pp, dx
-        Bx = np.asarray(B(x), dtype=float)
+        Bx = _forward(B, x)
         D = Bx - B_p
         if state is None:
             lam_k = lam_p
@@ -271,7 +279,7 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
     validate_coefficients(state.c1, state.c2, delta, state.epsilon)
     x_p = _seed(x_minus1)
     x = _seed(x0)
-    B_p = np.asarray(B(x_p), dtype=float)
+    B_p = _forward(B, x_p)
     return _reflected(A, B, x, B_p, B_p, delta, stop, "gfrb_adaptive",
                       state=state, dx=_norm(x_p - x))
 
@@ -286,8 +294,8 @@ def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     """
     _check_fixed_step(lam, B, "gfrb_fixed", delta)
     lam = float(lam)
-    B_pp = np.asarray(B(_seed(x_minus2)), dtype=float)
-    B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
+    B_pp = _forward(B, _seed(x_minus2))
+    B_p = _forward(B, _seed(x_minus1))
     return _reflected(A, B, _seed(x0), B_p, B_pp, delta, stop, "gfrb_fixed",
                       lam=lam)
 
@@ -300,7 +308,7 @@ def frb(A, B, x0, x_minus1, lam, stop=None):
     """
     _check_fixed_step(lam, B, "frb")
     lam = float(lam)
-    B_p = np.asarray(B(_seed(x_minus1)), dtype=float)
+    B_p = _forward(B, _seed(x_minus1))
     return _reflected(A, B, _seed(x0), B_p, B_p, 0.0, stop, "frb", lam=lam)
 
 
@@ -315,9 +323,9 @@ def fbf(A, B, x0, lam, stop=None):
     resolve = _resolver(A)
 
     def step(x):
-        lam_Bx = lam * np.asarray(B(x), dtype=float)
+        lam_Bx = lam * _forward(B, x)
         y = np.asarray(resolve(x - lam_Bx, lam), dtype=float)
-        x_new = lam * np.asarray(B(y), dtype=float)
+        x_new = lam * _forward(B, y)
         np.subtract(y, x_new, out=x_new)
         x_new += lam_Bx
         return x_new, _norm(x_new - x), lam
@@ -340,7 +348,7 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
         nonlocal x_p
         y = 2.0 * x
         y -= x_p
-        target = lam * np.asarray(B(y), dtype=float)
+        target = lam * _forward(B, y)
         np.subtract(x, target, out=target)
         x_new = np.asarray(resolve(target, lam), dtype=float)
         x_p = x
@@ -361,7 +369,7 @@ def fb(A, B, x0, lam, stop=None):
     resolve = _resolver(A)
 
     def step(x):
-        target = lam * np.asarray(B(x), dtype=float)
+        target = lam * _forward(B, x)
         np.subtract(x, target, out=target)
         x_new = np.asarray(resolve(target, lam), dtype=float)
         return x_new, _norm(x_new - x), lam

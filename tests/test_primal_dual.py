@@ -199,6 +199,21 @@ def test_epdtr_solve_warns_outside_region():
                     StopRule(tol=1e-3, max_iter=3))
 
 
+def test_epdtr_solve_rejects_forward_value_of_wrong_shape():
+    # epdtr_step writes into multiples of B(x) in place, so B(x) must have
+    # x's shape; a column vector is rejected, not broadcast.
+    K = np.random.default_rng(5).standard_normal((4, 6))
+    from monosplit.operators import ForwardOperator
+    problem = CompositeProblem(
+        resolvent_a=zero_resolvent(),
+        forward_b=ForwardOperator(lambda x: x[:, None], lipschitz_hint=1.0),
+        linmap_k=LinearMap.from_matrix(K),
+        resolvent_c=l1_resolvent())
+    with pytest.raises(ValueError, match=r"shape \(6, 1\)"):
+        epdtr_solve(problem, EPDTRConfig(tau=0.1, sigma=0.1, b=0.0),
+                    StopRule(tol=1e-3, max_iter=3))
+
+
 def test_region_grid_matches_formula_and_monotonicity():
     taus, sigmas, slack = region_grid(0.5, 1.0, 1.0, n=40)
     assert slack.shape == (40, 40)

@@ -192,11 +192,8 @@ def test_divergence_raises_with_trace(solver):
 
 @pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
                                     "gfrb_adaptive"])
-def test_scalar_seed_runs_as_length_one_vector(solver):
-    # The in-place step kernels need array iterates; a scalar seed is
-    # taken as shape (1,).  0 in d|x| + x - 2 has the solution x = 1.
+def _run_scalar_seed(solver, B):
     A = l1_resolvent()
-    B = ForwardOperator(lambda x: x - 2.0, lipschitz_hint=1.0)
     stop = StopRule(tol=1e-10, max_iter=500)
     runs = {"fb": lambda: fb(A, B, 3.0, 0.5, stop),
             "fbf": lambda: fbf(A, B, 3.0, 0.5, stop),
@@ -206,10 +203,30 @@ def test_scalar_seed_runs_as_length_one_vector(solver):
                                              stop),
             "gfrb_adaptive": lambda: gfrb_adaptive(
                 A, B, 3.0, 3.0, 0.1, make_stepsize_state(0.1, 0.1), stop)}
-    x, trace = runs[solver]()
+    return runs[solver]()
+
+
+@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
+                                    "gfrb_adaptive"])
+def test_scalar_seed_runs_as_length_one_vector(solver):
+    # The in-place step kernels need array iterates; a scalar seed is
+    # taken as shape (1,).  0 in d|x| + x - 2 has the solution x = 1.
+    B = ForwardOperator(lambda x: x - 2.0, lipschitz_hint=1.0)
+    x, trace = _run_scalar_seed(solver, B)
     assert x.shape == (1,)
     assert trace.converged
     np.testing.assert_allclose(x, [1.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
+                                    "gfrb_adaptive"])
+def test_forward_value_must_have_iterate_shape(solver):
+    # B(x) is written into in place, so a value that would only broadcast
+    # against x -- here a Python float for a length-1 iterate -- is
+    # rejected with a ValueError naming both shapes.
+    B = ForwardOperator(lambda x: float(x[0]) - 2.0, lipschitz_hint=1.0)
+    with pytest.raises(ValueError, match=r"shape \(\); .* shape \(1,\)"):
+        _run_scalar_seed(solver, B)
 
 
 def test_step_bound_warnings():
