@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import rng
-from .operators import (ForwardOperator, l1_resolvent, make_affine_forward,
-                        make_lasso_forward, soft_threshold,
-                        symmetric_affine_resolvent)
+from .operators import (ForwardOperator, _eigen_affine_resolvent,
+                        l1_resolvent, make_affine_forward, make_lasso_forward,
+                        soft_threshold)
 from .splitting import (_STEP_BOUNDS, StopRule, fb, fbf, frb, gfrb_adaptive,
                         gfrb_fixed, rfb)
 from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
@@ -84,8 +84,10 @@ def gen_example2(m, seed=10):
     sym_G = 0.5 * (G + G.T)
     shift = max(0.0, -float(np.min(np.linalg.eigvalsh(sym_G)))) + 0.1
     M = G.T + S + shift * np.eye(m)
-    beta = float(np.max(np.abs(np.linalg.eigvalsh(E))))
-    resolvent = symmetric_affine_resolvent(E, beta)
+    # One eigh of E gives both beta and the resolvent's eigenbasis.
+    eigs, P = np.linalg.eigh(E)
+    beta = float(np.max(np.abs(eigs)))
+    resolvent = _eigen_affine_resolvent(eigs, P, beta)
     forward = make_affine_forward(M, b)
     x_star = np.linalg.solve(E + beta * np.eye(m) + M, -b)
     return InclusionInstance(name="example2", resolvent_a=resolvent,
@@ -419,8 +421,15 @@ def run_benchmark(cfg, out_dir=None):
 
     Returns the list of RunResults, each with its known_answer line;
     with out_dir set, writes summary.csv plus one <solver>_trace.csv
-    per run.
+    per run, after first removing the <solver>_trace.csv of every other
+    solver, so no trace from an earlier run is left beside a summary
+    that does not list it.
     """
+    if out_dir is not None:
+        for solver in set(SOLVERS).difference(cfg.solvers):
+            path = os.path.join(out_dir, f"{solver}_trace.csv")
+            if os.path.exists(path):
+                os.remove(path)
     instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
     for res in results:

@@ -26,15 +26,28 @@ def standard_normal(gen, shape):
 
     Consumes exactly ``2 * ceil(n / 2)`` uniform doubles for ``n``
     samples.  The ``1 - u`` shift keeps the log argument in (0, 1].
+    The first ``m`` samples are ``r cos(theta)``, the rest ``r sin(theta)``,
+    with ``r = sqrt(-2 log(1 - u1))`` and ``theta = 2 pi u2``.  Both are
+    formed in place on the fresh uniform arrays and each half is written
+    straight into the output; every rounding step is the textbook one,
+    so the bits are those of the plain formula.
     """
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
     n = int(np.prod(shape)) if shape else 1
     m = (n + 1) // 2
-    u1 = 1.0 - gen.random(m)
-    u2 = gen.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])
+    r = gen.random(m)
+    np.subtract(1.0, r, out=r)
+    theta = gen.random(m)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    z = np.empty(2 * m)
+    cos, sin = z[:m], z[m:]
+    np.cos(theta, out=cos)
+    cos *= r
+    np.sin(theta, out=sin)
+    sin *= r
     return z[:n].reshape(shape)
 
 

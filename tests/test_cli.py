@@ -172,6 +172,21 @@ def test_experiment_runs_all_solvers(tmp_path, capsys):
     assert (out / "fbf_trace.csv").exists()
 
 
+def test_experiment_rerun_removes_stale_traces(tmp_path, capsys):
+    # A rerun into the same directory with fewer solvers must not leave
+    # the dropped solver's trace beside a summary that does not list it.
+    out = tmp_path / "rerun"
+    for solvers in (["frb", "fbf"], ["frb"]):
+        cfg = write_config(tmp_path, "rerun.json",
+                           {"problem": "example1", "m": 25, "seed": 1,
+                            "solvers": solvers})
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["frb_trace.csv",
+                                                      "summary.csv"]
+    summary = (out / "summary.csv").read_text().strip().splitlines()
+    assert [row.split(",")[1] for row in summary[1:]] == ["frb"]
+
+
 def test_experiment_name_override(tmp_path, capsys):
     cfg = write_config(tmp_path, "exp2.json",
                        {"problem": "example2", "m": 25, "seed": 1,

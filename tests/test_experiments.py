@@ -54,6 +54,19 @@ def test_gen_example2_structure():
         np.linalg.norm(M, 2))
 
 
+def test_gen_example2_beta_and_resolvent_from_one_decomposition():
+    inst = gen_example2(30, seed=7)
+    E, beta = inst.data["E"], inst.data["beta"]
+    ref = np.max(np.abs(np.linalg.eigvalsh(E)))
+    assert abs(beta - ref) <= 1e-12 * ref
+    z = np.random.default_rng(4).standard_normal(30)
+    for lam in (0.05, 1.3):
+        expected = np.linalg.solve(np.eye(30) + lam * (E + beta * np.eye(30)),
+                                   z)
+        np.testing.assert_allclose(inst.resolvent_a.resolve(z, lam),
+                                   expected, rtol=1e-11, atol=1e-11)
+
+
 def test_gen_lasso_structure():
     inst = gen_lasso(m=60, n=200, k=10, seed=5)
     A, y, x_true = inst.data["A"], inst.data["y"], inst.data["x_true"]

@@ -171,6 +171,33 @@ def test_make_lasso_forward_matches_normal_equations():
     assert op.lipschitz_hint == pytest.approx(np.linalg.norm(A, 2) ** 2)
 
 
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+def test_lasso_lipschitz_hint_matches_svd(shape):
+    # The hint is the top eigenvalue of the smaller Gram matrix, wide
+    # and tall alike, and agrees with the SVD-based ||A||_2^2.
+    gen = np.random.default_rng(17)
+    A = gen.standard_normal(shape)
+    hint = make_lasso_forward(A, np.zeros(shape[0])).lipschitz_hint
+    assert type(hint) is float
+    ref = np.linalg.norm(A, 2) ** 2
+    assert abs(hint - ref) <= 1e-12 * ref
+
+
+def test_lasso_lipschitz_hint_of_zero_matrix_is_zero():
+    hint = make_lasso_forward(np.zeros((4, 7)), np.zeros(4)).lipschitz_hint
+    assert type(hint) is float
+    assert hint == 0.0 and not np.signbit(hint)
+
+
+def test_affine_lipschitz_hint_matches_svd():
+    M = np.random.default_rng(23).standard_normal((7, 7))
+    assert not np.allclose(M, M.T)
+    hint = make_affine_forward(M, np.zeros(7)).lipschitz_hint
+    assert type(hint) is float
+    ref = np.linalg.norm(M, 2)
+    assert abs(hint - ref) <= 1e-12 * ref
+
+
 def test_linear_map_adjoint_consistency():
     gen = np.random.default_rng(2)
     K = gen.standard_normal((5, 7))
