@@ -149,10 +149,12 @@ def _top_gram_eigenvalue(A):
     times cheaper than the SVD behind np.linalg.norm(A, 2) and agrees
     with that to about 5e-15 relative, so fixed steps derived from it
     differ from SVD-based ones only in their last digits.  Clamped at
-    0 so that the result is never negative.
+    0 so that the result is never negative; an empty A gives 0, as the
+    SVD does.
     """
     gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return max(0.0, float(np.linalg.eigvalsh(gram)[-1]))
+    eigs = np.linalg.eigvalsh(gram)
+    return max(0.0, float(eigs[-1])) if eigs.size else 0.0
 
 
 def make_affine_forward(M, b):

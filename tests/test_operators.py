@@ -183,8 +183,10 @@ def test_lasso_lipschitz_hint_matches_svd(shape):
     assert abs(hint - ref) <= 1e-12 * ref
 
 
-def test_lasso_lipschitz_hint_of_zero_matrix_is_zero():
-    hint = make_lasso_forward(np.zeros((4, 7)), np.zeros(4)).lipschitz_hint
+@pytest.mark.parametrize("shape", [(4, 7), (0, 3), (3, 0)])
+def test_lasso_lipschitz_hint_of_zero_matrix_is_zero(shape):
+    hint = make_lasso_forward(np.zeros(shape),
+                              np.zeros(shape[0])).lipschitz_hint
     assert type(hint) is float
     assert hint == 0.0 and not np.signbit(hint)
 
