@@ -8,6 +8,7 @@ Stream allocation is part of each generator's contract and is listed in
 its docstring.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -427,9 +428,8 @@ def run_benchmark(cfg, out_dir=None):
     """
     if out_dir is not None:
         for solver in set(SOLVERS).difference(cfg.solvers):
-            path = os.path.join(out_dir, f"{solver}_trace.csv")
-            if os.path.exists(path):
-                os.remove(path)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, f"{solver}_trace.csv"))
     instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
     for res in results:
