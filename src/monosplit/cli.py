@@ -11,7 +11,8 @@ validate-config  check parameter boxes without running
 
 solve, experiment and validate-config take --m and --seed, which replace
 the config file's fields before it is checked, so a bad override fails
-like a bad file, naming the field.
+like a bad file, naming the field.  The composite problem runs through
+solve and experiment too, with the primal-dual solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
 the offending field), 3 divergence (partial trace CSV path printed).
@@ -121,10 +122,10 @@ def _cmd_design_rate(args):
 
 
 def _cmd_region(args):
-    out = _out_dir(args, "region")
-    path = os.path.join(out, "region.csv")
     taus, sigmas, slack = region_grid(args.b, args.L, args.normK,
                                       n=args.grid)
+    out = _out_dir(args, "region")
+    path = os.path.join(out, "region.csv")
     # Float formatting dominates the write: format each tau and sigma
     # once, not once per row.
     sigma_strs = [f"{sigma:.17g}" for sigma in sigmas.tolist()]

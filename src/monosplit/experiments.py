@@ -12,17 +12,20 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
-from .operators import (ForwardOperator, _eigen_affine_resolvent,
+from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
-                        soft_threshold)
+                        soft_threshold, zero_resolvent)
+from .primal_dual import (CompositeProblem, EPDTRConfig, _step_constants,
+                          check_stepsizes, default_stepsizes, epdtr_solve)
 from .splitting import (_STEP_BOUNDS, StopRule, fb, fbf, frb, gfrb_adaptive,
                         gfrb_fixed, rfb)
-from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
+from .stepsize import (GAMMA_KINDS, GammaSpec, _default_coefficients,
+                       make_stepsize_state, validate_coefficients)
 
 # Fixed-step solvers as run from a config: every seed iterate is x0.
 _FIXED_STEP_RUNS = {
@@ -33,8 +36,9 @@ _FIXED_STEP_RUNS = {
     "rfb": lambda A, B, x0, lam, delta, stop: rfb(A, B, x0, x0, lam, stop),
     "fb": lambda A, B, x0, lam, delta, stop: fb(A, B, x0, lam, stop),
 }
-SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS)
-PROBLEMS = ("example1", "example2", "lasso")
+# epdtr solves the composite problem and no other; the rest never solve it.
+SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
+PROBLEMS = ("example1", "example2", "lasso", "composite")
 
 
 @dataclass
@@ -135,9 +139,6 @@ def gen_composite(n=40, m_rows=30, seed=0):
     acting on K x.  B is strongly monotone, so the solution is unique:
     x* = p - K^T y* with y* the box-constrained dual minimizer.
     """
-    from .operators import LinearMap, l1_resolvent, zero_resolvent
-    from .primal_dual import CompositeProblem
-
     K = rng.standard_normal(rng.substream(seed, 0), (m_rows, n)) \
         / np.sqrt(m_rows)
     p = rng.standard_normal(rng.substream(seed, 1), n)
@@ -165,15 +166,6 @@ def snr(x_star, x):
     return 20.0 * np.log10(ref / gap)
 
 
-def mean_iteration_seconds(trace):
-    """Average seconds per iteration, excluding the warm-up first pass."""
-    if len(trace) == 0:
-        return 0.0
-    if len(trace) == 1:
-        return trace.elapsed[0]
-    return (trace.elapsed[-1] - trace.elapsed[0]) / (len(trace) - 1)
-
-
 @dataclass
 class ExperimentConfig:
     """Flat, JSON-mappable description of one benchmark run."""
@@ -199,13 +191,11 @@ class ExperimentConfig:
     x0_kind: str = "ones"
     noise_sigma: float = 0.01
     reg_lambda: float = 0.01
-    # Optional primal-dual step pair, checked by validate-config against
-    # the admissibility inequality when all four are present.
+    # epdtr's step pair (both or neither; neither means default_stepsizes
+    # at the instance's L and ||K||) and reflection weight.
     tau: float = None
     sigma: float = None
     b_reflect: float = 0.0
-    lipschitz: float = None
-    norm_k: float = None
 
 
 def _accepted_types(f):
@@ -237,6 +227,10 @@ def config_from_dict(d):
     for s in cfg.solvers:
         if s not in SOLVERS:
             raise ValueError(f"config field 'solvers': unknown solver {s!r}")
+        if (s == "epdtr") != (cfg.problem == "composite"):
+            raise ValueError(f"config field 'solvers': {s!r} does not solve "
+                             f"{cfg.problem!r}; 'epdtr' solves 'composite' "
+                             "and no other problem")
     if not cfg.solvers:
         raise ValueError("config field 'solvers': must not be empty")
     if cfg.x0_kind not in ("ones", "zeros"):
@@ -249,13 +243,19 @@ def config_from_dict(d):
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
-    for key in ("lambda0", "tol", "lam", "lambda_minus1"):
+    for key in ("lambda0", "tol", "lam", "lambda_minus1", "tau", "sigma"):
         value = getattr(cfg, key)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"config field '{key}': must be positive and "
                              "finite")
-    if not math.isfinite(cfg.delta):
-        raise ValueError("config field 'delta': must be finite")
+    if (cfg.tau is None) != (cfg.sigma is None):
+        given, missing = ("tau", "sigma") if cfg.sigma is None \
+            else ("sigma", "tau")
+        raise ValueError(f"config field '{given}': set without '{missing}'; "
+                         "give both or neither")
+    for key in ("delta", "b_reflect"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"config field '{key}': must be finite")
     for key in ("noise_sigma", "reg_lambda"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value >= 0):
@@ -298,13 +298,12 @@ def validate_config(cfg):
     """Check parameter boxes without running anything.
 
     Raises ValueError naming the offending field: the adaptive (c1, c2)
-    box against delta and epsilon, and, when a primal-dual step pair is
-    configured, the admissibility inequality
-    2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
+    box against delta and epsilon, and, when a composite config sets
+    the step pair, the admissibility inequality
+    2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1 at the L and ||K|| the run
+    would use, taken from the instance the config builds.  No other
+    config builds an instance here.
     """
-    from .primal_dual import check_stepsizes
-    from .stepsize import _default_coefficients, validate_coefficients
-
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
     c1, c2 = _default_coefficients(cfg.c1, cfg.c2, cfg.delta, cfg.epsilon)
@@ -312,17 +311,10 @@ def validate_config(cfg):
         validate_coefficients(c1, c2, cfg.delta, cfg.epsilon)
     except ValueError as exc:
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
-    pd_fields = (cfg.tau, cfg.sigma, cfg.lipschitz, cfg.norm_k)
-    if any(v is not None for v in pd_fields):
-        if any(v is None for v in pd_fields):
-            raise ValueError("config field 'tau': the primal-dual check "
-                             "needs tau, sigma, lipschitz and norm_k "
-                             "together")
-        try:
-            ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b_reflect,
-                                        cfg.lipschitz, cfg.norm_k)
-        except ValueError as exc:
-            raise ValueError(f"config field 'tau': {exc}") from exc
+    if cfg.problem == "composite" and cfg.tau is not None:
+        L, norm_k = _step_constants(generate(cfg).data["problem"])
+        ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b_reflect, L,
+                                    norm_k)
         if not ok:
             raise ValueError(
                 f"config fields 'tau'/'sigma': step pair violates "
@@ -340,6 +332,13 @@ def generate(cfg):
     if cfg.problem == "lasso":
         return gen_lasso(cfg.m, cfg.n, cfg.k, cfg.noise_sigma,
                          cfg.reg_lambda, cfg.seed)
+    if cfg.problem == "composite":
+        # n unknowns, m rows of K; the CompositeProblem rides in data.
+        problem, data = gen_composite(cfg.n, cfg.m, cfg.seed)
+        return InclusionInstance(
+            name="composite", resolvent_a=problem.resolvent_a,
+            forward_b=problem.forward_b, dim=cfg.n, seed=cfg.seed,
+            data=dict(data, problem=problem))
     raise ValueError(f"unknown problem {cfg.problem!r}")
 
 
@@ -370,7 +369,11 @@ class RunResult:
 
 
 def run_solver(instance, solver, cfg):
-    """Run one solver from the configured seeds and wrap the outcome."""
+    """Run one solver from the configured seeds and wrap the outcome.
+
+    epdtr takes (tau, sigma) from the config, else default_stepsizes at
+    b_reflect and the L and ||K|| that epdtr_solve itself would use.
+    """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     stop = StopRule(tol=cfg.tol, max_iter=cfg.max_iter)
@@ -385,6 +388,13 @@ def run_solver(instance, solver, cfg):
                                     cfg.lambda_minus1, cfg.epsilon,
                                     cfg.c1, cfg.c2, gamma)
         x, trace = gfrb_adaptive(A, B, x0, x0, cfg.delta, state, stop)
+    elif solver == "epdtr":
+        problem = replace(instance.data["problem"], resolvent_a=A,
+                          forward_b=B, x0=x0)
+        tau, sigma = (cfg.tau, cfg.sigma) if cfg.tau is not None else \
+            default_stepsizes(cfg.b_reflect, *_step_constants(problem))
+        x, _y, trace = epdtr_solve(
+            problem, EPDTRConfig(tau, sigma, cfg.b_reflect), stop)
     else:
         lam = cfg.lam if cfg.lam is not None else \
             default_fixed_step(solver, L, cfg.delta)
@@ -407,14 +417,19 @@ def summary_row(result):
             f"{result.elapsed_s:.17g}")
 
 
-def known_answer(instance, x):
-    """How far x is from what the instance knows of its solution: the
-    distance to x_star (example1, example2), else the SNR against the
-    planted data['x_true'] (lasso)."""
+def known_answer(instance, result):
+    """How far result.x is from what the instance knows of its solution:
+    the distance to x_star (example1, example2), the SNR against the
+    planted data['x_true'] (lasso), else the terminal fixed-point
+    residuals epdtr_solve left on the trace (composite)."""
     if instance.x_star is not None:
-        gap = np.linalg.norm(x - instance.x_star)
+        gap = np.linalg.norm(result.x - instance.x_star)
         return f"distance to oracle {gap:.3e}"
-    return f"terminal SNR {snr(instance.data['x_true'], x):.2f} dB"
+    if instance.name == "composite":
+        trace = result.trace
+        return (f"terminal residuals primal {trace.primal_residual:.3e}, "
+                f"dual {trace.dual_residual:.3e}")
+    return f"terminal SNR {snr(instance.data['x_true'], result.x):.2f} dB"
 
 
 def run_benchmark(cfg, out_dir=None):
@@ -433,7 +448,7 @@ def run_benchmark(cfg, out_dir=None):
     instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
     for res in results:
-        res.known_answer = known_answer(instance, res.x)
+        res.known_answer = known_answer(instance, res)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "summary.csv"), "w") as fh:

@@ -10,9 +10,6 @@ import math
 
 import numpy as np
 
-# Iterates are plain 1-d float arrays.
-VectorPoint = np.ndarray
-
 
 class ForwardOperator:
     """Single-valued monotone map with an optional Lipschitz constant.

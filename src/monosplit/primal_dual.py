@@ -17,6 +17,7 @@ with dense solves for linear instances and is the reference the update
 formulas are validated against.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -101,6 +102,17 @@ def default_stepsizes(b, L, norm_k, budget=0.95):
     return float(tau), float(sigma)
 
 
+def _step_constants(problem):
+    """(L, ||K||) for the default steps and the admissibility check: the
+    forward operator's Lipschitz hint (None without one), and the map's
+    norm hint, else a 1%-inflated power-iteration estimate of ||K||."""
+    K = problem.linmap_k
+    L = getattr(problem.forward_b, "lipschitz_hint", None)
+    norm_k = K.norm_hint if K.norm_hint is not None else \
+        1.01 * power_norm(K)
+    return L, norm_k
+
+
 def resolvent_of_inverse(resolvent_c, sigma, y):
     """Resolvent of sigma * C^{-1} from the resolvent of C.
 
@@ -165,9 +177,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
         np.asarray(problem.x0, dtype=float).copy()
     y0 = np.zeros(m) if problem.y0 is None else \
         np.asarray(problem.y0, dtype=float).copy()
-    L = getattr(problem.forward_b, "lipschitz_hint", None)
-    norm_k = K.norm_hint if K.norm_hint is not None else \
-        1.01 * power_norm(K)
+    L, norm_k = _step_constants(problem)
     if cfg is None:
         if L is None:
             raise ValueError("default step sizes need a lipschitz_hint on "
@@ -264,7 +274,19 @@ def region_grid(b, L, norm_k, n=200, tau_max=1.0, sigma_max=1.0):
 
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = 1 - 2*tau_i*(1+|b|)*L - tau_i*sigma_j*norm_k**2.
+    Raises ValueError naming the argument unless n >= 1, b is finite,
+    and L and norm_k are finite and nonnegative.
     """
+    if not n >= 1:
+        raise ValueError(f"region argument 'n' (--grid): must be at least 1, "
+                         f"got {n!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"region argument 'b' (--b): must be finite, "
+                         f"got {b!r}")
+    for name, flag, value in (("L", "--L", L), ("norm_k", "--normK", norm_k)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"region argument '{name}' ({flag}): must be "
+                             f"nonnegative and finite, got {value!r}")
     tau_values = np.linspace(0.0, tau_max, n + 1)[1:]
     sigma_values = np.linspace(0.0, sigma_max, n + 1)[1:]
     tt = tau_values[:, None]

@@ -10,6 +10,7 @@ step).  The rotation's 6x6 companion-block matrix and its degree-6
 characteristic polynomial stay as independent oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +169,14 @@ def design_rate(r):
     Raises
     ------
     ValueError
-        For r in the excluded set {1, (-1+sqrt(13))/2, (1+sqrt(13))/2},
-        and for the degenerate r where the defining fraction or
-        delta + 1 vanishes.
+        For a non-finite r, for r in the excluded set
+        {1, (-1+sqrt(13))/2, (1+sqrt(13))/2}, and for the degenerate r
+        where the defining fraction or delta + 1 vanishes.
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"design-rate argument 'r': must be finite, "
+                         f"got {r!r}")
     for bad in EXCLUDED_RATES:
         if abs(r - bad) <= _EXCLUDED_TOL:
             raise ValueError(

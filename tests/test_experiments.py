@@ -4,10 +4,11 @@ import pytest
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
                                    default_fixed_step, gen_composite,
                                    gen_example1, gen_example2, gen_lasso,
-                                   generate, mean_iteration_seconds,
-                                   run_benchmark, run_solver, snr,
+                                   generate, run_benchmark, run_solver, snr,
                                    summary_header, validate_config)
-from monosplit.splitting import IterationTrace
+from monosplit.operators import power_norm
+from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
+from monosplit.splitting import StopRule
 
 
 def test_gen_example1_oracle_satisfies_optimality():
@@ -106,16 +107,6 @@ def test_snr_values_and_errors():
         snr(np.zeros(2), np.ones(2))
 
 
-def test_mean_iteration_seconds():
-    trace = IterationTrace()
-    assert mean_iteration_seconds(trace) == 0.0
-    trace.append(0, 1.0, 0.1, 0.5)
-    assert mean_iteration_seconds(trace) == 0.5
-    trace.append(1, 0.5, 0.1, 0.7)
-    trace.append(2, 0.2, 0.1, 0.9)
-    assert mean_iteration_seconds(trace) == pytest.approx(0.2)
-
-
 def test_config_from_dict_defaults_and_errors():
     cfg = config_from_dict({"problem": "example1", "m": 50})
     assert cfg.m == 50
@@ -139,7 +130,8 @@ def test_config_from_dict_defaults_and_errors():
                        ("lam", -1.0), ("noise_sigma", -0.1),
                        ("reg_lambda", -0.01), ("gamma_ratio", 2.0),
                        ("gamma_scale", -1.0), ("delta", float("nan")),
-                       ("seed", -1)):
+                       ("seed", -1), ("b_reflect", float("nan")),
+                       ("b_reflect", float("inf"))):
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict({key: value})
     with pytest.raises(ValueError, match="'k'"):
@@ -152,16 +144,54 @@ def test_validate_config_boxes():
     bad = config_from_dict({"c1": 0.4, "c2": 0.3})
     with pytest.raises(ValueError, match="c1"):
         validate_config(bad)
-    partial = config_from_dict({"tau": 0.1})
     with pytest.raises(ValueError, match="tau"):
-        validate_config(partial)
-    inadmissible = config_from_dict(
-        {"tau": 0.5, "sigma": 2.0, "lipschitz": 1.0, "norm_k": 1.0})
+        validate_config(config_from_dict({"tau": 0.1}))
+    # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27, then +0.59.
+    composite = {"problem": "composite", "solvers": ["epdtr"], "n": 40,
+                 "m": 30, "seed": 0}
+    inadmissible = config_from_dict(dict(composite, tau=0.5, sigma=2.0))
     with pytest.raises(ValueError, match="tau"):
         validate_config(inadmissible)
-    fine = config_from_dict(
-        {"tau": 0.1, "sigma": 0.5, "lipschitz": 1.0, "norm_k": 1.0})
+    fine = config_from_dict(dict(composite, tau=0.1, sigma=0.5))
     validate_config(fine)
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"problem": "example1", "solvers": ["epdtr"]}, "'solvers'"),
+    ({"problem": "composite", "solvers": ["epdtr", "frb"]}, "'solvers'"),
+    ({"problem": "composite"}, "'solvers'"),
+    ({"tau": 0.0, "sigma": 0.5}, "'tau'"),
+    ({"tau": -0.1, "sigma": 0.5}, "'tau'"),
+    ({"tau": float("inf"), "sigma": 0.5}, "'tau'"),
+    ({"tau": 0.1, "sigma": float("nan")}, "'sigma'"),
+    ({"tau": 0.1, "sigma": -1.0}, "'sigma'"),
+    ({"tau": 0.1}, "'tau'"),
+    ({"sigma": 0.1}, "'sigma'"),
+])
+def test_config_from_dict_rejects_bad_epdtr_fields(payload, field):
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(payload)
+
+
+def test_composite_runs_epdtr_with_its_default_steps():
+    cfg = config_from_dict({"problem": "composite", "solvers": ["epdtr"],
+                            "n": 12, "m": 8, "seed": 3, "b_reflect": 0.5,
+                            "tol": 1e-9, "max_iter": 20000,
+                            "x0_kind": "zeros"})
+    inst = generate(cfg)
+    problem, data = gen_composite(n=12, m_rows=8, seed=3)
+    np.testing.assert_array_equal(inst.data["K"], data["K"])
+    assert (inst.name, inst.dim) == ("composite", 12)
+    result = run_solver(inst, "epdtr", cfg)
+    L, norm_k = 1.0, 1.01 * power_norm(data["K"])
+    tau, sigma = default_stepsizes(0.5, L, norm_k)
+    x, _y, trace = epdtr_solve(problem, EPDTRConfig(tau, sigma, 0.5),
+                               StopRule(tol=1e-9, max_iter=20000))
+    assert result.converged and result.iterations == len(trace)
+    np.testing.assert_array_equal(result.x, x)
+    assert result.trace.errs == trace.errs
+    assert result.trace.lambdas == trace.lambdas
+    assert result.trace.primal_residual == trace.primal_residual
 
 
 def test_default_fixed_step_bounds():
