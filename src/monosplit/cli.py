@@ -27,7 +27,7 @@ import sys
 import time
 
 from .experiments import (load_config, run_benchmark, summary_header,
-                          summary_row, validate_config)
+                          summary_row, trace_path, validate_config)
 from .primal_dual import region_grid
 from .rate_analysis import design_rate, rate_table
 from .splitting import DivergenceError
@@ -52,7 +52,7 @@ def _run(cfg, out):
     try:
         return run_benchmark(cfg, out_dir=out)
     except DivergenceError as exc:
-        path = os.path.join(out, f"{exc.method}_trace.csv")
+        path = trace_path(out, exc.method)
         exc.trace.to_csv(path)
         print(f"divergence: {exc}; partial trace at {path}")
         return None

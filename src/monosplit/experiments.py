@@ -21,7 +21,7 @@ from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
 from .primal_dual import (CompositeProblem, EPDTRConfig, _step_constants,
-                          check_stepsizes, default_stepsizes, epdtr_solve)
+                          check_stepsizes, epdtr_solve)
 from .splitting import (_STEP_BOUNDS, StopRule, fb, fbf, frb, gfrb_adaptive,
                         gfrb_fixed, rfb)
 from .stepsize import (GAMMA_KINDS, GammaSpec, _default_coefficients,
@@ -39,6 +39,11 @@ _FIXED_STEP_RUNS = {
 # epdtr solves the composite problem and no other; the rest never solve it.
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
+# Config fields only epdtr reads, and fields only the splitting solvers
+# read; a config may not set a field its solvers never read.
+_EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
+_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "lambda_minus1", "epsilon",
+                     "c1", "c2", "gamma_kind", "gamma_ratio", "gamma_scale")
 
 
 @dataclass
@@ -209,8 +214,9 @@ _CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(d):
-    """Strict loader: unknown keys, bad types and bad values all raise
-    ValueError naming the offending field."""
+    """Strict loader: unknown keys, bad types, bad values and fields the
+    configured problem's solvers never read all raise ValueError naming
+    the offending field."""
     if not isinstance(d, dict):
         raise ValueError("config root must be a JSON object")
     cfg = ExperimentConfig()
@@ -270,6 +276,15 @@ def config_from_dict(d):
     except ValueError as exc:
         raise ValueError(
             f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
+    if cfg.problem == "composite":
+        unread, why = _SPLITTING_FIELDS, \
+            "epdtr, the solver of 'composite', does not read it"
+    else:
+        unread, why = _EPDTR_FIELDS, \
+            f"only epdtr reads it, and epdtr does not solve {cfg.problem!r}"
+    for key in d:
+        if key in unread:
+            raise ValueError(f"config field '{key}': {why}")
     return cfg
 
 
@@ -371,8 +386,8 @@ class RunResult:
 def run_solver(instance, solver, cfg):
     """Run one solver from the configured seeds and wrap the outcome.
 
-    epdtr takes (tau, sigma) from the config, else default_stepsizes at
-    b_reflect and the L and ||K|| that epdtr_solve itself would use.
+    epdtr takes (tau, sigma, b_reflect) from the config; epdtr_solve
+    fills null steps with its default_stepsizes at b_reflect.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -391,10 +406,8 @@ def run_solver(instance, solver, cfg):
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)
-        tau, sigma = (cfg.tau, cfg.sigma) if cfg.tau is not None else \
-            default_stepsizes(cfg.b_reflect, *_step_constants(problem))
         x, _y, trace = epdtr_solve(
-            problem, EPDTRConfig(tau, sigma, cfg.b_reflect), stop)
+            problem, EPDTRConfig(cfg.tau, cfg.sigma, cfg.b_reflect), stop)
     else:
         lam = cfg.lam if cfg.lam is not None else \
             default_fixed_step(solver, L, cfg.delta)
@@ -432,6 +445,11 @@ def known_answer(instance, result):
     return f"terminal SNR {snr(instance.data['x_true'], result.x):.2f} dB"
 
 
+def trace_path(out_dir, solver):
+    """Path of ``solver``'s trace CSV in ``out_dir``."""
+    return os.path.join(out_dir, f"{solver}_trace.csv")
+
+
 def run_benchmark(cfg, out_dir=None):
     """Run every configured solver on the configured problem.
 
@@ -444,7 +462,7 @@ def run_benchmark(cfg, out_dir=None):
     if out_dir is not None:
         for solver in set(SOLVERS).difference(cfg.solvers):
             with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, f"{solver}_trace.csv"))
+                os.remove(trace_path(out_dir, solver))
     instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
     for res in results:
@@ -456,5 +474,5 @@ def run_benchmark(cfg, out_dir=None):
             for res in results:
                 fh.write(summary_row(res) + "\n")
         for res in results:
-            res.trace.to_csv(os.path.join(out_dir, f"{res.solver}_trace.csv"))
+            res.trace.to_csv(trace_path(out_dir, res.solver))
     return results

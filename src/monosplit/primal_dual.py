@@ -12,14 +12,15 @@ space in the metric
     M = [[tau^{-1} I, -K*], [-K, sigma^{-1} I]],
 
 with coupling G = [[A, K*], [-K, C^{-1}]] and forward part
-F(z) = (B x, 0).  ``gfrb_in_metric`` runs that product-space recursion
-with dense solves for linear instances and is the reference the update
-formulas are validated against.
+F(z) = (B x, 0).  The tests' ``oracles`` module runs that product-space
+recursion with dense solves on linear instances (``gfrb_in_metric``,
+with ``metric_matrix`` and ``coupling_matrix``); it is the reference
+the update formulas are validated against.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +30,14 @@ from .splitting import StepSizeWarning, _drive, _forward, _norm, _resolver
 
 @dataclass
 class EPDTRConfig:
-    """Step pair and reflection weight for the primal-dual solver."""
+    """Step pair and reflection weight for the primal-dual solver.
 
-    tau: float
-    sigma: float
+    A step left None is filled by ``epdtr_solve`` from
+    ``default_stepsizes`` at b and the problem's L and ||K||.
+    """
+
+    tau: float = None
+    sigma: float = None
     b: float = 0.0
 
 
@@ -165,11 +170,12 @@ def epdtr_solve(problem, cfg=None, stop=None):
         ||x - J_{tau A}(x - tau*(B x + K* y))||,
         ||y - J_{sigma C^{-1}}(y + sigma*K x)||.
 
-    With no config, steps come from ``default_stepsizes`` using the
-    forward operator's Lipschitz hint and a 1%-inflated power-iteration
-    estimate of ||K|| (exact hint used when the map carries one).
-    Histories are seeded x_{-1} = x_{-2} = x_0.  An inadmissible step
-    pair warns and iterates anyway.
+    With no config, cfg is ``EPDTRConfig()``.  A step the config leaves
+    None comes from ``default_stepsizes`` at cfg.b, the forward
+    operator's Lipschitz hint and a 1%-inflated power-iteration estimate
+    of ||K|| (exact hint used when the map carries one).  Histories are
+    seeded x_{-1} = x_{-2} = x_0.  An inadmissible step pair warns and
+    iterates anyway.
     """
     K = problem.linmap_k
     m, n = K.shape
@@ -179,11 +185,15 @@ def epdtr_solve(problem, cfg=None, stop=None):
         np.asarray(problem.y0, dtype=float).copy()
     L, norm_k = _step_constants(problem)
     if cfg is None:
+        cfg = EPDTRConfig()
+    if cfg.tau is None or cfg.sigma is None:
         if L is None:
             raise ValueError("default step sizes need a lipschitz_hint on "
-                             "the forward operator; pass an EPDTRConfig")
-        tau, sigma = default_stepsizes(0.0, L, norm_k)
-        cfg = EPDTRConfig(tau=tau, sigma=sigma, b=0.0)
+                             "the forward operator; pass both steps in "
+                             "the EPDTRConfig")
+        tau, sigma = default_stepsizes(cfg.b, L, norm_k)
+        cfg = replace(cfg, tau=tau if cfg.tau is None else cfg.tau,
+                      sigma=sigma if cfg.sigma is None else cfg.sigma)
     if L is not None:
         ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b, L, norm_k)
         if not ok:
@@ -218,55 +228,6 @@ def epdtr_solve(problem, cfg=None, stop=None):
     trace.primal_residual = float(np.linalg.norm(x - px))
     trace.dual_residual = float(np.linalg.norm(y - py))
     return x, y, trace
-
-
-def metric_matrix(tau, sigma, K):
-    """Dense product-space metric [[tau^{-1} I, -K^T], [-K, sigma^{-1} I]]."""
-    K = np.asarray(K, dtype=float)
-    m, n = K.shape
-    return np.block([
-        [np.eye(n) / tau, -K.T],
-        [-K, np.eye(m) / sigma],
-    ])
-
-
-def coupling_matrix(A_mat, C_inv_mat, K):
-    """Dense coupling block [[A, K^T], [-K, C^{-1}]] for linear A, C^{-1}."""
-    K = np.asarray(K, dtype=float)
-    return np.block([
-        [np.asarray(A_mat, dtype=float), K.T],
-        [-K, np.asarray(C_inv_mat, dtype=float)],
-    ])
-
-
-def gfrb_in_metric(M_mat, G_mat, F_mat, f_vec, z0, z_minus1, z_minus2, b,
-                   num_steps):
-    """Reference product-space recursion with dense solves.
-
-    Advances M z_k - (b+2) F(z_k) + (2b+1) F(z_{k-1}) - b F(z_{k-2})
-    = (M + G) z_{k+1} for affine F(z) = F_mat z + f_vec and returns the
-    iterates z_1 ... z_{num_steps} as rows.  This is the oracle the
-    coordinate update formulas are checked against on linear instances.
-    """
-    M_mat = np.asarray(M_mat, dtype=float)
-    G_mat = np.asarray(G_mat, dtype=float)
-    F_mat = np.asarray(F_mat, dtype=float)
-    f_vec = np.asarray(f_vec, dtype=float)
-    z_pp = np.asarray(z_minus2, dtype=float).copy()
-    z_p = np.asarray(z_minus1, dtype=float).copy()
-    z = np.asarray(z0, dtype=float).copy()
-    system = M_mat + G_mat
-    out = np.empty((num_steps, z.size))
-    for k in range(num_steps):
-        Fz = F_mat @ z + f_vec
-        Fz_p = F_mat @ z_p + f_vec
-        Fz_pp = F_mat @ z_pp + f_vec
-        rhs = (M_mat @ z - (b + 2.0) * Fz + (2.0 * b + 1.0) * Fz_p
-               - b * Fz_pp)
-        z_new = np.linalg.solve(system, rhs)
-        out[k] = z_new
-        z_pp, z_p, z = z_p, z, z_new
-    return out
 
 
 def region_grid(b, L, norm_k, n=200, tau_max=1.0, sigma_max=1.0):

@@ -6,8 +6,10 @@ z^3 - (1 - lam (delta+2) mu) z^2 - lam (2 delta+1) mu z + lam delta mu.
 ``cubic_roots`` solves it in batches and is the one route to a rate: the
 rotation table and report (mu = +-i) and the inverse design problem
 (mu = 1: pick delta so the recursion contracts at exactly 1/r per
-step).  The rotation's 6x6 companion-block matrix and its degree-6
-characteristic polynomial stay as independent oracles.
+step).  The rotation's degree-6 characteristic polynomial stays here as
+an independent route (the benchmark's oracle imports it); the dense
+6x6 companion-block matrix and its spectral radius live in the tests'
+``oracles`` module.
 """
 
 import math
@@ -38,8 +40,9 @@ def cubic_roots(mu, lam, delta):
     Broadcasts over its arguments and returns the three roots along a new
     last axis: the eigenvalues of stacked 3x3 companion matrices, which
     are real when mu, lam and delta are, so real roots stay real.  On the
-    rotation they match build_matrix's eigenvalues to about 1e-13 away
-    from delta = 0; the delta = 0, lam = 1/2 double root (1 -+ i)/2 is
+    rotation they match the eigenvalues of the tests' companion-block
+    oracle (``oracles.build_matrix``) to about 1e-13 away from
+    delta = 0; the delta = 0, lam = 1/2 double root (1 -+ i)/2 is
     resolved only to about sqrt(eps) ~ 1e-8.
     """
     mu, lam, delta = np.broadcast_arrays(mu, lam, delta)
@@ -49,37 +52,6 @@ def cubic_roots(mu, lam, delta):
     C[..., 0, 2] = -lam * delta * mu
     C[..., 1, 0] = C[..., 2, 1] = 1.0
     return np.linalg.eigvals(C)
-
-
-def build_matrix(B, lam, delta):
-    """Companion-block iteration matrix of the three-term recursion.
-
-    Top block row implements
-    x_{k+1} = x_k - lam*(delta+2)*B x_k + lam*(2*delta+1)*B x_{k-1}
-              - lam*delta*B x_{k-2}.
-    """
-    B = np.asarray(B, dtype=float)
-    d = B.shape[0]
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    return np.block([
-        [eye - lam * (delta + 2.0) * B, lam * (2.0 * delta + 1.0) * B,
-         -lam * delta * B],
-        [eye, zero, zero],
-        [zero, eye, zero],
-    ])
-
-
-def spectral_radius(M):
-    """Largest eigenvalue modulus of M via dense eigenvalues."""
-    M = np.asarray(M, dtype=float)
-    try:
-        eigs = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigenvalue iteration failed for a {M.shape[0]}x{M.shape[1]} "
-            f"matrix with max |entry| {np.max(np.abs(M)):g}") from exc
-    return float(np.max(np.abs(eigs)))
 
 
 def characteristic_coefficients(delta, lam=None):
@@ -109,9 +81,10 @@ def characteristic_coefficients(delta, lam=None):
 def characteristic_roots(delta, lam=None):
     """All six eigenvalues via the polynomial route.
 
-    Agrees with the eigenvalues of build_matrix(ROTATION, lam, delta) in
-    max modulus to 1e-6; at delta = 0 the roots are {0, 0} and (1 +- i)/2
-    each doubled, giving max modulus 1/sqrt(2).
+    Agrees with the eigenvalues of the tests' companion-block oracle,
+    oracles.build_matrix(ROTATION, lam, delta), in max modulus to 1e-6;
+    at delta = 0 the roots are {0, 0} and (1 +- i)/2 each doubled,
+    giving max modulus 1/sqrt(2).
     """
     return np.roots(characteristic_coefficients(delta, lam))
 

@@ -14,18 +14,17 @@ import warnings
 import numpy as np
 import pytest
 from conftest import RecordingResolvent, random_monotone_affine
+from oracles import (build_matrix, coupling_matrix, gfrb_in_metric,
+                     metric_matrix, spectral_radius)
 
 from monosplit.operators import (ForwardOperator, LinearMap,
                                  ResolventOperator, l1_resolvent,
                                  soft_threshold, zero_resolvent)
 from monosplit.primal_dual import (EPDTRConfig, PrimalDualState,
                                    default_stepsizes, epdtr_solve,
-                                   epdtr_step, coupling_matrix,
-                                   gfrb_in_metric, metric_matrix,
-                                   region_grid)
-from monosplit.rate_analysis import (ROTATION, TABLE_DELTAS, build_matrix,
-                                     design_rate, rate_table,
-                                     spectral_radius)
+                                   epdtr_step, region_grid)
+from monosplit.rate_analysis import (ROTATION, TABLE_DELTAS, design_rate,
+                                     rate_table)
 from monosplit.splitting import (DivergenceError, StopRule, fb, frb,
                                  gfrb_adaptive, gfrb_fixed)
 from monosplit.stepsize import GammaSpec, coefficient_bound, \

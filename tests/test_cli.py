@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from monosplit import primal_dual
 from monosplit.cli import build_parser, main
 from monosplit.experiments import (generate, load_config, run_solver,
                                    summary_header, summary_row)
@@ -255,6 +256,37 @@ def test_experiment_runs_shipped_composite_config(tmp_path, capsys, b,
                if line.startswith("epdtr: terminal residuals")]
     primal, dual = re.findall(r"primal (\S+), dual (\S+)$", line)[0]
     assert 0.0 <= float(primal) <= 1e-7 and 0.0 <= float(dual) <= 1e-7
+
+
+def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
+                                                    capsys):
+    calls = []
+    estimate = primal_dual.power_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(primal_dual, "power_norm", counted)
+    cfg = str(REPO_ROOT / "configs" / "composite.json")
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "composite")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"problem": "example1", "m": 20, "tau": 0.1, "sigma": 50.0,
+      "b_reflect": 3}, "'tau'"),
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "delta": 0.3, "lam": 0.5, "gamma_kind": "zero"}, "'delta'"),
+])
+def test_validate_config_rejects_fields_the_solvers_never_read(
+        tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, "unread.json", payload)
+    assert main(["validate-config", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
 
 
 def test_summary_final_err_is_accurate(tmp_path, capsys):

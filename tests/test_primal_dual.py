@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from oracles import coupling_matrix, gfrb_in_metric, metric_matrix
 
 from monosplit.operators import (LinearMap, ResolventOperator, l1_resolvent,
                                  zero_resolvent)
 from monosplit.primal_dual import (CompositeProblem, EPDTRConfig,
                                    PrimalDualState, check_stepsizes,
-                                   coupling_matrix, default_stepsizes,
-                                   epdtr_solve, epdtr_step, gfrb_in_metric,
-                                   metric_matrix, region_grid,
-                                   resolvent_of_inverse)
+                                   default_stepsizes, epdtr_solve, epdtr_step,
+                                   region_grid, resolvent_of_inverse)
 from monosplit.splitting import StepSizeWarning, StopRule
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from oracles import build_matrix, spectral_radius
 from test_acceptance import reference_entries
 
 from monosplit.operators import zero_resolvent
 from monosplit.rate_analysis import (EXCLUDED_RATES, ROTATION, STEP_RULES,
-                                     TABLE_DELTAS, build_matrix,
+                                     TABLE_DELTAS,
                                      characteristic_coefficients,
                                      characteristic_roots, cubic_roots,
                                      design_rate, rate_report, rate_table,
-                                     schur_cohn, spectral_radius)
+                                     schur_cohn)
 from monosplit.splitting import StopRule, gfrb_fixed
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
