@@ -2,8 +2,10 @@
 
 A problem 0 in (A + B)(x) is handed to the solvers as a resolvent for the
 set-valued part A and a point evaluation for the single-valued part B.
-Operators are small wrapper objects so that Lipschitz and norm metadata
-travel with the callables that need them.
+A resolvent is any callable ``J(z, lam)`` that returns the unique x with
+z in x + lam*A(x); the factories below return plain functions.  B is any
+callable; ForwardOperator only attaches a Lipschitz hint to one, and
+LinearMap carries a coupling map's shape, adjoint and norm hint.
 """
 
 import math
@@ -30,25 +32,8 @@ class ForwardOperator:
         self._evaluate = evaluate
         self.lipschitz_hint = lipschitz_hint
 
-    def evaluate(self, x):
+    def __call__(self, x):
         return self._evaluate(x)
-
-    __call__ = evaluate
-
-
-class ResolventOperator:
-    """Resolvent of a maximally monotone operator.
-
-    ``resolve(z, lam)`` returns the unique x with z in x + lam*A(x).
-    """
-
-    def __init__(self, resolve):
-        self._resolve = resolve
-
-    def resolve(self, z, lam):
-        return self._resolve(z, lam)
-
-    __call__ = resolve
 
 
 class LinearMap:
@@ -92,17 +77,19 @@ def soft_threshold(z, lam):
 
 
 def l1_resolvent(weight=1.0):
-    """Resolvent of the scaled l1 subdifferential, i.e. soft thresholding."""
-    return ResolventOperator(lambda z, lam: soft_threshold(z, lam * weight))
+    """Resolvent ``J(z, lam)`` of the scaled l1 subdifferential, i.e. soft
+    thresholding at lam * weight."""
+    return lambda z, lam: soft_threshold(z, lam * weight)
 
 
 def zero_resolvent():
-    """Resolvent of the zero operator: the identity map."""
-    return ResolventOperator(lambda z, lam: np.asarray(z, dtype=float))
+    """Resolvent ``J(z, lam)`` of the zero operator: the identity map."""
+    return lambda z, lam: np.asarray(z, dtype=float)
 
 
 def symmetric_affine_resolvent(E, beta=0.0):
-    """Resolvent of x -> (E + beta*I) x for symmetric E = P diag(eigs) P^T.
+    """Resolvent ``J(z, lam)`` of x -> (E + beta*I) x for symmetric
+    E = P diag(eigs) P^T.
 
     Decomposes E once; each call solves (I + lam*(E + beta*I)) x = z in
     the eigenbasis as P @ (1 / (1 + lam*(eigs + beta)) * (P^T @ z)), one
@@ -135,7 +122,7 @@ def _eigen_affine_resolvent(eigs, P, beta):
         v *= coeff
         return P @ v
 
-    return ResolventOperator(resolve)
+    return resolve
 
 
 def _top_gram_eigenvalue(A):
@@ -175,13 +162,17 @@ def make_lasso_forward(A, y):
                            lipschitz_hint=_top_gram_eigenvalue(A))
 
 
-def power_norm(K, max_iter=500, tol=1e-8):
+_POWER_MAX_ITER = 500
+_POWER_TOL = 1e-8
+
+
+def power_norm(K):
     """Operator 2-norm of a linear map by power iteration on K^T K.
 
     Uses a fixed internal seed so repeated calls agree bitwise.  The
     Rayleigh estimate climbs to the true norm from below, so the result
-    never exceeds ||K|| and stops once successive estimates agree to
-    ``tol`` relative.
+    never exceeds ||K||; it stops once successive estimates agree to
+    1e-8 relative, or after 500 iterations.
     """
     if isinstance(K, np.ndarray):
         K = LinearMap.from_matrix(K)
@@ -193,7 +184,7 @@ def power_norm(K, max_iter=500, tol=1e-8):
         return 0.0
     v /= nv
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = K.apply(v)
         new_est = np.linalg.norm(w)
         if new_est == 0.0:
@@ -203,7 +194,7 @@ def power_norm(K, max_iter=500, tol=1e-8):
         if nv == 0.0:
             return float(new_est)
         v /= nv
-        if abs(new_est - est) <= tol * max(1.0, new_est):
+        if abs(new_est - est) <= _POWER_TOL * max(1.0, new_est):
             return float(new_est)
         est = new_est
     return float(est)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import power_norm
-from .splitting import StepSizeWarning, _drive, _forward, _norm, _resolver
+from .splitting import StepSizeWarning, _drive, _forward, _norm
 
 
 @dataclass
@@ -109,10 +109,13 @@ def default_stepsizes(b, L, norm_k, budget=0.95):
 
 def _step_constants(problem):
     """(L, ||K||) for the default steps and the admissibility check: the
-    forward operator's Lipschitz hint (None without one), and the map's
-    norm hint, else a 1%-inflated power-iteration estimate of ||K||."""
-    K = problem.linmap_k
+    forward operator's Lipschitz hint, and the map's norm hint, else a
+    1%-inflated power-iteration estimate of ||K||.  Both uses need L, so
+    without a hint the pair is (None, None) and no power iteration runs."""
     L = getattr(problem.forward_b, "lipschitz_hint", None)
+    if L is None:
+        return None, None
+    K = problem.linmap_k
     norm_k = K.norm_hint if K.norm_hint is not None else \
         1.01 * power_norm(K)
     return L, norm_k
@@ -147,7 +150,7 @@ def epdtr_step(state, cfg, resolvent_a, forward_b, linmap_k, resolvent_c_inv):
     drive += work
     np.multiply(b * tau, state.Bx_prev2, out=work)
     drive -= work
-    x_new = np.asarray(_resolver(resolvent_a)(drive, tau), dtype=float)
+    x_new = np.asarray(resolvent_a(drive, tau), dtype=float)
     Kx_new = np.asarray(linmap_k.apply(x_new), dtype=float)
     dual = 2.0 * Kx_new
     dual -= state.Kx
@@ -173,7 +176,8 @@ def epdtr_solve(problem, cfg=None, stop=None):
     With no config, cfg is ``EPDTRConfig()``.  A step the config leaves
     None comes from ``default_stepsizes`` at cfg.b, the forward
     operator's Lipschitz hint and a 1%-inflated power-iteration estimate
-    of ||K|| (exact hint used when the map carries one).  Histories are
+    of ||K|| (exact hint used when the map carries one); ||K|| is not
+    estimated when the forward operator has no hint.  Histories are
     seeded x_{-1} = x_{-2} = x_0.  An inadmissible step pair warns and
     iterates anyway.
     """
@@ -221,7 +225,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
     state, trace = _drive(step, seed, stop, "epdtr_solve")
     x, y = state.x, state.y
     fresh_Bx = _forward(problem.forward_b, x)
-    px = np.asarray(_resolver(problem.resolvent_a)(
+    px = np.asarray(problem.resolvent_a(
         x - cfg.tau * (fresh_Bx + K.apply_adjoint(y)), cfg.tau), dtype=float)
     py = resolvent_c_inv(y + cfg.sigma * np.asarray(K.apply(x), dtype=float),
                          cfg.sigma)
@@ -230,8 +234,8 @@ def epdtr_solve(problem, cfg=None, stop=None):
     return x, y, trace
 
 
-def region_grid(b, L, norm_k, n=200, tau_max=1.0, sigma_max=1.0):
-    """Admissibility slack over an n-by-n grid of positive step pairs.
+def region_grid(b, L, norm_k, n=200):
+    """Admissibility slack over an n-by-n grid of step pairs in (0, 1].
 
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = 1 - 2*tau_i*(1+|b|)*L - tau_i*sigma_j*norm_k**2.
@@ -248,9 +252,8 @@ def region_grid(b, L, norm_k, n=200, tau_max=1.0, sigma_max=1.0):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"region argument '{name}' ({flag}): must be "
                              f"nonnegative and finite, got {value!r}")
-    tau_values = np.linspace(0.0, tau_max, n + 1)[1:]
-    sigma_values = np.linspace(0.0, sigma_max, n + 1)[1:]
-    tt = tau_values[:, None]
-    ss = sigma_values[None, :]
+    steps = np.linspace(0.0, 1.0, n + 1)[1:]
+    tt = steps[:, None]
+    ss = steps[None, :]
     slack = 1.0 - 2.0 * tt * (1.0 + abs(b)) * L - tt * ss * norm_k ** 2
-    return tau_values, sigma_values, slack
+    return steps, steps.copy(), slack

@@ -49,9 +49,3 @@ def standard_normal(gen, shape):
     np.sin(theta, out=sin)
     sin *= r
     return z[:n].reshape(shape)
-
-
-def uniform(gen, shape, low=0.0, high=1.0):
-    """Uniform draws on [low, high) from the raw double stream."""
-    shape = (shape,) if np.isscalar(shape) else tuple(shape)
-    return low + (high - low) * gen.random(shape)

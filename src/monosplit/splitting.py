@@ -1,11 +1,11 @@
 """Forward-backward style splitting iterations for 0 in (A + B)(x).
 
 All solvers share the same calling convention: a resolvent for the
-set-valued part A, a point evaluation for the single-valued part B
-(which must return an array of the iterate's shape), seed iterates, and
-a StopRule.  They return the final iterate together
-with an IterationTrace whose rows are (k, err, lambda, elapsed_s) with
-err_k = ||x_{k+1} - x_k||.
+set-valued part A, called as ``A(z, lam)`` (see the operators module),
+a point evaluation for the single-valued part B (which must return an
+array of the iterate's shape), seed iterates, and a StopRule.  They
+return the final iterate together with an IterationTrace whose rows are
+(k, err, lambda, elapsed_s) with err_k = ||x_{k+1} - x_k||.
 
 Every solver, and the primal-dual epdtr_solve, is setup code plus a step
 function run by one driver, ``_drive``, which owns the trace, the clock,
@@ -96,19 +96,12 @@ class IterationTrace:
     def __len__(self):
         return len(self.ks)
 
-    def rows(self):
-        return list(zip(self.ks, self.errs, self.lambdas, self.elapsed))
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("k,err,lambda,elapsed_s\n")
-            for k, err, lam, el in self.rows():
+            for k, err, lam, el in zip(self.ks, self.errs, self.lambdas,
+                                       self.elapsed):
                 fh.write(f"{k},{err:.17g},{lam:.17g},{el:.17g}\n")
-
-
-def _resolver(A):
-    """The callable behind A: its ``resolve`` method, else A itself."""
-    return getattr(A, "resolve", A)
 
 
 def _seed(v):
@@ -213,7 +206,6 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
     lam.  A non-finite dB is returned as the row's err, so the driver
     reports it as divergence.
     """
-    resolve = _resolver(A)
     lam_p, lam_pp = (lam, lam) if state is None else \
         (state.lambda_curr, state.lambda_prev)
     reflect = 1.0 + delta
@@ -237,7 +229,7 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
         target -= work
         np.multiply(lam_pp * delta, D_p, out=work)
         target += work
-        x_new = np.asarray(resolve(target, lam_k), dtype=float)
+        x_new = np.asarray(A(target, lam_k), dtype=float)
         # ||x_{k+1} - x_k|| is also the controller's next dx, bitwise.
         dx = _norm(x_new - x)
         B_p, D_p = Bx, D
@@ -252,10 +244,10 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
 
     Parameters
     ----------
-    A : ResolventOperator
-        Resolvent of the set-valued part.
-    B : ForwardOperator
-        Single-valued part; no Lipschitz constant is needed.
+    A : callable
+        Resolvent ``A(z, lam)`` of the set-valued part.
+    B : callable
+        Single-valued part ``B(x)``; no Lipschitz hint is needed.
     x0, x_minus1 : array
         Seed iterates.  The second history point x_{-2} is seeded to
         x_{-1}, which zeroes the oldest reflection term on the first
@@ -320,11 +312,10 @@ def fbf(A, B, x0, lam, stop=None):
     """
     _check_fixed_step(lam, B, "fbf")
     lam = float(lam)
-    resolve = _resolver(A)
 
     def step(x):
         lam_Bx = lam * _forward(B, x)
-        y = np.asarray(resolve(x - lam_Bx, lam), dtype=float)
+        y = np.asarray(A(x - lam_Bx, lam), dtype=float)
         x_new = lam * _forward(B, y)
         np.subtract(y, x_new, out=x_new)
         x_new += lam_Bx
@@ -341,7 +332,6 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
     """
     _check_fixed_step(lam, B, "rfb")
     lam = float(lam)
-    resolve = _resolver(A)
     x_p = _seed(x_minus1)
 
     def step(x):
@@ -350,7 +340,7 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
         y -= x_p
         target = lam * _forward(B, y)
         np.subtract(x, target, out=target)
-        x_new = np.asarray(resolve(target, lam), dtype=float)
+        x_new = np.asarray(A(target, lam), dtype=float)
         x_p = x
         return x_new, _norm(x_new - x), lam
 
@@ -366,12 +356,11 @@ def fb(A, B, x0, lam, stop=None):
     """
     _require_positive_step(lam)
     lam = float(lam)
-    resolve = _resolver(A)
 
     def step(x):
         target = lam * _forward(B, x)
         np.subtract(x, target, out=target)
-        x_new = np.asarray(resolve(target, lam), dtype=float)
+        x_new = np.asarray(A(target, lam), dtype=float)
         return x_new, _norm(x_new - x), lam
 
     return _drive(step, _seed(x0), stop, "fb")

@@ -1,6 +1,6 @@
 import numpy as np
 
-from monosplit.operators import ForwardOperator, ResolventOperator
+from monosplit.operators import ForwardOperator
 
 
 class CallCounter:
@@ -20,18 +20,17 @@ def counting_forward(fn, lipschitz_hint=None):
     return ForwardOperator(counter, lipschitz_hint=lipschitz_hint), counter
 
 
-class RecordingResolvent(ResolventOperator):
+class RecordingResolvent:
     """Resolvent wrapper that records every output, i.e. every iterate."""
 
     def __init__(self, inner):
+        self.inner = inner
         self.outputs = []
 
-        def resolve(z, lam):
-            out = np.asarray(inner(z, lam), dtype=float)
-            self.outputs.append(out.copy())
-            return out
-
-        super().__init__(resolve)
+    def __call__(self, z, lam):
+        out = np.asarray(self.inner(z, lam), dtype=float)
+        self.outputs.append(out.copy())
+        return out
 
 
 def random_monotone_affine(gen, dim, scale=1.0):

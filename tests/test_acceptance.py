@@ -17,8 +17,7 @@ from conftest import RecordingResolvent, random_monotone_affine
 from oracles import (build_matrix, coupling_matrix, gfrb_in_metric,
                      metric_matrix, spectral_radius)
 
-from monosplit.operators import (ForwardOperator, LinearMap,
-                                 ResolventOperator, l1_resolvent,
+from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  soft_threshold, zero_resolvent)
 from monosplit.primal_dual import (EPDTRConfig, PrimalDualState,
                                    default_stepsizes, epdtr_solve,
@@ -309,7 +308,7 @@ def _linear_composite_instance(seed, n=4, m=3):
 def _run_pd_steps(parts, cfg, steps):
     A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
     n, m = x0.size, y0.size
-    res_a = ResolventOperator(
+    res_a = (
         lambda z, lam: np.linalg.solve(np.eye(n) + lam * A_mat, z))
     res_cinv = lambda v, s: np.linalg.solve(np.eye(m) + s * Cinv_mat, v)
     fwd = lambda x: B_mat @ x + b_vec

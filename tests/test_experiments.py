@@ -45,7 +45,7 @@ def test_gen_example2_structure():
     lam = 0.37
     expected = np.linalg.solve(
         np.eye(40) + lam * (E + inst.data["beta"] * np.eye(40)), z)
-    np.testing.assert_allclose(inst.resolvent_a.resolve(z, lam), expected,
+    np.testing.assert_allclose(inst.resolvent_a(z, lam), expected,
                                rtol=1e-11, atol=1e-11)
     # Attached solution solves the single-valued inclusion.
     total = E + inst.data["beta"] * np.eye(40) + M
@@ -64,7 +64,7 @@ def test_gen_example2_beta_and_resolvent_from_one_decomposition():
     for lam in (0.05, 1.3):
         expected = np.linalg.solve(np.eye(30) + lam * (E + beta * np.eye(30)),
                                    z)
-        np.testing.assert_allclose(inst.resolvent_a.resolve(z, lam),
+        np.testing.assert_allclose(inst.resolvent_a(z, lam),
                                    expected, rtol=1e-11, atol=1e-11)
 
 

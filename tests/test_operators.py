@@ -38,7 +38,7 @@ def test_soft_threshold_nonexpansive(a, b, lam):
 
 @given(finite_vectors, st.floats(0.01, 5), st.floats(0.1, 3))
 def test_l1_resolvent_satisfies_optimality(z, lam, weight):
-    x = l1_resolvent(weight).resolve(z, lam)
+    x = l1_resolvent(weight)(z, lam)
     grad = z - x
     on = x != 0.0
     np.testing.assert_allclose(grad[on], lam * weight * np.sign(x[on]),
@@ -87,7 +87,7 @@ def test_symmetric_affine_resolvent_bitwise_as_step_changes():
     outs = []
     for lam in (0.3, 1.7, 0.3):
         expected = P @ (1.0 / (1.0 + lam * (eigs + beta)) * (P.T @ z))
-        out = res.resolve(z, lam)
+        out = res(z, lam)
         assert out.tobytes() == expected.tobytes()
         outs.append(out)
     assert not np.array_equal(outs[0], outs[1])
@@ -95,7 +95,7 @@ def test_symmetric_affine_resolvent_bitwise_as_step_changes():
 
 def test_zero_resolvent_is_identity():
     z = np.array([1.5, -2.0, 0.0])
-    np.testing.assert_array_equal(zero_resolvent().resolve(z, 3.7), z)
+    np.testing.assert_array_equal(zero_resolvent()(z, 3.7), z)
 
 
 def test_symmetric_affine_resolvent_matches_dense_solve():
@@ -109,14 +109,14 @@ def test_symmetric_affine_resolvent_matches_dense_solve():
         z = gen.standard_normal(m)
         lam = float(gen.uniform(0.05, 2.0))
         expected = np.linalg.solve(np.eye(m) + lam * (E + beta * np.eye(m)), z)
-        np.testing.assert_allclose(res.resolve(z, lam), expected,
+        np.testing.assert_allclose(res(z, lam), expected,
                                    rtol=1e-12, atol=1e-12)
 
 
 def test_resolvent_symmetric_affine_explicit_basis():
     E = np.diag([1.0, 3.0])
     z = np.array([2.0, 4.0])
-    out = symmetric_affine_resolvent(E, 1.0).resolve(z, 0.5)
+    out = symmetric_affine_resolvent(E, 1.0)(z, 0.5)
     np.testing.assert_allclose(out, [2.0 / 2.0, 4.0 / 3.0])
 
 
@@ -130,7 +130,7 @@ def test_symmetric_affine_resolvent_firmly_nonexpansive():
     for _ in range(20):
         x, y = gen.standard_normal(m), gen.standard_normal(m)
         lam = float(gen.uniform(0.1, 2.0))
-        jx, jy = res.resolve(x, lam), res.resolve(y, lam)
+        jx, jy = res(x, lam), res(y, lam)
         lhs = np.dot(jx - jy, jx - jy)
         rhs = np.dot(jx - jy, x - y)
         assert lhs <= rhs + 1e-10
@@ -157,7 +157,7 @@ def test_power_norm_deterministic():
 
 def test_make_affine_forward_example():
     op = make_affine_forward(2.0 * np.eye(2), np.zeros(2))
-    np.testing.assert_allclose(op.evaluate(np.array([1.0, 1.0])), [2.0, 2.0])
+    np.testing.assert_allclose(op(np.array([1.0, 1.0])), [2.0, 2.0])
     assert op.lipschitz_hint == pytest.approx(2.0)
 
 
@@ -167,7 +167,7 @@ def test_make_lasso_forward_matches_normal_equations():
     y = gen.standard_normal(6)
     op = make_lasso_forward(A, y)
     x = gen.standard_normal(9)
-    np.testing.assert_allclose(op.evaluate(x), A.T @ (A @ x - y), rtol=1e-13)
+    np.testing.assert_allclose(op(x), A.T @ (A @ x - y), rtol=1e-13)
     assert op.lipschitz_hint == pytest.approx(np.linalg.norm(A, 2) ** 2)
 
 

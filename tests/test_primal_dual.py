@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import coupling_matrix, gfrb_in_metric, metric_matrix
 
-from monosplit.operators import (LinearMap, ResolventOperator, l1_resolvent,
+from monosplit import primal_dual
+from monosplit.experiments import gen_composite
+from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  zero_resolvent)
 from monosplit.primal_dual import (CompositeProblem, EPDTRConfig,
                                    PrimalDualState, check_stepsizes,
@@ -28,7 +32,7 @@ def linear_instance(seed, n=4, m=3):
 
 def run_epdtr_steps(A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0, cfg, steps):
     n, m = x0.size, y0.size
-    res_a = ResolventOperator(
+    res_a = (
         lambda z, lam: np.linalg.solve(np.eye(n) + lam * A_mat, z))
     res_cinv = (
         lambda v, s: np.linalg.solve(np.eye(m) + s * Cinv_mat, v))
@@ -79,7 +83,7 @@ def test_default_stepsizes_degenerate_cases():
 
 def test_resolvent_of_inverse_identity_operator():
     gen = np.random.default_rng(1)
-    identity_res = ResolventOperator(lambda z, lam: z / (1.0 + lam))
+    identity_res = lambda z, lam: z / (1.0 + lam)
     for _ in range(5):
         y = gen.standard_normal(6)
         sigma = float(gen.uniform(0.1, 3.0))
@@ -211,6 +215,31 @@ def test_epdtr_solve_rejects_forward_value_of_wrong_shape():
     with pytest.raises(ValueError, match=r"shape \(6, 1\)"):
         epdtr_solve(problem, EPDTRConfig(tau=0.1, sigma=0.1, b=0.0),
                     StopRule(tol=1e-3, max_iter=3))
+
+
+@pytest.mark.parametrize("cfg", [EPDTRConfig(0.3, 0.5, 0.0), EPDTRConfig()])
+def test_epdtr_solve_without_lipschitz_hint_never_estimates_norm_k(
+        monkeypatch, cfg):
+    # Both uses of ||K||, the default steps and the admissibility check,
+    # need L; without a hint the steps must be given, and ||K|| is unused.
+    calls = []
+    estimate = primal_dual.power_norm
+
+    def counted(K):
+        calls.append(K)
+        return estimate(K)
+
+    monkeypatch.setattr(primal_dual, "power_norm", counted)
+    problem, _ = gen_composite(40, 30, 0)
+    problem = replace(problem, forward_b=ForwardOperator(problem.forward_b))
+    stop = StopRule(tol=1e-6, max_iter=20)
+    if cfg.tau is None:
+        with pytest.raises(ValueError,
+                           match="default step sizes need a lipschitz_hint"):
+            epdtr_solve(problem, cfg, stop)
+    else:
+        epdtr_solve(problem, cfg, stop)
+    assert calls == []
 
 
 def test_region_grid_matches_formula_and_monotonicity():

@@ -3,8 +3,7 @@ import pytest
 
 from monosplit.experiments import (default_fixed_step, gen_example1,
                                    gen_example2, gen_lasso)
-from monosplit.operators import (ForwardOperator, LinearMap,
-                                 ResolventOperator, l1_resolvent,
+from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  zero_resolvent)
 from monosplit.primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from monosplit.splitting import (DivergenceError, IterationTrace,
@@ -176,7 +175,7 @@ def test_divergence_raises_with_trace(solver):
     # gives a non-finite iterate on the first pass, and so does a B
     # returning NaN.
     expansive = ForwardOperator(lambda x: -2.0 * x)
-    nan_resolvent = ResolventOperator(lambda z, lam: np.full_like(z, np.nan))
+    nan_resolvent = lambda z, lam: np.full_like(z, np.nan)
     nan_forward = ForwardOperator(lambda x: np.full_like(x, np.nan))
     for A, B in ((zero_resolvent(), expansive),
                  (nan_resolvent, ForwardOperator(lambda x: x)),
