@@ -7,12 +7,13 @@ experiment       run every configured solver; write summary + traces
 rate-table       spectral radii over the delta grid and three step rules
 design-rate R    print the mix-in weight and step achieving rate 1/R
 region           admissibility slack grid for the primal-dual step pair
-validate-config  check parameter boxes without running
+validate-config  check the config against its instance, run no solver
 
 solve, experiment and validate-config take --m and --seed, which replace
-the config file's fields before it is checked, so a bad override fails
-like a bad file, naming the field.  The composite problem runs through
-solve and experiment too, with the primal-dual solver epdtr.
+the config file's fields before experiments.resolve checks the config
+against the instance it builds, so a bad override fails like a bad file,
+naming the field, and creates no output directory.  The composite problem
+runs through solve and experiment too, with the primal-dual solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
 the offending field), 3 divergence (partial trace CSV path printed).
@@ -26,8 +27,8 @@ import os
 import sys
 import time
 
-from .experiments import (load_config, run_benchmark, summary_header,
-                          summary_row, trace_path, validate_config)
+from .experiments import (load_config, resolve, run_benchmark,
+                          summary_header, summary_row, trace_path)
 from .primal_dual import region_grid
 from .rate_analysis import design_rate, rate_table
 from .splitting import DivergenceError
@@ -35,14 +36,9 @@ from .splitting import DivergenceError
 
 def _out_dir(args, command):
     if args.out is not None:
-        path = args.out
-    elif args.deterministic:
-        path = os.path.join("results", command)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        path = os.path.join("results", f"{command}-{stamp}")
-    os.makedirs(path, exist_ok=True)
-    return path
+        return args.out
+    stamp = "" if args.deterministic else time.strftime("-%Y%m%d-%H%M%S")
+    return os.path.join("results", command + stamp)
 
 
 def _run(cfg, out):
@@ -65,13 +61,14 @@ def _config(args):
 
 
 def _cmd_validate_config(args):
-    cfg = validate_config(_config(args))
+    cfg = _config(args)
+    resolve(cfg)
     print(f"config ok: problem={cfg.problem}, solvers={list(cfg.solvers)}")
     return 0
 
 
 def _cmd_solve(args):
-    cfg = validate_config(_config(args))
+    cfg = _config(args)
     out = _out_dir(args, "solve")
     cfg.solvers = cfg.solvers[:1]
     results = _run(cfg, out)
@@ -86,7 +83,7 @@ def _cmd_solve(args):
 
 
 def _cmd_experiment(args):
-    cfg = validate_config(_config(args))
+    cfg = _config(args)
     out = _out_dir(args, "experiment")
     results = _run(cfg, out)
     if results is None:
@@ -102,6 +99,7 @@ def _cmd_experiment(args):
 
 def _cmd_rate_table(args):
     out = _out_dir(args, "rate-table")
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "rate_table.csv")
     with open(path, "w") as fh:
         fh.write("delta,lambda_rule,rho\n")
@@ -125,6 +123,7 @@ def _cmd_region(args):
     taus, sigmas, slack = region_grid(args.b, args.L, args.normK,
                                       n=args.grid)
     out = _out_dir(args, "region")
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "region.csv")
     # Float formatting dominates the write: format each tau and sigma
     # once, not once per row.
@@ -191,7 +190,7 @@ def build_parser():
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("validate-config",
-                       help="check parameter boxes without running")
+                       help="check the config against its instance")
     add_config(p)
     p.set_defaults(func=_cmd_validate_config)
 

@@ -309,15 +309,15 @@ def load_config(path, **overrides):
     return config_from_dict(raw)
 
 
-def validate_config(cfg):
-    """Check parameter boxes without running anything.
+def resolve(cfg):
+    """Check cfg and build its instance once, through ``generate``.
 
     Raises ValueError naming the offending field: the adaptive (c1, c2)
     box against delta and epsilon, and, when a composite config sets
     the step pair, the admissibility inequality
-    2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1 at the L and ||K|| the run
-    would use, taken from the instance the config builds.  No other
-    config builds an instance here.
+    2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.  On composite, ||K|| is
+    estimated once and stored as the map's norm_hint, which the run
+    reads.  Returns the instance.
     """
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
@@ -326,16 +326,19 @@ def validate_config(cfg):
         validate_coefficients(c1, c2, cfg.delta, cfg.epsilon)
     except ValueError as exc:
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
-    if cfg.problem == "composite" and cfg.tau is not None:
-        L, norm_k = _step_constants(generate(cfg).data["problem"])
-        ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b_reflect, L,
-                                    norm_k)
-        if not ok:
-            raise ValueError(
-                f"config fields 'tau'/'sigma': step pair violates "
-                f"2*tau*(1+|b|)*L + tau*sigma*normK^2 < 1 "
-                f"(slack {slack:g})")
-    return cfg
+    instance = generate(cfg)
+    if cfg.problem == "composite":
+        problem = instance.data["problem"]
+        L, norm_k = _step_constants(problem)
+        problem.linmap_k.norm_hint = norm_k
+        if cfg.tau is not None:
+            ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b_reflect, L,
+                                        norm_k)
+            if not ok:
+                raise ValueError("config fields 'tau'/'sigma': step pair "
+                                 "violates 2*tau*(1+|b|)*L + tau*sigma*"
+                                 f"normK^2 < 1 (slack {slack:g})")
+    return instance
 
 
 def generate(cfg):
@@ -451,24 +454,25 @@ def trace_path(out_dir, solver):
 
 
 def run_benchmark(cfg, out_dir=None):
-    """Run every configured solver on the configured problem.
+    """Run every configured solver on the instance ``resolve`` builds.
 
-    Returns the list of RunResults, each with its known_answer line;
-    with out_dir set, writes summary.csv plus one <solver>_trace.csv
-    per run, after first removing the <solver>_trace.csv of every other
-    solver, so no trace from an earlier run is left beside a summary
-    that does not list it.
+    A config resolve rejects raises before out_dir is created.  Returns
+    the list of RunResults, each with its known_answer line; with
+    out_dir set, writes summary.csv plus one <solver>_trace.csv per run,
+    after first removing the <solver>_trace.csv of every other solver,
+    so no trace from an earlier run is left beside a summary that does
+    not list it.
     """
+    instance = resolve(cfg)
     if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
         for solver in set(SOLVERS).difference(cfg.solvers):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(trace_path(out_dir, solver))
-    instance = generate(cfg)
     results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
     for res in results:
         res.known_answer = known_answer(instance, res)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
             fh.write(summary_header() + "\n")
             for res in results:

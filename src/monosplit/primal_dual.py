@@ -176,7 +176,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
     With no config, cfg is ``EPDTRConfig()``.  A step the config leaves
     None comes from ``default_stepsizes`` at cfg.b, the forward
     operator's Lipschitz hint and a 1%-inflated power-iteration estimate
-    of ||K|| (exact hint used when the map carries one); ||K|| is not
+    of ||K|| (the map's norm_hint when it carries one); ||K|| is not
     estimated when the forward operator has no hint.  Histories are
     seeded x_{-1} = x_{-2} = x_0.  An inadmissible step pair warns and
     iterates anyway.

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from monosplit import primal_dual
+from monosplit import experiments, primal_dual
 from monosplit.cli import build_parser, main
 from monosplit.experiments import (generate, load_config, run_solver,
                                    summary_header, summary_row)
@@ -397,3 +397,76 @@ def test_readme_commands_exist_and_parse():
         for script in re.findall(r"python3\s+(scripts/\S+\.py)", line):
             assert (REPO_ROOT / script).is_file(), script
     assert commands > 0
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is recorded; return the record."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, steps, solver_runs", [
+    ("experiment", True, 1),
+    ("solve", True, 1),
+    ("experiment", False, 1),
+    ("validate-config", True, 0),
+])
+def test_composite_run_builds_and_estimates_norm_k_once(
+        tmp_path, monkeypatch, capsys, command, steps, solver_runs):
+    # The step pair (0.1, 0.5) is admissible here: slack +0.59.
+    cfg = str(REPO_ROOT / "configs" / "composite.json")
+    if steps:
+        with open(cfg) as fh:
+            payload = json.load(fh)
+        cfg = write_config(tmp_path, "steps.json",
+                           dict(payload, tau=0.1, sigma=0.5))
+    builds = _counted(monkeypatch, experiments, "generate")
+    runs = _counted(monkeypatch, experiments, "run_solver")
+    estimates = _counted(monkeypatch, primal_dual, "power_norm")
+    argv = [command, "--config", cfg]
+    if command != "validate-config":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert (len(builds), len(estimates), len(runs)) == (1, 1, solver_runs)
+
+
+@pytest.mark.parametrize("command", ["experiment", "solve"])
+@pytest.mark.parametrize("payload, field", [
+    ({"problem": "example1", "m": 20, "c1": 0.4, "c2": 0.3}, "'c1'"),
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),
+])
+def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
+                                            command, payload, field):
+    runs = _counted(monkeypatch, experiments, "run_solver")
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "never"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not out.exists()
+    assert runs == []
+
+
+@pytest.mark.parametrize("name, iters", [
+    ("example1", [47, 47, 45, 146, 51]),
+    ("example2", [72, 78, 72, 50, 84]),
+])
+def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
+                                                iters):
+    cfg = str(REPO_ROOT / "configs" / f"{name}.json")
+    out = tmp_path / name
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    rows = [row.split(",") for row in
+            (out / "summary.csv").read_text().strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["gfrb_adaptive", "gfrb_fixed",
+                                        "frb", "fbf", "rfb"]
+    assert [int(row[5]) for row in rows] == iters

@@ -4,8 +4,8 @@ import pytest
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
                                    default_fixed_step, gen_composite,
                                    gen_example1, gen_example2, gen_lasso,
-                                   generate, run_benchmark, run_solver, snr,
-                                   summary_header, validate_config)
+                                   generate, resolve, run_benchmark,
+                                   run_solver, snr, summary_header)
 from monosplit.operators import power_norm
 from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
 from monosplit.splitting import StopRule
@@ -140,20 +140,20 @@ def test_config_from_dict_defaults_and_errors():
 
 def test_validate_config_boxes():
     cfg = config_from_dict({"problem": "example1"})
-    validate_config(cfg)
+    resolve(cfg)
     bad = config_from_dict({"c1": 0.4, "c2": 0.3})
     with pytest.raises(ValueError, match="c1"):
-        validate_config(bad)
+        resolve(bad)
     with pytest.raises(ValueError, match="tau"):
-        validate_config(config_from_dict({"tau": 0.1}))
+        resolve(config_from_dict({"tau": 0.1}))
     # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27, then +0.59.
     composite = {"problem": "composite", "solvers": ["epdtr"], "n": 40,
                  "m": 30, "seed": 0}
     inadmissible = config_from_dict(dict(composite, tau=0.5, sigma=2.0))
     with pytest.raises(ValueError, match="tau"):
-        validate_config(inadmissible)
+        resolve(inadmissible)
     fine = config_from_dict(dict(composite, tau=0.1, sigma=0.5))
-    validate_config(fine)
+    resolve(fine)
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -245,3 +245,19 @@ def test_run_benchmark_deterministic_iterates():
     np.testing.assert_array_equal(r1.x, r2.x)
     assert r1.trace.errs == r2.trace.errs
     assert r1.trace.lambdas == r2.trace.lambdas
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"problem": "example1", "m": 20, "c1": 0.4, "c2": 0.3},
+     "config fields 'c1'/'c2'"),
+    # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27.
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),
+])
+def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
+    calls = []
+    monkeypatch.setattr("monosplit.experiments.run_solver",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=match):
+        run_benchmark(config_from_dict(payload))
+    assert calls == []
