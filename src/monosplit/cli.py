@@ -16,7 +16,8 @@ naming the field, and creates no output directory.  The composite problem
 runs through solve and experiment too, with the primal-dual solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
-the offending field), 3 divergence (partial trace CSV path printed).
+the offending field), 3 divergence (every solver still runs and writes
+its outputs; each diverged solver's partial trace path is printed).
 Outputs land in --out, defaulting to ./results/<command>-<timestamp>;
 --deterministic drops the timestamp so reruns overwrite byte-identical
 files (timing columns aside).
@@ -31,7 +32,6 @@ from .experiments import (load_config, resolve, run_benchmark,
                           summary_header, summary_row, trace_path)
 from .primal_dual import region_grid
 from .rate_analysis import design_rate, rate_table
-from .splitting import DivergenceError
 
 
 def _out_dir(args, command):
@@ -41,17 +41,13 @@ def _out_dir(args, command):
     return os.path.join("results", command + stamp)
 
 
-def _run(cfg, out):
-    """run_benchmark into ``out``; on divergence write the partial trace to
-    ``<method>_trace.csv`` there, named after the solver that diverged,
-    report it and return None."""
-    try:
-        return run_benchmark(cfg, out_dir=out)
-    except DivergenceError as exc:
-        path = trace_path(out, exc.method)
-        exc.trace.to_csv(path)
-        print(f"divergence: {exc}; partial trace at {path}")
-        return None
+def _divergence_code(results, out):
+    """Print each diverged run's trace path; 3 if any diverged, else 0."""
+    diverged = [res for res in results if res.diverged]
+    for res in diverged:
+        print(f"divergence: {res.known_answer}; partial trace at "
+              f"{trace_path(out, res.solver)}")
+    return 3 if diverged else 0
 
 
 def _config(args):
@@ -71,30 +67,26 @@ def _cmd_solve(args):
     cfg = _config(args)
     out = _out_dir(args, "solve")
     cfg.solvers = cfg.solvers[:1]
-    results = _run(cfg, out)
-    if results is None:
-        return 3
-    (result,) = results
-    status = "converged" if result.converged else "stopped"
+    (result,) = run_benchmark(cfg, out_dir=out)
+    status = "diverged" if result.diverged else \
+        "converged" if result.converged else "stopped"
     print(f"{result.solver} on {cfg.problem}: {status} after "
           f"{result.iterations} iterations, final err "
           f"{result.final_err:.6g}; outputs in {out}")
-    return 0
+    return _divergence_code([result], out)
 
 
 def _cmd_experiment(args):
     cfg = _config(args)
     out = _out_dir(args, "experiment")
-    results = _run(cfg, out)
-    if results is None:
-        return 3
+    results = run_benchmark(cfg, out_dir=out)
     print(summary_header())
     for res in results:
         print(summary_row(res))
     for res in results:
         print(f"{res.solver}: {res.known_answer}")
     print(f"outputs in {out}")
-    return 0
+    return _divergence_code(results, out)
 
 
 def _cmd_rate_table(args):

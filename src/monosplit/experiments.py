@@ -22,10 +22,9 @@ from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
                         soft_threshold, zero_resolvent)
 from .primal_dual import (CompositeProblem, EPDTRConfig, _step_constants,
                           check_stepsizes, epdtr_solve)
-from .splitting import (_STEP_BOUNDS, StopRule, fb, fbf, frb, gfrb_adaptive,
-                        gfrb_fixed, rfb)
-from .stepsize import (GAMMA_KINDS, GammaSpec, _default_coefficients,
-                       make_stepsize_state, validate_coefficients)
+from .splitting import (_STEP_BOUNDS, DivergenceError, StopRule, fb, fbf,
+                        frb, gfrb_adaptive, gfrb_fixed, rfb)
+from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
 
 # Fixed-step solvers as run from a config: every seed iterate is x0.
 _FIXED_STEP_RUNS = {
@@ -321,9 +320,9 @@ def resolve(cfg):
     """
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
-    c1, c2 = _default_coefficients(cfg.c1, cfg.c2, cfg.delta, cfg.epsilon)
     try:
-        validate_coefficients(c1, c2, cfg.delta, cfg.epsilon)
+        make_stepsize_state(cfg.delta, cfg.lambda0, cfg.lambda_minus1,
+                            cfg.epsilon, cfg.c1, cfg.c2)
     except ValueError as exc:
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
     instance = generate(cfg)
@@ -370,7 +369,9 @@ def default_fixed_step(solver, L, delta=0.0):
 
 @dataclass
 class RunResult:
-    """Outcome of one (problem, solver) run."""
+    """Outcome of one (problem, solver) run.  A diverged run has
+    diverged=True, converged=False, x=None, its partial trace and, as
+    known_answer, the divergence message."""
 
     problem: str
     solver: str
@@ -384,6 +385,17 @@ class RunResult:
     x: np.ndarray
     trace: object
     known_answer: str = None
+    diverged: bool = False
+
+
+def _run_result(instance, solver, cfg, x, trace, **extra):
+    """RunResult of ``solver``'s run on ``instance``, read off its trace."""
+    iterations = len(trace)
+    return RunResult(problem=instance.name, solver=solver, m=cfg.m,
+                     n=instance.dim, seed=cfg.seed, iterations=iterations,
+                     final_err=trace.errs[-1] if iterations else 0.0,
+                     elapsed_s=trace.elapsed[-1] if iterations else 0.0,
+                     converged=trace.converged, x=x, trace=trace, **extra)
 
 
 def run_solver(instance, solver, cfg):
@@ -415,12 +427,7 @@ def run_solver(instance, solver, cfg):
         lam = cfg.lam if cfg.lam is not None else \
             default_fixed_step(solver, L, cfg.delta)
         x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, lam, cfg.delta, stop)
-    iterations = len(trace)
-    return RunResult(problem=instance.name, solver=solver, m=cfg.m,
-                     n=instance.dim, seed=cfg.seed, iterations=iterations,
-                     final_err=trace.errs[-1] if iterations else 0.0,
-                     elapsed_s=trace.elapsed[-1] if iterations else 0.0,
-                     converged=trace.converged, x=x, trace=trace)
+    return _run_result(instance, solver, cfg, x, trace)
 
 
 def summary_header():
@@ -456,12 +463,13 @@ def trace_path(out_dir, solver):
 def run_benchmark(cfg, out_dir=None):
     """Run every configured solver on the instance ``resolve`` builds.
 
-    A config resolve rejects raises before out_dir is created.  Returns
-    the list of RunResults, each with its known_answer line; with
-    out_dir set, writes summary.csv plus one <solver>_trace.csv per run,
-    after first removing the <solver>_trace.csv of every other solver,
-    so no trace from an earlier run is left beside a summary that does
-    not list it.
+    A config resolve rejects raises before out_dir is created.  A
+    diverged solver does not stop the rest: its DivergenceError becomes
+    its RunResult.  Returns one RunResult per configured solver, each
+    with its known_answer line; with out_dir set, writes summary.csv
+    plus every solver's <solver>_trace.csv, after first removing the
+    <solver>_trace.csv of every other solver, so no trace from an
+    earlier run is left beside a summary that does not list it.
     """
     instance = resolve(cfg)
     if out_dir is not None:
@@ -469,9 +477,16 @@ def run_benchmark(cfg, out_dir=None):
         for solver in set(SOLVERS).difference(cfg.solvers):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(trace_path(out_dir, solver))
-    results = [run_solver(instance, solver, cfg) for solver in cfg.solvers]
-    for res in results:
-        res.known_answer = known_answer(instance, res)
+    results = []
+    for solver in cfg.solvers:
+        try:
+            res = run_solver(instance, solver, cfg)
+        except DivergenceError as exc:
+            res = _run_result(instance, solver, cfg, None, exc.trace,
+                              known_answer=str(exc), diverged=True)
+        else:
+            res.known_answer = known_answer(instance, res)
+        results.append(res)
     if out_dir is not None:
         with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
             fh.write(summary_header() + "\n")

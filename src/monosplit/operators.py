@@ -37,25 +37,19 @@ class ForwardOperator:
 
 
 class LinearMap:
-    """Linear coupling map with its adjoint and an optional norm bound."""
+    """Linear coupling map with its adjoint and an optional norm bound,
+    ``norm_hint``, which starts as None (experiments.resolve sets it)."""
 
-    def __init__(self, apply, apply_adjoint, shape, norm_hint=None):
-        self._apply = apply
-        self._adjoint = apply_adjoint
+    def __init__(self, apply, apply_adjoint, shape):
+        self.apply = apply
+        self.apply_adjoint = apply_adjoint
         self.shape = tuple(shape)
-        self.norm_hint = norm_hint
-
-    def apply(self, x):
-        return self._apply(x)
-
-    def apply_adjoint(self, y):
-        return self._adjoint(y)
+        self.norm_hint = None
 
     @classmethod
-    def from_matrix(cls, K, norm_hint=None):
+    def from_matrix(cls, K):
         K = np.asarray(K, dtype=float)
-        return cls(lambda x: K @ x, lambda y: K.T @ y, K.shape,
-                   norm_hint=norm_hint)
+        return cls(lambda x: K @ x, lambda y: K.T @ y, K.shape)
 
 
 def soft_threshold(z, lam):

@@ -68,16 +68,6 @@ def coefficient_bound(delta, epsilon=1e-4):
     return (1.0 - epsilon) / (2.0 * abs(delta) + 2.0)
 
 
-def _default_coefficients(c1, c2, delta, epsilon):
-    """(c1, c2) with c2 defaulting to 99% of the open upper edge and c1
-    to 90% of c2."""
-    if c2 is None:
-        c2 = 0.99 * coefficient_bound(delta, epsilon)
-    if c1 is None:
-        c1 = 0.9 * c2
-    return c1, c2
-
-
 def make_stepsize_state(delta, lambda0, lambda_minus1=None, epsilon=1e-4,
                         c1=None, c2=None, gamma_spec=None):
     """Controller seeded with the default admissible constants.
@@ -85,7 +75,10 @@ def make_stepsize_state(delta, lambda0, lambda_minus1=None, epsilon=1e-4,
     Defaults place c2 at 99% of the open upper edge and c1 at 90% of c2.
     lambda_minus1 defaults to lambda0.
     """
-    c1, c2 = _default_coefficients(c1, c2, delta, epsilon)
+    if c2 is None:
+        c2 = 0.99 * coefficient_bound(delta, epsilon)
+    if c1 is None:
+        c1 = 0.9 * c2
     validate_coefficients(c1, c2, delta, epsilon)
     if lambda0 <= 0.0:
         raise ValueError("lambda0 must be positive")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -177,7 +178,8 @@ def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
     out = tmp_path / "div"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
     assert str(out / "fb_trace.csv") in capsys.readouterr().out
-    assert sorted(p.name for p in out.iterdir()) == ["fb_trace.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fb_trace.csv", "gfrb_adaptive_trace.csv", "summary.csv"]
     trace = (out / "fb_trace.csv").read_text().strip().splitlines()
     assert float(trace[-1].split(",")[1]) > 1e12
 
@@ -209,6 +211,29 @@ def test_experiment_rerun_removes_stale_traces(tmp_path, capsys):
                                                       "summary.csv"]
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert [row.split(",")[1] for row in summary[1:]] == ["frb"]
+
+
+@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
+def test_diverged_rerun_rewrites_summary(tmp_path, capsys):
+    # The second run diverges in both solvers; it must still run fb and
+    # replace the first run's summary and traces, not sit beside them.
+    out = tmp_path / "rerun"
+    for solvers, lam, code in ((["frb", "fbf"], 0.01, 0),
+                               (["frb", "fb"], 1.0, 3)):
+        cfg = write_config(tmp_path, "rerun.json",
+                           {"problem": "example2", "m": 30, "seed": 10,
+                            "solvers": solvers, "lam": lam})
+        assert main(["experiment", "--config", cfg,
+                     "--out", str(out)]) == code
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fb_trace.csv", "frb_trace.csv", "summary.csv"]
+    summary = (out / "summary.csv").read_text().strip().splitlines()
+    rows = [row.split(",") for row in summary[1:]]
+    assert [(row[1], int(row[5])) for row in rows] == [("frb", 12),
+                                                       ("fb", 19)]
+    for row in rows:
+        trace = (out / f"{row[1]}_trace.csv").read_text().strip()
+        assert len(trace.splitlines()) - 1 == int(row[5])
 
 
 def test_experiment_name_override(tmp_path, capsys):
@@ -397,6 +422,15 @@ def test_readme_commands_exist_and_parse():
         for script in re.findall(r"python3\s+(scripts/\S+\.py)", line):
             assert (REPO_ROOT / script).is_file(), script
     assert commands > 0
+
+
+def test_readme_config_table_lists_every_field():
+    text = (REPO_ROOT / "README.md").read_text()
+    table = text.split("| field | meaning | default |")[1].split("\n\n")[0]
+    documented = {name for line in table.splitlines()[2:]
+                  for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+    assert documented == {f.name for f in dataclasses.fields(
+        experiments.ExperimentConfig)}
 
 
 def _counted(monkeypatch, module, name):

@@ -237,6 +237,24 @@ def test_run_benchmark_writes_outputs(tmp_path):
         assert (tmp_path / f"{solver}_trace.csv").exists()
 
 
+def test_run_benchmark_keeps_running_past_a_divergence(tmp_path):
+    # fb with lam = 1 diverges on this instance; gfrb_adaptive converges.
+    cfg = config_from_dict({"problem": "example2", "m": 30, "seed": 10,
+                            "solvers": ["fb", "gfrb_adaptive"], "lam": 1.0})
+    fb, adaptive = run_benchmark(cfg, out_dir=str(tmp_path))
+    assert (fb.solver, adaptive.solver) == ("fb", "gfrb_adaptive")
+    assert fb.diverged and not fb.converged and fb.x is None
+    assert fb.known_answer.startswith("fb diverged")
+    assert fb.trace.errs[-1] > 1e12
+    assert adaptive.converged and not adaptive.diverged
+    summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
+    assert summary[0] == summary_header()
+    assert [row.split(",")[1] for row in summary[1:]] == ["fb",
+                                                          "gfrb_adaptive"]
+    for solver in ("fb", "gfrb_adaptive"):
+        assert (tmp_path / f"{solver}_trace.csv").exists()
+
+
 def test_run_benchmark_deterministic_iterates():
     cfg = ExperimentConfig(problem="example1", m=25, seed=8,
                            solvers=("gfrb_adaptive",))
