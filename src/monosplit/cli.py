@@ -16,8 +16,9 @@ naming the field, and creates no output directory.  The composite problem
 runs through solve and experiment too, with the primal-dual solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
-the offending field), 3 divergence (every solver still runs and writes
-its outputs; each diverged solver's partial trace path is printed).
+the offending field) or an output that cannot be written, 3 divergence
+(every solver still runs and writes its outputs; each diverged solver's
+message and partial trace path are printed).
 Outputs land in --out, defaulting to ./results/<command>-<timestamp>;
 --deterministic drops the timestamp so reruns overwrite byte-identical
 files (timing columns aside).
@@ -84,7 +85,8 @@ def _cmd_experiment(args):
     for res in results:
         print(summary_row(res))
     for res in results:
-        print(f"{res.solver}: {res.known_answer}")
+        if not res.diverged:
+            print(f"{res.solver}: {res.known_answer}")
     print(f"outputs in {out}")
     return _divergence_code(results, out)
 
@@ -196,6 +198,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

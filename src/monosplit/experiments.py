@@ -20,8 +20,7 @@ from . import rng
 from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
-from .primal_dual import (CompositeProblem, EPDTRConfig, _step_constants,
-                          check_stepsizes, epdtr_solve)
+from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve, step_pair
 from .splitting import (_STEP_BOUNDS, DivergenceError, StopRule, fb, fbf,
                         frb, gfrb_adaptive, gfrb_fixed, rfb)
 from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
@@ -232,6 +231,8 @@ def config_from_dict(d):
     for s in cfg.solvers:
         if s not in SOLVERS:
             raise ValueError(f"config field 'solvers': unknown solver {s!r}")
+        if cfg.solvers.count(s) > 1:
+            raise ValueError(f"config field 'solvers': {s!r} is listed twice")
         if (s == "epdtr") != (cfg.problem == "composite"):
             raise ValueError(f"config field 'solvers': {s!r} does not solve "
                              f"{cfg.problem!r}; 'epdtr' solves 'composite' "
@@ -312,11 +313,10 @@ def resolve(cfg):
     """Check cfg and build its instance once, through ``generate``.
 
     Raises ValueError naming the offending field: the adaptive (c1, c2)
-    box against delta and epsilon, and, when a composite config sets
-    the step pair, the admissibility inequality
-    2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.  On composite, ||K|| is
-    estimated once and stored as the map's norm_hint, which the run
-    reads.  Returns the instance.
+    box against delta and epsilon, and, on composite, a step pair
+    ``step_pair`` finds outside 2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
+    Returns the instance, whose map then carries the ||K|| estimate the
+    run reads.
     """
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
@@ -327,16 +327,12 @@ def resolve(cfg):
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
     instance = generate(cfg)
     if cfg.problem == "composite":
-        problem = instance.data["problem"]
-        L, norm_k = _step_constants(problem)
-        problem.linmap_k.norm_hint = norm_k
-        if cfg.tau is not None:
-            ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b_reflect, L,
-                                        norm_k)
-            if not ok:
-                raise ValueError("config fields 'tau'/'sigma': step pair "
-                                 "violates 2*tau*(1+|b|)*L + tau*sigma*"
-                                 f"normK^2 < 1 (slack {slack:g})")
+        _, slack = step_pair(instance.data["problem"],
+                             EPDTRConfig(cfg.tau, cfg.sigma, cfg.b_reflect))
+        if slack <= 0.0:
+            raise ValueError("config fields 'tau'/'sigma': step pair "
+                             "violates 2*tau*(1+|b|)*L + tau*sigma*"
+                             f"normK^2 < 1 (slack {slack:g})")
     return instance
 
 

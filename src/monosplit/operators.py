@@ -37,8 +37,8 @@ class ForwardOperator:
 
 
 class LinearMap:
-    """Linear coupling map with its adjoint and an optional norm bound,
-    ``norm_hint``, which starts as None (experiments.resolve sets it)."""
+    """Linear coupling map with its adjoint and ``norm_hint``, a bound on
+    ||K|| or None, which primal_dual.step_pair fills with its estimate."""
 
     def __init__(self, apply, apply_adjoint, shape):
         self.apply = apply

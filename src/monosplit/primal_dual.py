@@ -32,7 +32,7 @@ from .splitting import StepSizeWarning, _drive, _forward, _norm
 class EPDTRConfig:
     """Step pair and reflection weight for the primal-dual solver.
 
-    A step left None is filled by ``epdtr_solve`` from
+    A step left None is filled by ``step_pair`` from
     ``default_stepsizes`` at b and the problem's L and ||K||.
     """
 
@@ -107,18 +107,32 @@ def default_stepsizes(b, L, norm_k, budget=0.95):
     return float(tau), float(sigma)
 
 
-def _step_constants(problem):
-    """(L, ||K||) for the default steps and the admissibility check: the
-    forward operator's Lipschitz hint, and the map's norm hint, else a
-    1%-inflated power-iteration estimate of ||K||.  Both uses need L, so
-    without a hint the pair is (None, None) and no power iteration runs."""
+def step_pair(problem, cfg):
+    """The step pair a solve of ``problem`` runs, and its slack.
+
+    Returns (cfg, slack): cfg with every step it leaves None filled by
+    ``default_stepsizes`` at cfg.b, and check_stepsizes' slack.  L is
+    the forward operator's lipschitz_hint; ||K|| is the map's norm_hint,
+    else a 1%-inflated power-iteration estimate stored as that hint, so
+    each map is estimated once.  Both uses of ||K|| need L: without a
+    hint the slack is None, no power iteration runs, and a missing step
+    raises ValueError.
+    """
     L = getattr(problem.forward_b, "lipschitz_hint", None)
     if L is None:
-        return None, None
+        if cfg.tau is None or cfg.sigma is None:
+            raise ValueError("default step sizes need a lipschitz_hint on "
+                             "the forward operator; pass both steps in "
+                             "the EPDTRConfig")
+        return cfg, None
     K = problem.linmap_k
-    norm_k = K.norm_hint if K.norm_hint is not None else \
-        1.01 * power_norm(K)
-    return L, norm_k
+    if K.norm_hint is None:
+        K.norm_hint = 1.01 * power_norm(K)
+    if cfg.tau is None or cfg.sigma is None:
+        tau, sigma = default_stepsizes(cfg.b, L, K.norm_hint)
+        cfg = replace(cfg, tau=tau if cfg.tau is None else cfg.tau,
+                      sigma=sigma if cfg.sigma is None else cfg.sigma)
+    return cfg, check_stepsizes(cfg.tau, cfg.sigma, cfg.b, L, K.norm_hint)[1]
 
 
 def resolvent_of_inverse(resolvent_c, sigma, y):
@@ -173,13 +187,11 @@ def epdtr_solve(problem, cfg=None, stop=None):
         ||x - J_{tau A}(x - tau*(B x + K* y))||,
         ||y - J_{sigma C^{-1}}(y + sigma*K x)||.
 
-    With no config, cfg is ``EPDTRConfig()``.  A step the config leaves
-    None comes from ``default_stepsizes`` at cfg.b, the forward
-    operator's Lipschitz hint and a 1%-inflated power-iteration estimate
-    of ||K|| (the map's norm_hint when it carries one); ||K|| is not
-    estimated when the forward operator has no hint.  Histories are
-    seeded x_{-1} = x_{-2} = x_0.  An inadmissible step pair warns and
-    iterates anyway.
+    B x and K x there are the last state's, so a solve evaluates B
+    len(trace) + 1 times.  With no config, cfg is ``EPDTRConfig()``;
+    ``step_pair`` fills its missing steps (storing its ||K|| estimate
+    on the map), and a step pair it finds inadmissible warns and
+    iterates anyway.  Histories are seeded x_{-1} = x_{-2} = x_0.
     """
     K = problem.linmap_k
     m, n = K.shape
@@ -187,24 +199,12 @@ def epdtr_solve(problem, cfg=None, stop=None):
         np.asarray(problem.x0, dtype=float).copy()
     y0 = np.zeros(m) if problem.y0 is None else \
         np.asarray(problem.y0, dtype=float).copy()
-    L, norm_k = _step_constants(problem)
-    if cfg is None:
-        cfg = EPDTRConfig()
-    if cfg.tau is None or cfg.sigma is None:
-        if L is None:
-            raise ValueError("default step sizes need a lipschitz_hint on "
-                             "the forward operator; pass both steps in "
-                             "the EPDTRConfig")
-        tau, sigma = default_stepsizes(cfg.b, L, norm_k)
-        cfg = replace(cfg, tau=tau if cfg.tau is None else cfg.tau,
-                      sigma=sigma if cfg.sigma is None else cfg.sigma)
-    if L is not None:
-        ok, slack = check_stepsizes(cfg.tau, cfg.sigma, cfg.b, L, norm_k)
-        if not ok:
-            warnings.warn(
-                f"step pair (tau={cfg.tau:g}, sigma={cfg.sigma:g}) is outside "
-                f"the admissible region (slack {slack:g}); iterating anyway",
-                StepSizeWarning, stacklevel=2)
+    cfg, slack = step_pair(problem, cfg or EPDTRConfig())
+    if slack is not None and slack <= 0.0:
+        warnings.warn(
+            f"step pair (tau={cfg.tau:g}, sigma={cfg.sigma:g}) is outside "
+            f"the admissible region (slack {slack:g}); iterating anyway",
+            StepSizeWarning, stacklevel=2)
 
     def resolvent_c_inv(v, sigma):
         return resolvent_of_inverse(problem.resolvent_c, sigma, v)
@@ -224,11 +224,9 @@ def epdtr_solve(problem, cfg=None, stop=None):
 
     state, trace = _drive(step, seed, stop, "epdtr_solve")
     x, y = state.x, state.y
-    fresh_Bx = _forward(problem.forward_b, x)
     px = np.asarray(problem.resolvent_a(
-        x - cfg.tau * (fresh_Bx + K.apply_adjoint(y)), cfg.tau), dtype=float)
-    py = resolvent_c_inv(y + cfg.sigma * np.asarray(K.apply(x), dtype=float),
-                         cfg.sigma)
+        x - cfg.tau * (state.Bx + K.apply_adjoint(y)), cfg.tau), dtype=float)
+    py = resolvent_c_inv(y + cfg.sigma * state.Kx, cfg.sigma)
     trace.primal_residual = float(np.linalg.norm(x - px))
     trace.dual_residual = float(np.linalg.norm(y - py))
     return x, y, trace

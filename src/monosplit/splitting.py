@@ -179,8 +179,8 @@ def _drive(step, x0, stop, method):
         trace.append(k, err, lam, clock() - t0)
         if not math.isfinite(err) or err > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"{method} diverged at iteration {k} (err={err:g}); "
-                f"trace attached", trace, method)
+                f"{method} diverged at iteration {k} (err={err:g})", trace,
+                method)
         if err <= stop.tol:
             trace.converged = True
             break

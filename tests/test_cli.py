@@ -184,6 +184,30 @@ def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
+def test_experiment_prints_a_divergence_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, "div.json",
+                       {"problem": "example2", "m": 30, "seed": 10,
+                        "solvers": ["gfrb_adaptive", "fb"], "lam": 1.0})
+    out = tmp_path / "div"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert stdout.count("fb diverged at iteration 18") == 1
+    assert "trace attached" not in stdout
+    assert "gfrb_adaptive: distance to oracle" in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", str(REPO_ROOT / "configs" / "example1.json"),
+     "--m", "20"],
+    ["rate-table"],
+], ids=["experiment", "rate-table"])
+def test_unwritable_out_is_an_output_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("output error:")
+
+
 def test_experiment_runs_all_solvers(tmp_path, capsys):
     cfg = write_config(tmp_path, "exp.json",
                        {"problem": "example1", "m": 25, "seed": 1,
@@ -476,6 +500,8 @@ def test_composite_run_builds_and_estimates_norm_k_once(
     ({"problem": "example1", "m": 20, "c1": 0.4, "c2": 0.3}, "'c1'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),
+    ({"problem": "example1", "m": 20, "solvers": ["frb", "frb"]},
+     "'solvers'"),
 ])
 def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
                                             command, payload, field):

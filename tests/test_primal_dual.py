@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import CallCounter, counting_forward
 from oracles import coupling_matrix, gfrb_in_metric, metric_matrix
 
 from monosplit import primal_dual
@@ -240,6 +241,42 @@ def test_epdtr_solve_without_lipschitz_hint_never_estimates_norm_k(
     else:
         epdtr_solve(problem, cfg, stop)
     assert calls == []
+
+
+def test_epdtr_solve_reads_terminal_residuals_off_its_last_step():
+    # The residuals take B x and K x from the last state: B runs once
+    # per iteration plus once at the seed, and K or K* twice per
+    # iteration plus the seed's K x and the residual's K* y.
+    problem, data = gen_composite(40, 30, 0)
+    forward, b_calls = counting_forward(problem.forward_b, 1.0)
+    K = problem.linmap_k
+    apply, adjoint = CallCounter(K.apply), CallCounter(K.apply_adjoint)
+    linmap = LinearMap(apply, adjoint, K.shape)
+    linmap.norm_hint = 1.01 * np.linalg.norm(data["K"], 2)
+    problem = replace(problem, forward_b=forward, linmap_k=linmap)
+    cfg = EPDTRConfig(tau=0.1, sigma=0.5)
+    x, y, trace = epdtr_solve(problem, cfg, StopRule(tol=1e-8))
+    assert trace.converged
+    assert b_calls.count == len(trace) + 1
+    assert apply.count + adjoint.count == 2 * len(trace) + 2
+    # Fresh evaluations at the final iterate give the same bits.
+    px = problem.resolvent_a(
+        x - cfg.tau * (problem.forward_b(x) + K.apply_adjoint(y)), cfg.tau)
+    py = resolvent_of_inverse(problem.resolvent_c, cfg.sigma,
+                              y + cfg.sigma * K.apply(x))
+    assert trace.primal_residual == float(np.linalg.norm(x - px))
+    assert trace.dual_residual == float(np.linalg.norm(y - py))
+
+
+def test_epdtr_solve_estimates_norm_k_once_per_map(monkeypatch):
+    estimates = CallCounter(primal_dual.power_norm)
+    monkeypatch.setattr(primal_dual, "power_norm", estimates)
+    problem, _ = gen_composite(40, 30, 0)
+    stop = StopRule(tol=1e-8)
+    _, _, first = epdtr_solve(problem, stop=stop)
+    _, _, second = epdtr_solve(problem, stop=stop)
+    assert estimates.count == 1
+    assert first.errs == second.errs
 
 
 def test_region_grid_matches_formula_and_monotonicity():
