@@ -21,8 +21,8 @@ from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
 from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve, step_pair
-from .splitting import (_STEP_BOUNDS, DivergenceError, StopRule, fb, fbf,
-                        frb, gfrb_adaptive, gfrb_fixed, rfb)
+from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
+                        gfrb_adaptive, gfrb_fixed, rfb)
 from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
 
 # Fixed-step solvers as run from a config: every seed iterate is x0.
@@ -42,6 +42,10 @@ PROBLEMS = ("example1", "example2", "lasso", "composite")
 _EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
 _SPLITTING_FIELDS = ("delta", "lam", "lambda0", "lambda_minus1", "epsilon",
                      "c1", "c2", "gamma_kind", "gamma_ratio", "gamma_scale")
+# Instance fields, and those each problem's generator reads.
+_INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
+_READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
+          "composite": ("n",)}
 
 
 @dataclass
@@ -212,9 +216,9 @@ _CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(d):
-    """Strict loader: unknown keys, bad types, bad values and fields the
-    configured problem's solvers never read all raise ValueError naming
-    the offending field."""
+    """Strict loader: unknown keys, bad types, bad values (``_check``) and
+    fields the configured problem or its solvers never read all raise
+    ValueError naming the offending field."""
     if not isinstance(d, dict):
         raise ValueError("config root must be a JSON object")
     cfg = ExperimentConfig()
@@ -226,6 +230,24 @@ def config_from_dict(d):
             raise ValueError(f"config field '{key}': bad type "
                              f"{type(value).__name__}")
         setattr(cfg, key, tuple(value) if key == "solvers" else value)
+    _check(cfg)
+    if cfg.problem == "composite":
+        unread, why = _SPLITTING_FIELDS, \
+            "epdtr, the solver of 'composite', does not read it"
+    else:
+        unread, why = _EPDTR_FIELDS, \
+            f"only epdtr reads it, and epdtr does not solve {cfg.problem!r}"
+    for key in d:
+        if key in unread:
+            raise ValueError(f"config field '{key}': {why}")
+        if key in _INSTANCE_FIELDS and key not in _READS[cfg.problem]:
+            raise ValueError(f"config field '{key}': {cfg.problem!r} does "
+                             "not read it")
+    return cfg
+
+
+def _check(cfg):
+    """Raise ValueError naming the first field of cfg with a bad value."""
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"config field 'problem': must be one of {PROBLEMS}")
     for s in cfg.solvers:
@@ -276,16 +298,6 @@ def config_from_dict(d):
     except ValueError as exc:
         raise ValueError(
             f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
-    if cfg.problem == "composite":
-        unread, why = _SPLITTING_FIELDS, \
-            "epdtr, the solver of 'composite', does not read it"
-    else:
-        unread, why = _EPDTR_FIELDS, \
-            f"only epdtr reads it, and epdtr does not solve {cfg.problem!r}"
-    for key in d:
-        if key in unread:
-            raise ValueError(f"config field '{key}': {why}")
-    return cfg
 
 
 def load_config(path, **overrides):
@@ -312,17 +324,19 @@ def load_config(path, **overrides):
 def resolve(cfg):
     """Check cfg and build its instance once, through ``generate``.
 
-    Raises ValueError naming the offending field: the adaptive (c1, c2)
-    box against delta and epsilon, and, on composite, a step pair
+    Raises ValueError naming the offending field.  Before the build:
+    config_from_dict's value checks (``_check``), so a hand-built cfg is
+    checked like a loaded one, and the adaptive (c1, c2) box against
+    delta and epsilon.  After it, on composite: a step pair
     ``step_pair`` finds outside 2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
     Returns the instance, whose map then carries the ||K|| estimate the
     run reads.
     """
+    _check(cfg)
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError("config field 'epsilon': must lie in (0, 1)")
     try:
-        make_stepsize_state(cfg.delta, cfg.lambda0, cfg.lambda_minus1,
-                            cfg.epsilon, cfg.c1, cfg.c2)
+        _controller(cfg)
     except ValueError as exc:
         raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
     instance = generate(cfg)
@@ -334,6 +348,14 @@ def resolve(cfg):
                              "violates 2*tau*(1+|b|)*L + tau*sigma*"
                              f"normK^2 < 1 (slack {slack:g})")
     return instance
+
+
+def _controller(cfg):
+    """The adaptive step controller cfg configures for gfrb_adaptive."""
+    gamma = GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
+                      scale=cfg.gamma_scale)
+    return make_stepsize_state(cfg.delta, cfg.lambda0, cfg.lambda_minus1,
+                               cfg.epsilon, cfg.c1, cfg.c2, gamma)
 
 
 def generate(cfg):
@@ -353,14 +375,6 @@ def generate(cfg):
             forward_b=problem.forward_b, dim=cfg.n, seed=cfg.seed,
             data=dict(data, problem=problem))
     raise ValueError(f"unknown problem {cfg.problem!r}")
-
-
-def default_fixed_step(solver, L, delta=0.0):
-    """90% of the solver's convergence bound for an L-Lipschitz forward."""
-    if L is None or L <= 0.0:
-        raise ValueError(f"{solver} needs an explicit step: the forward "
-                         "operator has no usable Lipschitz constant")
-    return 0.9 * _STEP_BOUNDS[solver](L, delta)
 
 
 @dataclass
@@ -397,8 +411,9 @@ def _run_result(instance, solver, cfg, x, trace, **extra):
 def run_solver(instance, solver, cfg):
     """Run one solver from the configured seeds and wrap the outcome.
 
-    epdtr takes (tau, sigma, b_reflect) from the config; epdtr_solve
-    fills null steps with its default_stepsizes at b_reflect.
+    A null step is filled by the solver that runs it: cfg.lam by the
+    fixed-step solvers, (tau, sigma) by epdtr_solve at b_reflect.
+    gfrb_adaptive runs the controller ``_controller(cfg)`` builds.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -406,23 +421,17 @@ def run_solver(instance, solver, cfg):
     x0 = np.ones(instance.dim) if cfg.x0_kind == "ones" \
         else np.zeros(instance.dim)
     A, B = instance.resolvent_a, instance.forward_b
-    L = B.lipschitz_hint
     if solver == "gfrb_adaptive":
-        gamma = GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
-                          scale=cfg.gamma_scale)
-        state = make_stepsize_state(cfg.delta, cfg.lambda0,
-                                    cfg.lambda_minus1, cfg.epsilon,
-                                    cfg.c1, cfg.c2, gamma)
-        x, trace = gfrb_adaptive(A, B, x0, x0, cfg.delta, state, stop)
+        x, trace = gfrb_adaptive(A, B, x0, x0, cfg.delta, _controller(cfg),
+                                 stop)
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)
         x, _y, trace = epdtr_solve(
             problem, EPDTRConfig(cfg.tau, cfg.sigma, cfg.b_reflect), stop)
     else:
-        lam = cfg.lam if cfg.lam is not None else \
-            default_fixed_step(solver, L, cfg.delta)
-        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, lam, cfg.delta, stop)
+        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, cfg.delta,
+                                            stop)
     return _run_result(instance, solver, cfg, x, trace)
 
 

@@ -83,15 +83,14 @@ def check_stepsizes(tau, sigma, b, L, norm_k):
     return slack > 0.0, float(slack)
 
 
-def default_stepsizes(b, L, norm_k, budget=0.95):
-    """Step pair spending ``budget`` of the admissibility bound.
+def default_stepsizes(b, L, norm_k):
+    """Step pair spending 95% of the admissibility bound.
 
-    Splits the budget evenly between the forward term and the coupling
+    Splits that budget evenly between the forward term and the coupling
     term; degenerate problems (L = 0 or norm_k = 0) spend it all on the
     surviving term.
     """
-    if not 0.0 < budget < 1.0:
-        raise ValueError("budget must lie in (0, 1)")
+    budget = 0.95
     scale = 2.0 * (1.0 + abs(b)) * L
     if L > 0.0 and norm_k > 0.0:
         tau = (budget / 2.0) / scale

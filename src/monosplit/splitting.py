@@ -130,8 +130,7 @@ def _norm(v):
 
 
 # Convergence-theory step bound of each fixed-step method for an
-# L-Lipschitz B; the warnings below and experiments.default_fixed_step
-# both read it.
+# L-Lipschitz B; _fixed_step fills a null step and warns from it.
 _STEP_BOUNDS = {
     "gfrb_fixed": lambda L, delta: 1.0 / (2.0 * L * (1.0 + abs(delta))),
     "frb": lambda L, delta: 1.0 / (2.0 * L),
@@ -141,14 +140,18 @@ _STEP_BOUNDS = {
 }
 
 
-def _require_positive_step(lam):
+def _fixed_step(lam, B, method, delta=0.0):
+    """The float step ``method`` runs: lam None is 90% of its bound at B's
+    lipschitz_hint (ValueError without a positive hint); a given lam must
+    be positive and finite, and one at or beyond the bound warns."""
+    L = getattr(B, "lipschitz_hint", None)
+    if lam is None:
+        if L is None or L <= 0.0:
+            raise ValueError(f"{method} needs an explicit step: the forward "
+                             "operator has no usable Lipschitz constant")
+        return float(0.9 * _STEP_BOUNDS[method](L, delta))
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError(f"step lambda must be positive and finite, got {lam!r}")
-
-
-def _check_fixed_step(lam, B, method, delta=0.0):
-    _require_positive_step(lam)
-    L = getattr(B, "lipschitz_hint", None)
     if L:
         bound = _STEP_BOUNDS[method](L, delta)
         if lam >= bound:
@@ -156,6 +159,7 @@ def _check_fixed_step(lam, B, method, delta=0.0):
                 f"{method}: step {lam:g} is at or beyond the convergence "
                 f"bound {bound:g}; iterating anyway", StepSizeWarning,
                 stacklevel=3)
+    return float(lam)
 
 
 def _drive(step, x0, stop, method):
@@ -279,13 +283,13 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
 def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     """Multi-step reflected splitting with a constant step.
 
-    Needs lam < 1 / (2 L (1 + |delta|)) for an L-Lipschitz B; a step at
-    or beyond that bound raises StepSizeWarning and iterates anyway.
+    Needs lam < 1 / (2 L (1 + |delta|)) for an L-Lipschitz B; lam None
+    runs 90% of that at B's lipschitz_hint, and a step at or beyond the
+    bound raises StepSizeWarning and iterates anyway.
     One B evaluation and one resolvent call per pass after the two seed
     evaluations.
     """
-    _check_fixed_step(lam, B, "gfrb_fixed", delta)
-    lam = float(lam)
+    lam = _fixed_step(lam, B, "gfrb_fixed", delta)
     B_pp = _forward(B, _seed(x_minus2))
     B_p = _forward(B, _seed(x_minus1))
     return _reflected(A, B, _seed(x0), B_p, B_pp, delta, stop, "gfrb_fixed",
@@ -296,10 +300,10 @@ def frb(A, B, x0, x_minus1, lam, stop=None):
     """Reflected splitting with one step of operator memory.
 
     The delta = 0 case of gfrb_fixed (same kernel, so the reduction is
-    bitwise) with one seed evaluation; needs lam < 1 / (2 L).
+    bitwise) with one seed evaluation; needs lam < 1 / (2 L), and lam
+    None runs 90% of that.
     """
-    _check_fixed_step(lam, B, "frb")
-    lam = float(lam)
+    lam = _fixed_step(lam, B, "frb")
     B_p = _forward(B, _seed(x_minus1))
     return _reflected(A, B, _seed(x0), B_p, B_p, 0.0, stop, "frb", lam=lam)
 
@@ -308,10 +312,10 @@ def fbf(A, B, x0, lam, stop=None):
     """Forward-backward-forward splitting; two B evaluations per pass.
 
     x_{k+1} = y_k - lam*B(y_k) + lam*B(x_k) with
-    y_k = J_{lam A}(x_k - lam*B(x_k)); needs lam < 1/L.
+    y_k = J_{lam A}(x_k - lam*B(x_k)); needs lam < 1/L, and lam None
+    runs 90% of that.
     """
-    _check_fixed_step(lam, B, "fbf")
-    lam = float(lam)
+    lam = _fixed_step(lam, B, "fbf")
 
     def step(x):
         lam_Bx = lam * _forward(B, x)
@@ -328,10 +332,9 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
     """Reflected forward-backward: forward step at y_k = 2 x_k - x_{k-1}.
 
     x_{k+1} = J_{lam A}(x_k - lam*B(y_k)); one B evaluation per pass;
-    needs lam < (sqrt(2) - 1) / L.
+    needs lam < (sqrt(2) - 1) / L, and lam None runs 90% of that.
     """
-    _check_fixed_step(lam, B, "rfb")
-    lam = float(lam)
+    lam = _fixed_step(lam, B, "rfb")
     x_p = _seed(x_minus1)
 
     def step(x):
@@ -352,10 +355,10 @@ def fb(A, B, x0, lam, stop=None):
     convergent only for cocoercive B.
 
     Kept as the baseline that fails on rotation-like monotone problems
-    where the reflected variants succeed.
+    where the reflected variants succeed.  Its bound is lam < 1/L, as
+    for fbf: lam None runs 90% of it, and a step at or past it warns.
     """
-    _require_positive_step(lam)
-    lam = float(lam)
+    lam = _fixed_step(lam, B, "fb")
 
     def step(x):
         target = lam * _forward(B, x)

@@ -157,6 +157,7 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert len(trace) >= 2
 
 
+@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
 def test_solve_divergence_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "div.json",
                        {"problem": "example2", "m": 30, "seed": 10,
@@ -170,6 +171,7 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
+@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
 def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
     # gfrb_adaptive converges on this instance; fb with lam = 1 diverges.
     cfg = write_config(tmp_path, "div.json",
@@ -184,6 +186,7 @@ def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
+@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
 def test_experiment_prints_a_divergence_once(tmp_path, capsys):
     cfg = write_config(tmp_path, "div.json",
                        {"problem": "example2", "m": 30, "seed": 10,
@@ -328,6 +331,10 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
       "b_reflect": 3}, "'tau'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "delta": 0.3, "lam": 0.5, "gamma_kind": "zero"}, "'delta'"),
+    ({"problem": "example1", "m": 20, "reg_lambda": 0.5, "solvers": ["frb"]},
+     "'reg_lambda'"),
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "k": 7}, "'k'"),
 ])
 def test_validate_config_rejects_fields_the_solvers_never_read(
         tmp_path, capsys, payload, field):
@@ -379,7 +386,8 @@ def test_problem_override_is_checked_like_the_file(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "'k'" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["validate-config", "--config", cfg]) == 0
+    assert main(["validate-config", "--config", cfg]) == 2
+    assert "'k'" in capsys.readouterr().err
 
 
 def test_good_override_reaches_summary(tmp_path, capsys):

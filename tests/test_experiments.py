@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
-                                   default_fixed_step, gen_composite,
-                                   gen_example1, gen_example2, gen_lasso,
-                                   generate, resolve, run_benchmark,
-                                   run_solver, snr, summary_header)
-from monosplit.operators import power_norm
+                                   gen_composite, gen_example1, gen_example2,
+                                   gen_lasso, generate, resolve,
+                                   run_benchmark, run_solver, snr,
+                                   summary_header)
+from monosplit.operators import ForwardOperator, power_norm
 from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
 from monosplit.splitting import StopRule
 
@@ -194,15 +194,24 @@ def test_composite_runs_epdtr_with_its_default_steps():
     assert result.trace.primal_residual == trace.primal_residual
 
 
-def test_default_fixed_step_bounds():
-    assert default_fixed_step("frb", 2.0) == pytest.approx(0.9 / 4.0)
-    assert default_fixed_step("fbf", 2.0) == pytest.approx(0.45)
-    assert default_fixed_step("gfrb_fixed", 2.0, 0.5) == pytest.approx(
-        0.9 / 6.0)
-    assert default_fixed_step("rfb", 1.0) == pytest.approx(
-        0.9 * (np.sqrt(2.0) - 1.0))
-    with pytest.raises(ValueError):
-        default_fixed_step("frb", None)
+@pytest.mark.parametrize("solver, L, delta, bound", [
+    ("frb", 2.0, 0.0, 1.0 / (2.0 * 2.0)),
+    ("fbf", 2.0, 0.0, 1.0 / 2.0),
+    ("gfrb_fixed", 2.0, 0.5, 1.0 / (2.0 * 2.0 * 1.5)),
+    ("rfb", 1.0, 0.0, (np.sqrt(2.0) - 1.0) / 1.0),
+    ("frb", None, 0.0, None),
+], ids=["frb", "fbf", "gfrb_fixed", "rfb", "no-hint"])
+def test_run_solver_fills_the_default_fixed_step(solver, L, delta, bound):
+    inst = gen_example1(10, seed=0)
+    inst.forward_b = ForwardOperator(inst.forward_b, lipschitz_hint=L)
+    cfg = ExperimentConfig(problem="example1", m=10, solvers=(solver,),
+                           delta=delta, max_iter=1)
+    if bound is None:
+        with pytest.raises(ValueError, match="frb needs an explicit step"):
+            run_solver(inst, solver, cfg)
+        return
+    assert cfg.lam is None
+    assert run_solver(inst, solver, cfg).trace.lambdas[0] == 0.9 * bound
 
 
 @pytest.mark.parametrize("solver", ["gfrb_adaptive", "gfrb_fixed", "frb",
@@ -237,6 +246,7 @@ def test_run_benchmark_writes_outputs(tmp_path):
         assert (tmp_path / f"{solver}_trace.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
 def test_run_benchmark_keeps_running_past_a_divergence(tmp_path):
     # fb with lam = 1 diverges on this instance; gfrb_adaptive converges.
     cfg = config_from_dict({"problem": "example2", "m": 30, "seed": 10,
@@ -278,4 +288,21 @@ def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=match):
         run_benchmark(config_from_dict(payload))
+    assert calls == []
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (ExperimentConfig(tol=float("nan"), m=10), "'tol'"),
+    (ExperimentConfig(x0_kind="spiral", m=10), "'x0_kind'"),
+    # The default solvers do not solve composite.
+    (ExperimentConfig(problem="composite", m=5, n=4), "'solvers'"),
+    (ExperimentConfig(m=-5), "'m'"),
+], ids=["tol", "x0_kind", "solvers", "m"])
+def test_run_benchmark_checks_a_hand_built_config(monkeypatch, cfg, field):
+    calls = []
+    for name in ("generate", "run_solver"):
+        monkeypatch.setattr(f"monosplit.experiments.{name}",
+                            lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=field):
+        run_benchmark(cfg)
     assert calls == []

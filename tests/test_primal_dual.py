@@ -78,8 +78,6 @@ def test_default_stepsizes_degenerate_cases():
     tau, sigma = default_stepsizes(1.0, 3.0, 0.0)
     assert tau == pytest.approx(0.95 / 12.0)
     assert default_stepsizes(0.0, 0.0, 0.0) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        default_stepsizes(0.0, 1.0, 1.0, budget=1.5)
 
 
 def test_resolvent_of_inverse_identity_operator():

@@ -9,7 +9,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monosplit"
 
 ALLOWED = {
     ("experiments", "operators", "_eigen_affine_resolvent"),
-    ("experiments", "splitting", "_STEP_BOUNDS"),
     ("primal_dual", "splitting", "_drive"),
     ("primal_dual", "splitting", "_forward"),
     ("primal_dual", "splitting", "_norm"),

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from monosplit.experiments import (default_fixed_step, gen_example1,
-                                   gen_example2, gen_lasso)
+from monosplit.experiments import gen_example1, gen_example2, gen_lasso
 from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  zero_resolvent)
 from monosplit.primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
@@ -335,6 +334,15 @@ def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
     return x, errs, lams
 
 
+# Each fixed-step solver's convergence bound as a plain formula; the
+# reference runs 90% of it, which pins the bits of the package's default.
+_REF_BOUNDS = {"gfrb_fixed": lambda L, d: 1.0 / (2.0 * L * (1.0 + abs(d))),
+               "frb": lambda L, d: 1.0 / (2.0 * L),
+               "fbf": lambda L, d: 1.0 / L,
+               "rfb": lambda L, d: (np.sqrt(2.0) - 1.0) / L,
+               "fb": lambda L, d: 1.0 / L}
+
+
 def _ref_one_step(J, B, x, x_m1, solver, lam, stop):
     errs = []
     for _ in range(stop.max_iter):
@@ -365,19 +373,20 @@ def _hot_path_runs(solver, J, B, L, dim, reference):
             return _ref_reflected(J, B, x0, x_m1, None, delta, stop,
                                   state=state)
         x, trace = gfrb_adaptive(J, B, x0, x_m1, delta, state, stop)
-    else:
-        lam = default_fixed_step(solver, L, delta)
-        if reference and solver in ("gfrb_fixed", "frb"):
+    elif reference:
+        lam = 0.9 * _REF_BOUNDS[solver](L, delta)
+        if solver in ("gfrb_fixed", "frb"):
             d, x_m2 = (delta, x_m2) if solver == "gfrb_fixed" else (0.0, None)
             return _ref_reflected(J, B, x0, x_m1, x_m2, d, stop, lam=lam)
-        if reference:
-            return _ref_one_step(J, B, x0, x_m1, solver, lam, stop)
-        runs = {"gfrb_fixed": lambda: gfrb_fixed(J, B, x0, x_m1, x_m2, lam,
+        return _ref_one_step(J, B, x0, x_m1, solver, lam, stop)
+    else:
+        # A null step: each solver fills its own default.
+        runs = {"gfrb_fixed": lambda: gfrb_fixed(J, B, x0, x_m1, x_m2, None,
                                                  delta, stop),
-                "frb": lambda: frb(J, B, x0, x_m1, lam, stop),
-                "fbf": lambda: fbf(J, B, x0, lam, stop),
-                "rfb": lambda: rfb(J, B, x0, x_m1, lam, stop),
-                "fb": lambda: fb(J, B, x0, lam, stop)}
+                "frb": lambda: frb(J, B, x0, x_m1, None, stop),
+                "fbf": lambda: fbf(J, B, x0, None, stop),
+                "rfb": lambda: rfb(J, B, x0, x_m1, None, stop),
+                "fb": lambda: fb(J, B, x0, None, stop)}
         x, trace = runs[solver]()
     return x, trace.errs, trace.lambdas
 
