@@ -10,10 +10,12 @@ region           admissibility slack grid for the primal-dual step pair
 validate-config  check the config against its instance, run no solver
 
 solve, experiment and validate-config take --m and --seed, which replace
-the config file's fields before experiments.resolve checks the config
-against the instance it builds, so a bad override fails like a bad file,
-naming the field, and creates no output directory.  The composite problem
-runs through solve and experiment too, with the primal-dual solver epdtr.
+the config file's fields before the loader checks them, so a bad override
+fails like a bad file, naming the field, and creates no output directory.
+experiments.resolve then builds the instance and checks a composite step
+pair against it, the one check that needs the instance.  The composite
+problem runs through solve and experiment too, with the primal-dual
+solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
 the offending field) or an output that cannot be written, 3 divergence

@@ -11,6 +11,7 @@ its docstring.
 import contextlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -37,8 +38,7 @@ _FIXED_STEP_RUNS = {
 # epdtr solves the composite problem and no other; the rest never solve it.
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
-# Config fields only epdtr reads, and fields only the splitting solvers
-# read; a config may not set a field its solvers never read.
+# Config fields only epdtr reads, and those only the splitting solvers read.
 _EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
 _SPLITTING_FIELDS = ("delta", "lam", "lambda0", "lambda_minus1", "epsilon",
                      "c1", "c2", "gamma_kind", "gamma_ratio", "gamma_scale")
@@ -206,9 +206,10 @@ class ExperimentConfig:
 
 
 def _accepted_types(f):
-    # float fields take ints too, tuple fields take JSON lists, and a
-    # None default admits None.
-    types = {float: (int, float), tuple: (list, tuple)}.get(f.type, (f.type,))
+    # Numeric fields take numpy scalars too (_check rejects bool), tuple
+    # fields take lists, and a None default admits None.
+    types = {int: (numbers.Integral,), float: (numbers.Real,),
+             tuple: (list, tuple)}.get(f.type, (f.type,))
     return types + (type(None),) if f.default is None else types
 
 
@@ -216,21 +217,17 @@ _CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(d):
-    """Strict loader: unknown keys, bad types, bad values (``_check``) and
-    fields the configured problem or its solvers never read all raise
-    ValueError naming the offending field."""
+    """Strict loader: a non-object root, unknown keys, ``_check`` failures
+    and fields the problem or its solvers never read (the one rule that
+    needs the file's keys) raise ValueError naming the offending field."""
     if not isinstance(d, dict):
         raise ValueError("config root must be a JSON object")
-    cfg = ExperimentConfig()
-    for key, value in d.items():
+    for key in d:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"config field '{key}': unknown field")
-        expected = _CONFIG_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise ValueError(f"config field '{key}': bad type "
-                             f"{type(value).__name__}")
-        setattr(cfg, key, tuple(value) if key == "solvers" else value)
+    cfg = ExperimentConfig(**d)
     _check(cfg)
+    cfg.solvers = tuple(cfg.solvers)
     if cfg.problem == "composite":
         unread, why = _SPLITTING_FIELDS, \
             "epdtr, the solver of 'composite', does not read it"
@@ -247,7 +244,14 @@ def config_from_dict(d):
 
 
 def _check(cfg):
-    """Raise ValueError naming the first field of cfg with a bad value."""
+    """The one definition of a valid config, loaded or hand-built: raise
+    ValueError naming the first field of cfg with a bad type or value,
+    the adaptive box 0 < c1 < c2 < (1-epsilon)/(2|delta|+2) included."""
+    for key, expected in _CONFIG_TYPES.items():
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ValueError(f"config field '{key}': bad type "
+                             f"{type(value).__name__}")
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"config field 'problem': must be one of {PROBLEMS}")
     for s in cfg.solvers:
@@ -298,6 +302,12 @@ def _check(cfg):
     except ValueError as exc:
         raise ValueError(
             f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
+    if not 0.0 < cfg.epsilon < 1.0:
+        raise ValueError("config field 'epsilon': must lie in (0, 1)")
+    try:
+        _controller(cfg)
+    except ValueError as exc:
+        raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
 
 
 def load_config(path, **overrides):
@@ -322,23 +332,13 @@ def load_config(path, **overrides):
 
 
 def resolve(cfg):
-    """Check cfg and build its instance once, through ``generate``.
-
-    Raises ValueError naming the offending field.  Before the build:
-    config_from_dict's value checks (``_check``), so a hand-built cfg is
-    checked like a loaded one, and the adaptive (c1, c2) box against
-    delta and epsilon.  After it, on composite: a step pair
-    ``step_pair`` finds outside 2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
-    Returns the instance, whose map then carries the ||K|| estimate the
-    run reads.
+    """Check cfg (``_check``), build its instance once through
+    ``generate`` and, on composite, reject a step pair ``step_pair`` finds
+    outside 2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1, the one check that
+    needs the instance.  Each ValueError names the offending field.
+    Returns the instance, whose map then carries its ||K|| estimate.
     """
     _check(cfg)
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise ValueError("config field 'epsilon': must lie in (0, 1)")
-    try:
-        _controller(cfg)
-    except ValueError as exc:
-        raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
     instance = generate(cfg)
     if cfg.problem == "composite":
         _, slack = step_pair(instance.data["problem"],

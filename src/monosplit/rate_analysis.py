@@ -142,7 +142,8 @@ def design_rate(r):
     Raises
     ------
     ValueError
-        For a non-finite r, for r in the excluded set
+        For a non-finite r or one whose cube overflows (|r| above
+        about 5.6e102), for r in the excluded set
         {1, (-1+sqrt(13))/2, (1+sqrt(13))/2}, and for the degenerate r
         where the defining fraction or delta + 1 vanishes.
     """
@@ -156,7 +157,11 @@ def design_rate(r):
                 "rate r is in the excluded set "
                 "{1, (-1+sqrt(13))/2, (1+sqrt(13))/2}; "
                 f"got r={r!r}")
-    den = r ** 3 - 2.0 * r ** 2 - 2.0 * r + 3.0
+    try:
+        den = r ** 3 - 2.0 * r ** 2 - 2.0 * r + 3.0
+    except OverflowError:
+        raise ValueError(f"design-rate argument 'r': r**3 must be finite, "
+                         f"got r={r!r}") from None
     if abs(den) <= _EXCLUDED_TOL * max(1.0, abs(r) ** 3):
         raise ValueError(f"design map undefined at r={r!r}: "
                          "cubic denominator vanishes")

@@ -58,7 +58,8 @@ def test_design_rate_excluded(capsys):
     assert "excluded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("r", ["nan", "inf"])
+# 1e103 is finite, but its cube overflows a float.
+@pytest.mark.parametrize("r", ["nan", "inf", "1e103"])
 def test_design_rate_rejects_non_finite_rate(capsys, r):
     assert main(["design-rate", r]) == 2
     err = capsys.readouterr().err

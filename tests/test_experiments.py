@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -131,9 +133,11 @@ def test_config_from_dict_defaults_and_errors():
                        ("reg_lambda", -0.01), ("gamma_ratio", 2.0),
                        ("gamma_scale", -1.0), ("delta", float("nan")),
                        ("seed", -1), ("b_reflect", float("nan")),
-                       ("b_reflect", float("inf"))):
+                       ("b_reflect", float("inf")), ("epsilon", 2.0)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict({key: value})
+    with pytest.raises(ValueError, match="'c1'/'c2'"):
+        config_from_dict({"c1": 0.4, "c2": 0.3})
     with pytest.raises(ValueError, match="'k'"):
         config_from_dict({"problem": "lasso", "k": 30, "n": 10})
 
@@ -141,9 +145,8 @@ def test_config_from_dict_defaults_and_errors():
 def test_validate_config_boxes():
     cfg = config_from_dict({"problem": "example1"})
     resolve(cfg)
-    bad = config_from_dict({"c1": 0.4, "c2": 0.3})
     with pytest.raises(ValueError, match="c1"):
-        resolve(bad)
+        resolve(config_from_dict({"c1": 0.4, "c2": 0.3}))
     with pytest.raises(ValueError, match="tau"):
         resolve(config_from_dict({"tau": 0.1}))
     # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27, then +0.59.
@@ -297,7 +300,13 @@ def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
     # The default solvers do not solve composite.
     (ExperimentConfig(problem="composite", m=5, n=4), "'solvers'"),
     (ExperimentConfig(m=-5), "'m'"),
-], ids=["tol", "x0_kind", "solvers", "m"])
+    (ExperimentConfig(m="5"), "'m'"),
+    (ExperimentConfig(tol="1e-6"), "'tol'"),
+    (ExperimentConfig(solvers="frb"), "'solvers'"),
+    (ExperimentConfig(seed=1.5), "'seed'"),
+    (ExperimentConfig(m=True), "'m'"),
+], ids=["tol", "x0_kind", "solvers", "m", "m-str", "tol-str", "solvers-str",
+        "seed-float", "m-bool"])
 def test_run_benchmark_checks_a_hand_built_config(monkeypatch, cfg, field):
     calls = []
     for name in ("generate", "run_solver"):
@@ -306,3 +315,22 @@ def test_run_benchmark_checks_a_hand_built_config(monkeypatch, cfg, field):
     with pytest.raises(ValueError, match=field):
         run_benchmark(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_check_names_a_field_of_the_wrong_type(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr("monosplit.experiments.generate",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"config field '{name}': bad type"):
+        resolve(ExperimentConfig(**{name: object()}))
+    assert calls == []
+
+
+def test_run_benchmark_runs_a_config_of_numpy_scalars():
+    cfg = ExperimentConfig(m=np.int64(20), seed=np.int64(1),
+                           max_iter=np.int64(300), tol=np.float64(1e-6),
+                           solvers=("frb",))
+    (result,) = run_benchmark(cfg)
+    assert result.converged and not result.diverged
+    assert result.known_answer.startswith("distance to oracle")

@@ -154,6 +154,12 @@ def test_design_rate_rejects_excluded_set():
             design_rate(bad)
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), 1e103, -1e103])
+def test_design_rate_rejects_non_finite_rate(r):
+    with pytest.raises(ValueError, match="argument 'r'"):
+        design_rate(r)
+
+
 def test_design_rate_rejects_degenerate_points():
     with pytest.raises(ValueError):
         design_rate((1.0 - np.sqrt(13.0)) / 2.0)  # denominator root
