@@ -13,9 +13,8 @@ from .operators import (ForwardOperator, LinearMap, l1_resolvent,
 from .primal_dual import (CompositeProblem, EPDTRConfig, check_stepsizes,
                           default_stepsizes, epdtr_solve, epdtr_step,
                           resolvent_of_inverse)
-from .rate_analysis import (RateDesign, RateReport, SchurCohnPair,
-                            characteristic_roots, cubic_roots, design_rate,
-                            rate_report, rate_table, schur_cohn)
+from .rate_analysis import (RateDesign, characteristic_roots, cubic_roots,
+                            design_rate, rate_table)
 from .splitting import (DivergenceError, IterationTrace, StepSizeWarning,
                         StopRule, fb, fbf, frb, gfrb_adaptive, gfrb_fixed,
                         rfb)

@@ -9,6 +9,7 @@ LinearMap carries a coupling map's shape, adjoint and norm hint.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -25,10 +26,17 @@ class ForwardOperator:
         rejected rather than broadcast.
     lipschitz_hint : float or None
         Known Lipschitz constant of ``evaluate``, used by solvers to
-        check step-size ranges.  None disables those checks.
+        check step-size ranges: None, which disables those checks, or a
+        finite real >= 0 (0 is the hint of a zero matrix), else
+        ValueError.
     """
 
     def __init__(self, evaluate, lipschitz_hint=None):
+        if lipschitz_hint is not None and not (
+                isinstance(lipschitz_hint, numbers.Real)
+                and 0.0 <= lipschitz_hint < math.inf):
+            raise ValueError("lipschitz_hint must be None or a finite "
+                             f"real >= 0, got {lipschitz_hint!r}")
         self._evaluate = evaluate
         self.lipschitz_hint = lipschitz_hint
 

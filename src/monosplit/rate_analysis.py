@@ -4,11 +4,11 @@ With A = 0 and a normal linear B, the three-term recursion splits into
 one scalar recursion per eigenvalue mu of B, with characteristic cubic
 z^3 - (1 - lam (delta+2) mu) z^2 - lam (2 delta+1) mu z + lam delta mu.
 ``cubic_roots`` solves it in batches and is the one route to a rate: the
-rotation table and report (mu = +-i) and the inverse design problem
-(mu = 1: pick delta so the recursion contracts at exactly 1/r per
-step).  The rotation's degree-6 characteristic polynomial stays here as
-an independent route (the benchmark's oracle imports it); the dense
-6x6 companion-block matrix and its spectral radius live in the tests'
+rotation table (mu = +-i) and the inverse design problem (mu = 1: pick
+delta so the recursion contracts at exactly 1/r per step).  The
+rotation's degree-6 characteristic polynomial stays here as an
+independent route (the benchmark's oracle imports it); the dense 6x6
+companion-block matrix and its spectral radius live in the tests'
 ``oracles`` module.
 """
 
@@ -89,30 +89,6 @@ def characteristic_roots(delta, lam=None):
     return np.roots(characteristic_coefficients(delta, lam))
 
 
-@dataclass
-class SchurCohnPair:
-    """Closed-form stability pair (d1, d2) at the boundary step rule."""
-
-    d1: float
-    d2: float
-
-
-def schur_cohn(delta):
-    """Closed-form stability pair at lam = 1/(2|delta| + 2).
-
-    Defined for delta != 0; both signs share one formula in |delta|, with
-    d2 negated for delta < 0.  d1 changes sign at delta = sqrt(2) + 1
-    (exactly zero there in floating point).
-    """
-    if delta == 0.0:
-        raise ValueError("stability pair is defined for delta != 0")
-    a = abs(float(delta))
-    d1 = (-a * a + 2.0 * a + 1.0) / (a + 1.0) ** 2
-    d2 = (3.0 * a ** 4 + 6.0 * a ** 3 + 5.0 * a ** 2 + 12.0 * a + 6.0) \
-        / (2.0 * (a + 1.0) ** 4)
-    return SchurCohnPair(d1=d1, d2=d2 if delta > 0.0 else -d2)
-
-
 # Rates r at which the design map delta(r) is rejected.
 EXCLUDED_RATES = (1.0, (-1.0 + np.sqrt(13.0)) / 2.0, (1.0 + np.sqrt(13.0)) / 2.0)
 
@@ -172,29 +148,6 @@ def design_rate(r):
     lam = 1.0 / (3.0 * (delta + 1.0))
     return RateDesign(r=r, delta=delta, lam=lam,
                       roots=cubic_roots(1.0, lam, delta))
-
-
-@dataclass
-class RateReport:
-    """Spectral summary of the rotation-case recursion at one (delta, lam)."""
-
-    delta: float
-    lam: float
-    rho: float
-    eigenvalues: np.ndarray
-    d1: float = None
-    d2: float = None
-
-
-def rate_report(delta, lam=None):
-    """Rotation rate, roots at mu = i then -i, and the pair where defined."""
-    if lam is None:
-        lam = 1.0 / (2.0 * abs(delta) + 2.0)
-    eigs = cubic_roots(np.array([1j, -1j]), lam, delta).ravel()
-    pair = schur_cohn(delta) if delta != 0.0 else SchurCohnPair(None, None)
-    return RateReport(delta=float(delta), lam=float(lam),
-                      rho=float(np.max(np.abs(eigs))), eigenvalues=eigs,
-                      d1=pair.d1, d2=pair.d2)
 
 
 def rate_table(deltas=None):

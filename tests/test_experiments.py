@@ -203,7 +203,8 @@ def test_composite_runs_epdtr_with_its_default_steps():
     ("gfrb_fixed", 2.0, 0.5, 1.0 / (2.0 * 2.0 * 1.5)),
     ("rfb", 1.0, 0.0, (np.sqrt(2.0) - 1.0) / 1.0),
     ("frb", None, 0.0, None),
-], ids=["frb", "fbf", "gfrb_fixed", "rfb", "no-hint"])
+    ("frb", 0.0, 0.0, None),
+], ids=["frb", "fbf", "gfrb_fixed", "rfb", "no-hint", "zero-hint"])
 def test_run_solver_fills_the_default_fixed_step(solver, L, delta, bound):
     inst = gen_example1(10, seed=0)
     inst.forward_b = ForwardOperator(inst.forward_b, lipschitz_hint=L)

@@ -215,3 +215,11 @@ def test_forward_operator_wraps_callable():
     op = ForwardOperator(lambda x: 3.0 * x, lipschitz_hint=3.0)
     np.testing.assert_allclose(op(np.array([1.0, -2.0])), [3.0, -6.0])
     assert op.lipschitz_hint == 3.0
+
+
+@pytest.mark.parametrize("hint", [np.inf, np.nan, -1.0, "1.0"])
+def test_forward_operator_rejects_a_bad_lipschitz_hint(hint):
+    # Default steps scale like 1/L: an infinite hint would run lam = 0,
+    # which stops at once as converged, and a NaN hint a NaN step.
+    with pytest.raises(ValueError, match="lipschitz_hint"):
+        ForwardOperator(lambda x: x, lipschitz_hint=hint)

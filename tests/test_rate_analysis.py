@@ -8,8 +8,7 @@ from monosplit.rate_analysis import (EXCLUDED_RATES, ROTATION, STEP_RULES,
                                      TABLE_DELTAS,
                                      characteristic_coefficients,
                                      characteristic_roots, cubic_roots,
-                                     design_rate, rate_report, rate_table,
-                                     schur_cohn)
+                                     design_rate, rate_table)
 from monosplit.splitting import StopRule, gfrb_fixed
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -47,11 +46,10 @@ def test_cubic_roots_match_matrix_oracle():
         M = build_matrix(ROTATION, lam, delta)
         rho_mat = spectral_radius(M)
         assert abs(np.max(np.abs(z)) - rho_mat) <= 1e-10
-        rep = rate_report(delta, lam)
-        assert abs(rep.rho - rho_mat) <= 1e-10
         # The whole spectrum, not just its radius: each of the six
-        # eigenvalues of M is one of the report's roots.
-        gaps = np.abs(np.linalg.eigvals(M)[:, None] - rep.eigenvalues)
+        # eigenvalues of M is one of the cubic's roots, and each root
+        # is an eigenvalue.
+        gaps = np.abs(np.linalg.eigvals(M)[:, None] - z.ravel())
         assert np.max(np.min(gaps, axis=1)) <= 1e-10
         assert np.max(np.min(gaps, axis=0)) <= 1e-10
     # At delta = 0, lam = 1/2 the double root (1 -+ i)/2 limits the
@@ -63,12 +61,17 @@ def test_cubic_roots_match_matrix_oracle():
 
 
 def test_characteristic_polynomial_matches_determinant():
+    # det(zI - M) of the companion-block matrix is the polynomial: the
+    # same coefficients, the same values and the same largest root.
     gen = np.random.default_rng(12)
     for _ in range(10):
         delta = float(gen.uniform(-2.0, 2.0))
         lam = float(gen.uniform(0.05, 0.6))
         coeffs = characteristic_coefficients(delta, lam)
         M = build_matrix(ROTATION, lam, delta)
+        np.testing.assert_allclose(coeffs, np.poly(M), rtol=0.0, atol=1e-12)
+        rho_poly = np.max(np.abs(characteristic_roots(delta, lam)))
+        assert abs(rho_poly - spectral_radius(M)) <= 1e-12
         for _ in range(3):
             z = complex(gen.uniform(-2, 2), gen.uniform(-2, 2))
             det = np.linalg.det(z * np.eye(6) - M)
@@ -106,30 +109,6 @@ def test_rate_exceeds_baseline_away_from_zero():
         rho_poly = float(np.max(np.abs(characteristic_roots(delta))))
         assert rho_mat > INV_SQRT2
         assert rho_poly > INV_SQRT2
-
-
-def test_schur_cohn_domain_error_at_zero():
-    with pytest.raises(ValueError):
-        schur_cohn(0.0)
-
-
-def test_schur_cohn_closed_form_values():
-    pair = schur_cohn(1.0)
-    assert pair.d1 == pytest.approx(0.5)
-    assert pair.d2 == pytest.approx(1.0)
-    pair = schur_cohn(-1.5)
-    assert pair.d1 == pytest.approx(0.28)
-    assert pair.d2 == pytest.approx(-0.9048, abs=1e-6)
-
-
-def test_schur_cohn_d1_vanishes_at_critical_delta():
-    crit = np.sqrt(2.0) + 1.0
-    assert schur_cohn(crit).d1 == 0.0
-    # Sign change across the critical point, checked on a grid.
-    below = np.linspace(0.1, crit - 1e-3, 25)
-    above = np.linspace(crit + 1e-3, 6.0, 25)
-    assert all(schur_cohn(d).d1 > 0.0 for d in below)
-    assert all(schur_cohn(d).d1 < 0.0 for d in above)
 
 
 def test_design_rate_published_triples():
@@ -192,17 +171,6 @@ def test_rate_table_shape_and_labels():
     assert delta0 == 0.0
     assert lam0 == pytest.approx(0.5)
     assert rho0 == pytest.approx(INV_SQRT2, abs=1e-6)
-
-
-def test_rate_report_fields():
-    rep = rate_report(0.5)
-    assert rep.lam == pytest.approx(1.0 / 3.0)
-    assert rep.d1 is not None and rep.d2 is not None
-    assert rep.eigenvalues.shape == (6,)
-    assert rep.rho == pytest.approx(
-        spectral_radius(build_matrix(ROTATION, rep.lam, 0.5)))
-    rep0 = rate_report(0.0)
-    assert rep0.d1 is None and rep0.d2 is None
 
 
 def test_reference_rate_table_matches_high_precision_cubic():
