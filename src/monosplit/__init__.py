@@ -6,10 +6,10 @@ or adaptive steps, a primal-dual variant for composite problems
 planar rotation case, and reproducible experiment drivers.
 """
 
-from .operators import (ForwardOperator, LinearMap, l1_resolvent,
-                        make_affine_forward, make_lasso_forward, power_norm,
-                        soft_threshold, symmetric_affine_resolvent,
-                        zero_resolvent)
+from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
+                        l1_resolvent, make_affine_forward, make_lasso_forward,
+                        power_norm, soft_threshold,
+                        symmetric_affine_resolvent, zero_resolvent)
 from .primal_dual import (CompositeProblem, EPDTRConfig, check_stepsizes,
                           default_stepsizes, epdtr_solve, epdtr_step,
                           resolvent_of_inverse)

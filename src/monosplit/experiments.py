@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng
-from .operators import (ForwardOperator, LinearMap, _eigen_affine_resolvent,
+from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
 from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve, step_pair
@@ -50,7 +50,12 @@ _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
 
 @dataclass
 class InclusionInstance:
-    """A generated problem 0 in (A + B)(x) with optional known solution."""
+    """A generated problem 0 in (A + B)(x) with optional known solution.
+
+    The operators, x_star and the solvers' iterates share the instance's
+    coordinates u.  An orthogonal ``basis`` (None means the identity)
+    maps them to the problem's own coordinates as x = basis @ u.
+    """
 
     name: str
     resolvent_a: object
@@ -59,6 +64,7 @@ class InclusionInstance:
     seed: int
     x_star: np.ndarray = None
     data: dict = field(default_factory=dict)
+    basis: np.ndarray = None
 
 
 def gen_example1(m, seed=0):
@@ -84,8 +90,15 @@ def gen_example2(m, seed=10):
     M = G^T + (Rbar - Rbar^T)/2 + shift*I and
     shift = max(0, -lambda_min(sym(G))) + 0.1, so sym(M) is positive
     definite and B is monotone with L = ||M||_2.  Both operators are
-    single-valued, so the solution solves a linear system and is
-    attached as x_star.
+    single-valued, so the solution x* solves a linear system.
+
+    The instance is posed in the eigenbasis E = P diag(eigs) P^T, in
+    u = P^T x, where A's resolvent is the elementwise scaling
+    ``diagonal_resolvent(eigs + beta)`` and B(u) = (P^T M P) u + P^T b
+    is one product: resolvent_a, forward_b and x_star = P^T x* are in
+    u, and basis = P.  P is orthogonal, so ||B||, every displacement
+    and every step-controller input equal their x-coordinate values up
+    to rounding.  data keeps E, M, b and beta in x-coordinates.
     """
     R = rng.standard_normal(rng.substream(seed, 0), (m, m))
     Rbar = rng.standard_normal(rng.substream(seed, 1), (m, m))
@@ -96,16 +109,18 @@ def gen_example2(m, seed=10):
     sym_G = 0.5 * (G + G.T)
     shift = max(0.0, -float(np.min(np.linalg.eigvalsh(sym_G)))) + 0.1
     M = G.T + S + shift * np.eye(m)
-    # One eigh of E gives both beta and the resolvent's eigenbasis.
+    # One eigh of E gives both beta and the basis u = P^T x.
     eigs, P = np.linalg.eigh(E)
     beta = float(np.max(np.abs(eigs)))
-    resolvent = _eigen_affine_resolvent(eigs, P, beta)
-    forward = make_affine_forward(M, b)
     x_star = np.linalg.solve(E + beta * np.eye(m) + M, -b)
-    return InclusionInstance(name="example2", resolvent_a=resolvent,
-                             forward_b=forward, dim=m, seed=seed,
-                             x_star=x_star,
-                             data={"E": E, "M": M, "b": b, "beta": beta})
+    P_t = P.T
+    return InclusionInstance(name="example2",
+                             resolvent_a=diagonal_resolvent(eigs + beta),
+                             forward_b=make_affine_forward(P_t @ M @ P,
+                                                           P_t @ b),
+                             dim=m, seed=seed, x_star=P_t @ x_star,
+                             data={"E": E, "M": M, "b": b, "beta": beta},
+                             basis=P)
 
 
 def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
@@ -414,12 +429,17 @@ def run_solver(instance, solver, cfg):
     A null step is filled by the solver that runs it: cfg.lam by the
     fixed-step solvers, (tau, sigma) by epdtr_solve at b_reflect.
     gfrb_adaptive runs the controller ``_controller(cfg)`` builds.
+    The configured x0 (ones or zeros) is a point of the problem's own
+    coordinates, mapped in as basis^T @ x0 when the instance has a
+    basis; RunResult.x is in the instance's coordinates, as x_star is.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     stop = StopRule(tol=cfg.tol, max_iter=cfg.max_iter)
     x0 = np.ones(instance.dim) if cfg.x0_kind == "ones" \
         else np.zeros(instance.dim)
+    if instance.basis is not None:
+        x0 = instance.basis.T @ x0
     A, B = instance.resolvent_a, instance.forward_b
     if solver == "gfrb_adaptive":
         x, trace = gfrb_adaptive(A, B, x0, x0, cfg.delta, _controller(cfg),

@@ -89,27 +89,14 @@ def zero_resolvent():
     return lambda z, lam: np.asarray(z, dtype=float)
 
 
-def symmetric_affine_resolvent(E, beta=0.0):
-    """Resolvent ``J(z, lam)`` of x -> (E + beta*I) x for symmetric
-    E = P diag(eigs) P^T.
+def diagonal_resolvent(d):
+    """Resolvent ``J(z, lam)`` of x -> diag(d) x for d >= 0: the
+    elementwise scaling (1 / (1 + lam*d)) * z, into a fresh array.
 
-    Decomposes E once; each call solves (I + lam*(E + beta*I)) x = z in
-    the eigenbasis as P @ (1 / (1 + lam*(eigs + beta)) * (P^T @ z)), one
-    matvec pair and no refactorization.  The shifted spectrum
-    eigs + beta is formed once, and the coefficient vector is kept for
-    the last lam seen, so a fixed-step run builds it once.
+    The coefficient vector is kept for the last lam seen, so a
+    fixed-step run builds it once.
     """
-    eigs, P = np.linalg.eigh(np.asarray(E, dtype=float))
-    return _eigen_affine_resolvent(eigs, P, beta)
-
-
-def _eigen_affine_resolvent(eigs, P, beta):
-    """symmetric_affine_resolvent from a decomposition ``eigh`` gave, for
-    callers that need the spectrum themselves and decompose E only once."""
-    shifted = eigs + beta
-    # P.T stays a view: a contiguous copy could change the BLAS path and
-    # with it the last bits of the product.
-    P_t = P.T
+    d = np.asarray(d, dtype=float)
     # (lam, coefficient) replaced as one tuple, so callers sharing the
     # resolvent across threads never pair a lam with another's vector.
     cached = (None, None)
@@ -118,13 +105,28 @@ def _eigen_affine_resolvent(eigs, P, beta):
         nonlocal cached
         lam_cached, coeff = cached
         if lam != lam_cached:
-            coeff = 1.0 / (1.0 + lam * shifted)
+            coeff = 1.0 / (1.0 + lam * d)
             cached = (lam, coeff)
-        v = P_t @ z
-        v *= coeff
-        return P @ v
+        return coeff * z
 
     return resolve
+
+
+def symmetric_affine_resolvent(E, beta=0.0):
+    """Resolvent ``J(z, lam)`` of x -> (E + beta*I) x for symmetric
+    E = P diag(eigs) P^T.
+
+    Decomposes E once; each call solves (I + lam*(E + beta*I)) x = z in
+    the eigenbasis as P @ J_diag(P^T @ z, lam), with J_diag the
+    ``diagonal_resolvent`` of eigs + beta: one matvec pair and no
+    refactorization.
+    """
+    eigs, P = np.linalg.eigh(np.asarray(E, dtype=float))
+    scale = diagonal_resolvent(eigs + beta)
+    # P.T stays a view: a contiguous copy could change the BLAS path and
+    # with it the last bits of the product.
+    P_t = P.T
+    return lambda z, lam: P @ scale(P_t @ z, lam)
 
 
 def _top_gram_eigenvalue(A):

@@ -411,11 +411,12 @@ def test_criterion_11_sparse_recovery_matches_long_reference():
     n = A.shape[1]
 
     # Long proximal-gradient reference run.
+    # The gradient reads A (2 MiB) twice rather than A^T A (8 MiB) once,
+    # which takes about 2.5x less time per step on one core.
     L_ref = float(np.linalg.norm(A, 2)) ** 2
-    AtA, Aty = A.T @ A, A.T @ y
     x_ref = np.zeros(n)
     for _ in range(50000):
-        x_ref = soft_threshold(x_ref - (AtA @ x_ref - Aty) / L_ref,
+        x_ref = soft_threshold(x_ref - A.T @ (A @ x_ref - y) / L_ref,
                                reg / L_ref)
 
     rec = RecordingResolvent(l1_resolvent(reg))

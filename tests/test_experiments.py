@@ -1,16 +1,21 @@
-from dataclasses import fields
+import pathlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
                                    gen_composite, gen_example1, gen_example2,
-                                   gen_lasso, generate, resolve,
+                                   gen_lasso, generate, load_config, resolve,
                                    run_benchmark, run_solver, snr,
                                    summary_header)
-from monosplit.operators import ForwardOperator, power_norm
+from monosplit.operators import (ForwardOperator, make_affine_forward,
+                                 power_norm, symmetric_affine_resolvent)
 from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
 from monosplit.splitting import StopRule
+
+EXAMPLE2_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                   / "example2.json")
 
 
 def test_gen_example1_oracle_satisfies_optimality():
@@ -35,23 +40,28 @@ def test_gen_example1_deterministic_and_seed_sensitive():
 
 def test_gen_example2_structure():
     inst = gen_example2(40, seed=10)
-    E, M = inst.data["E"], inst.data["M"]
+    E, M, P = inst.data["E"], inst.data["M"], inst.basis
     np.testing.assert_allclose(E, E.T)
+    np.testing.assert_allclose(P.T @ P, np.eye(40), atol=1e-12)
     sym_M = 0.5 * (M + M.T)
     assert np.min(np.linalg.eigvalsh(sym_M)) >= 0.1 - 1e-10
     assert inst.data["beta"] == pytest.approx(
         np.max(np.abs(np.linalg.eigvalsh(E))))
-    # Resolvent equals the dense solve.
+    # Resolvent equals the dense solve, mapped through the basis.
     gen = np.random.default_rng(0)
     z = gen.standard_normal(40)
     lam = 0.37
     expected = np.linalg.solve(
         np.eye(40) + lam * (E + inst.data["beta"] * np.eye(40)), z)
-    np.testing.assert_allclose(inst.resolvent_a(z, lam), expected,
+    np.testing.assert_allclose(P @ inst.resolvent_a(P.T @ z, lam), expected,
                                rtol=1e-11, atol=1e-11)
+    # So does the forward operator.
+    x = gen.standard_normal(40)
+    np.testing.assert_allclose(P @ inst.forward_b(P.T @ x),
+                               M @ x + inst.data["b"], rtol=1e-11, atol=1e-11)
     # Attached solution solves the single-valued inclusion.
     total = E + inst.data["beta"] * np.eye(40) + M
-    np.testing.assert_allclose(total @ inst.x_star, -inst.data["b"],
+    np.testing.assert_allclose(total @ (P @ inst.x_star), -inst.data["b"],
                                atol=1e-8)
     assert inst.forward_b.lipschitz_hint == pytest.approx(
         np.linalg.norm(M, 2))
@@ -63,10 +73,11 @@ def test_gen_example2_beta_and_resolvent_from_one_decomposition():
     ref = np.max(np.abs(np.linalg.eigvalsh(E)))
     assert abs(beta - ref) <= 1e-12 * ref
     z = np.random.default_rng(4).standard_normal(30)
+    P = inst.basis
     for lam in (0.05, 1.3):
         expected = np.linalg.solve(np.eye(30) + lam * (E + beta * np.eye(30)),
                                    z)
-        np.testing.assert_allclose(inst.resolvent_a(z, lam),
+        np.testing.assert_allclose(P @ inst.resolvent_a(P.T @ z, lam),
                                    expected, rtol=1e-11, atol=1e-11)
 
 
@@ -228,6 +239,47 @@ def test_run_solver_example1_converges(solver):
     assert np.linalg.norm(result.x - inst.x_star) <= 1e-6
     assert result.problem == "example1"
     assert result.n == 50
+
+
+@pytest.mark.parametrize("m", [30, 200])
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_example2_eigenbasis_run_matches_the_dense_run(m, seed):
+    # The shipped instance is posed in u = P^T x.  The same problem posed
+    # densely in x, from the same x0 = ones, must take the same number of
+    # iterations and end at the same point, mapped back through the basis.
+    cfg = load_config(EXAMPLE2_CONFIG, m=m, seed=seed)
+    inst = generate(cfg)
+    E, M, b, beta = (inst.data[k] for k in ("E", "M", "b", "beta"))
+    dense = replace(inst, resolvent_a=symmetric_affine_resolvent(E, beta),
+                    forward_b=make_affine_forward(M, b),
+                    x_star=inst.basis @ inst.x_star, basis=None)
+    for solver in cfg.solvers:
+        in_u = run_solver(inst, solver, cfg)
+        in_x = run_solver(dense, solver, cfg)
+        assert in_u.converged and in_x.converged, solver
+        assert in_u.iterations == in_x.iterations, solver
+        gap = np.linalg.norm(inst.basis @ in_u.x - in_x.x)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(in_x.x)), solver
+
+
+@pytest.mark.parametrize("x0_kind", ["ones", "zeros"])
+def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
+    inst = gen_example2(20, seed=3)
+    points = []
+
+    def recording(u, B=inst.forward_b):
+        points.append(np.array(u))
+        return B(u)
+    inst.forward_b = ForwardOperator(recording,
+                                     inst.forward_b.lipschitz_hint)
+    cfg = ExperimentConfig(problem="example2", m=20, x0_kind=x0_kind,
+                           max_iter=1)
+    # gfrb_adaptive first evaluates B at its seed x_{-1} = x0.
+    run_solver(inst, "gfrb_adaptive", cfg)
+    x0 = np.ones(20) if x0_kind == "ones" else np.zeros(20)
+    assert points[0].tobytes() == (inst.basis.T @ x0).tobytes()
+    if x0_kind == "zeros":
+        assert np.all(points[0] == 0.0)
 
 
 def test_run_solver_rejects_unknown():

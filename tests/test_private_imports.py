@@ -8,7 +8,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monosplit"
 
 ALLOWED = {
-    ("experiments", "operators", "_eigen_affine_resolvent"),
     ("primal_dual", "splitting", "_drive"),
     ("primal_dual", "splitting", "_forward"),
     ("primal_dual", "splitting", "_norm"),

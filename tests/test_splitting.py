@@ -288,12 +288,12 @@ def test_max_iter_respected_and_converged_flag():
 
 def _ref_resolvent(instance):
     if instance.name == "example2":
+        # Posed in the eigenbasis of E, where A is diagonal.
         beta = instance.data["beta"]
-        eigs, P = np.linalg.eigh(instance.data["E"])
+        eigs, _ = np.linalg.eigh(instance.data["E"])
 
         def resolve(z, lam):
-            coeff = 1.0 / (1.0 + lam * (eigs + beta))
-            return P @ (coeff * (P.T @ z))
+            return 1.0 / (1.0 + lam * (eigs + beta)) * z
         return resolve
     weight = instance.data.get("reg_lambda", 1.0)
 
