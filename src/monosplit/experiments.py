@@ -428,7 +428,8 @@ def run_solver(instance, solver, cfg):
 
     A null step is filled by the solver that runs it: cfg.lam by the
     fixed-step solvers, (tau, sigma) by epdtr_solve at b_reflect.
-    gfrb_adaptive runs the controller ``_controller(cfg)`` builds.
+    gfrb_adaptive runs the controller ``_controller(cfg)`` builds, from
+    x0 and its probe seed (x_minus1=None).
     The configured x0 (ones or zeros) is a point of the problem's own
     coordinates, mapped in as basis^T @ x0 when the instance has a
     basis; RunResult.x is in the instance's coordinates, as x_star is.
@@ -442,8 +443,8 @@ def run_solver(instance, solver, cfg):
         x0 = instance.basis.T @ x0
     A, B = instance.resolvent_a, instance.forward_b
     if solver == "gfrb_adaptive":
-        x, trace = gfrb_adaptive(A, B, x0, x0, cfg.delta, _controller(cfg),
-                                 stop)
+        x, trace = gfrb_adaptive(A, B, x0, None, cfg.delta,
+                                 _controller(cfg), stop)
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)

@@ -51,6 +51,10 @@ from .stepsize import next_step, validate_coefficients
 
 DIVERGENCE_LIMIT = 1e12
 
+# Length of gfrb_adaptive's probe step: with x_minus1=None it seeds
+# x_{-1} = x0 - PROBE_STEP * B(x0) / ||B(x0)||.
+PROBE_STEP = 1e-6
+
 
 class StepSizeWarning(UserWarning):
     """A fixed step at or beyond the convergence-theory bound."""
@@ -129,6 +133,21 @@ def _norm(v):
     return math.sqrt(np.vdot(v, v))
 
 
+def _same_point(u, v):
+    """True when u and v hold the same bits (shape and bytes, so -0.0 is
+    not 0.0): a deterministic B takes the same value at both."""
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _seed_forwards(B, x, *seeds):
+    """B(x) and B at each seed, evaluated in the order seeds..., x; a seed
+    that is the same point as x takes B(x) instead of a second
+    evaluation."""
+    values = [None if _same_point(s, x) else _forward(B, s) for s in seeds]
+    Bx = _forward(B, x)
+    return Bx, [Bx if v is None else v for v in values]
+
+
 # Convergence-theory step bound of each fixed-step method for an
 # L-Lipschitz B; _fixed_step fills a null step and warns from it.
 _STEP_BOUNDS = {
@@ -191,10 +210,13 @@ def _drive(step, x0, stop, method):
     return x, trace
 
 
-def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
+def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
                state=None, dx=None):
-    """Run the three-term reflected recursion from B(x_{-1}) = B_p and
-    B(x_{-2}) = B_pp.
+    """Run the three-term reflected recursion from B(x_0) = Bx0,
+    B(x_{-1}) = B_p and B(x_{-2}) = B_pp.
+
+    The first pass takes Bx0 as its forward value, so a run of T passes
+    evaluates B T - 1 times here, after the caller's seed evaluations.
 
     Each pass computes, with x = x_k, Bx = B x_k and lam = lam_k,
 
@@ -215,10 +237,14 @@ def _reflected(A, B, x0, B_p, B_pp, delta, stop, method, lam=None,
     reflect = 1.0 + delta
     # D_p = B_p - B_pp; each pass's D = Bx - B_p becomes the next D_p.
     D_p = B_p - B_pp
+    pending = Bx0
 
     def step(x):
-        nonlocal B_p, D_p, lam_p, lam_pp, dx
-        Bx = _forward(B, x)
+        nonlocal B_p, D_p, lam_p, lam_pp, dx, pending
+        if pending is None:
+            Bx = _forward(B, x)
+        else:
+            Bx, pending = pending, None
         D = Bx - B_p
         if state is None:
             lam_k = lam_p
@@ -252,10 +278,21 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
         Resolvent ``A(z, lam)`` of the set-valued part.
     B : callable
         Single-valued part ``B(x)``; no Lipschitz hint is needed.
-    x0, x_minus1 : array
-        Seed iterates.  The second history point x_{-2} is seeded to
-        x_{-1}, which zeroes the oldest reflection term on the first
-        pass.
+    x0 : array
+        Starting point.
+    x_minus1 : array or None
+        Seed x_{-1}.  None seeds the probe point
+
+            x_{-1} = x0 - PROBE_STEP * B(x0) / ||B(x0)||,
+
+        so the controller's first update sees a real local estimate
+        dB/dx and shrinks a too-large lambda_0 to c1 * dx / dB rather
+        than running it as given.  Guards: if ||B(x0)|| is 0 or not
+        finite, x_{-1} = x0; a probe that rounds back to x0 gives
+        dx = dB = 0, and a constant B gives dB = 0 < dx, and both take
+        the growth branch, as the start x_{-1} = x0 does.  The second
+        history point x_{-2} is seeded to x_{-1}, which zeroes the
+        oldest reflection term on the first pass.
     delta : float
         Reflection mix-in weight.
     state : StepSizeState
@@ -270,13 +307,22 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
 
     Each pass evaluates B once and the resolvent once; the controller
     sees dx = ||x_{k-1} - x_k|| and dB = ||B x_{k-1} - B x_k|| and
-    either shrinks the step or grows it by its summable schedule.
+    either shrinks the step or grows it by its summable schedule.  B(x0)
+    is evaluated once, before the first pass, and B(x_{-1}) once unless
+    x_{-1} holds x0's exact bits, so T passes cost T + 1 evaluations
+    (T when x_{-1} is x0).
     """
     validate_coefficients(state.c1, state.c2, delta, state.epsilon)
-    x_p = _seed(x_minus1)
     x = _seed(x0)
-    B_p = _forward(B, x_p)
-    return _reflected(A, B, x, B_p, B_p, delta, stop, "gfrb_adaptive",
+    if x_minus1 is None:
+        Bx = _forward(B, x)
+        size = _norm(Bx)
+        x_p = x - (PROBE_STEP / size) * Bx if 0.0 < size < math.inf else x
+        B_p = Bx if _same_point(x_p, x) else _forward(B, x_p)
+    else:
+        x_p = _seed(x_minus1)
+        Bx, (B_p,) = _seed_forwards(B, x, x_p)
+    return _reflected(A, B, x, Bx, B_p, B_p, delta, stop, "gfrb_adaptive",
                       state=state, dx=_norm(x_p - x))
 
 
@@ -286,13 +332,14 @@ def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     Needs lam < 1 / (2 L (1 + |delta|)) for an L-Lipschitz B; lam None
     runs 90% of that at B's lipschitz_hint, and a step at or beyond the
     bound raises StepSizeWarning and iterates anyway.
-    One B evaluation and one resolvent call per pass after the two seed
-    evaluations.
+    One B evaluation and one resolvent call per pass, plus one for each
+    seed that is not the same point as x0: T passes from distinct seeds
+    cost T + 2 evaluations, and from x_minus2 = x_minus1 = x0 cost T.
     """
     lam = _fixed_step(lam, B, "gfrb_fixed", delta)
-    B_pp = _forward(B, _seed(x_minus2))
-    B_p = _forward(B, _seed(x_minus1))
-    return _reflected(A, B, _seed(x0), B_p, B_pp, delta, stop, "gfrb_fixed",
+    x = _seed(x0)
+    Bx, (B_pp, B_p) = _seed_forwards(B, x, _seed(x_minus2), _seed(x_minus1))
+    return _reflected(A, B, x, Bx, B_p, B_pp, delta, stop, "gfrb_fixed",
                       lam=lam)
 
 
@@ -300,12 +347,13 @@ def frb(A, B, x0, x_minus1, lam, stop=None):
     """Reflected splitting with one step of operator memory.
 
     The delta = 0 case of gfrb_fixed (same kernel, so the reduction is
-    bitwise) with one seed evaluation; needs lam < 1 / (2 L), and lam
-    None runs 90% of that.
+    bitwise) with one seed evaluation, none when x_minus1 is the same
+    point as x0; needs lam < 1 / (2 L), and lam None runs 90% of that.
     """
     lam = _fixed_step(lam, B, "frb")
-    B_p = _forward(B, _seed(x_minus1))
-    return _reflected(A, B, _seed(x0), B_p, B_p, 0.0, stop, "frb", lam=lam)
+    x = _seed(x0)
+    Bx, (B_p,) = _seed_forwards(B, x, _seed(x_minus1))
+    return _reflected(A, B, x, Bx, B_p, B_p, 0.0, stop, "frb", lam=lam)
 
 
 def fbf(A, B, x0, lam, stop=None):

@@ -73,19 +73,21 @@ def make_stepsize_state(delta, lambda0, lambda_minus1=None, epsilon=1e-4,
     """Controller seeded with the default admissible constants.
 
     Defaults place c2 at 99% of the open upper edge and c1 at 90% of c2.
-    lambda_minus1 defaults to lambda0.
+    lambda_minus1 defaults to lambda0.  Both steps must be positive and
+    finite, else ValueError naming the argument.
     """
     if c2 is None:
         c2 = 0.99 * coefficient_bound(delta, epsilon)
     if c1 is None:
         c1 = 0.9 * c2
     validate_coefficients(c1, c2, delta, epsilon)
-    if lambda0 <= 0.0:
-        raise ValueError("lambda0 must be positive")
     if lambda_minus1 is None:
         lambda_minus1 = lambda0
-    elif lambda_minus1 <= 0.0:
-        raise ValueError("lambda_minus1 must be positive")
+    for name, value in (("lambda0", lambda0),
+                        ("lambda_minus1", lambda_minus1)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
     if gamma_spec is None:
         gamma_spec = GammaSpec()
     return StepSizeState(lambda_curr=float(lambda0),

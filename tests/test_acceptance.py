@@ -403,7 +403,6 @@ def test_criterion_10_admissible_region_shrinks_with_reflection():
 
 
 def test_criterion_11_sparse_recovery_matches_long_reference():
-    t0 = time.perf_counter()
     inst = gen_lasso(seed=0)
     A, y = inst.data["A"], inst.data["y"]
     x_true = inst.data["x_true"]
@@ -419,25 +418,28 @@ def test_criterion_11_sparse_recovery_matches_long_reference():
         x_ref = soft_threshold(x_ref - A.T @ (A @ x_ref - y) / L_ref,
                                reg / L_ref)
 
+    # Only the solve is timed: the reference above is the check's own
+    # cost, not the method's.
     rec = RecordingResolvent(l1_resolvent(reg))
     state = make_stepsize_state(0.1, 0.1)
+    t0 = time.perf_counter()
     x_alg, trace = gfrb_adaptive(rec, inst.forward_b, np.zeros(n),
                                  np.zeros(n), 0.1, state,
                                  StopRule(tol=1e-8, max_iter=20000))
+    elapsed = time.perf_counter() - t0
     gap = float(np.linalg.norm(x_alg - x_ref))
 
     half = len(rec.outputs) // 2
     snrs = np.array([snr(x_true, out) for out in rec.outputs[half:]])
     drawdown = float(np.max(np.maximum.accumulate(snrs) - snrs))
-    elapsed = time.perf_counter() - t0
     ok = (trace.converged and gap <= 1e-4 and drawdown <= 0.1
           and elapsed <= 60.0)
     report(11, ok,
            f"sparse recovery at m=256, n=1024, k=20: terminal iterate "
            f"within {gap:.2e} of the 50000-iteration proximal-gradient "
            f"reference (<= 1e-4), SNR drawdown over the final half "
-           f"{drawdown:.3f} dB <= 0.1 dB, total runtime {elapsed:.1f}s "
-           f"<= 60s")
+           f"{drawdown:.3f} dB <= 0.1 dB, gfrb_adaptive solve time "
+           f"{elapsed:.1f}s <= 60s (the reference run is not timed)")
 
 
 def test_criterion_12_plain_forward_backward_stalls_on_rotation():

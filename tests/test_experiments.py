@@ -14,8 +14,8 @@ from monosplit.operators import (ForwardOperator, make_affine_forward,
 from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
 from monosplit.splitting import StopRule
 
-EXAMPLE2_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
-                   / "example2.json")
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+EXAMPLE2_CONFIG = CONFIGS / "example2.json"
 
 
 def test_gen_example1_oracle_satisfies_optimality():
@@ -153,6 +153,16 @@ def test_config_from_dict_defaults_and_errors():
         config_from_dict({"problem": "lasso", "k": 30, "n": 10})
 
 
+def test_config_path_keeps_its_step_messages():
+    # _check rejects these before make_stepsize_state sees them.
+    for key in ("lambda0", "lambda_minus1"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^config field '{key}': "
+                                                 "must be positive and "
+                                                 "finite$"):
+                config_from_dict({key: value})
+
+
 def test_validate_config_boxes():
     cfg = config_from_dict({"problem": "example1"})
     resolve(cfg)
@@ -274,12 +284,46 @@ def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
                                      inst.forward_b.lipschitz_hint)
     cfg = ExperimentConfig(problem="example2", m=20, x0_kind=x0_kind,
                            max_iter=1)
-    # gfrb_adaptive first evaluates B at its seed x_{-1} = x0.
+    # gfrb_adaptive first evaluates B at x0, to build its probe seed.
     run_solver(inst, "gfrb_adaptive", cfg)
     x0 = np.ones(20) if x0_kind == "ones" else np.zeros(20)
     assert points[0].tobytes() == (inst.basis.T @ x0).tobytes()
     if x0_kind == "zeros":
         assert np.all(points[0] == 0.0)
+
+
+@pytest.mark.parametrize("name, iters", [("example1", 47), ("example2", 54)])
+def test_probe_start_needs_no_lambda0_guess(name, iters):
+    # From its probe seed gfrb_adaptive shrinks a too-large lambda0 on the
+    # first update, so the shipped configs take the same count from any
+    # lambda0 = lambda_{-1} in [0.1, 100].
+    cfg = load_config(CONFIGS / f"{name}.json")
+    inst = generate(cfg)
+    for lam0 in (0.1, 1.0, 10.0, 100.0):
+        res = run_solver(inst, "gfrb_adaptive",
+                         replace(cfg, lambda0=lam0, lambda_minus1=lam0))
+        assert res.converged and res.iterations == iters, lam0
+        assert np.linalg.norm(res.x - inst.x_star) <= 1e-5, lam0
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(problem="example1", m=30, seed=1),
+    ExperimentConfig(problem="example2", m=30, seed=1),
+    ExperimentConfig(problem="lasso", m=32, n=64, k=4, seed=1)],
+    ids=["example1", "example2", "lasso"])
+def test_run_solver_adaptive_evaluates_B_iterations_plus_one(cfg):
+    # B(x0) once for the probe and the first pass, B(probe) once, then
+    # one evaluation per later pass.
+    inst = generate(cfg)
+    calls = []
+
+    def counting(x, B=inst.forward_b):
+        calls.append(1)
+        return B(x)
+    inst.forward_b = ForwardOperator(counting, inst.forward_b.lipschitz_hint)
+    result = run_solver(inst, "gfrb_adaptive", cfg)
+    assert result.converged
+    assert len(calls) == result.iterations + 1
 
 
 def test_run_solver_rejects_unknown():

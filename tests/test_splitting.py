@@ -5,9 +5,10 @@ from monosplit.experiments import gen_example1, gen_example2, gen_lasso
 from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  zero_resolvent)
 from monosplit.primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
-from monosplit.splitting import (DivergenceError, IterationTrace,
-                                 StepSizeWarning, StopRule, fb, fbf, frb,
-                                 gfrb_adaptive, gfrb_fixed, rfb)
+from monosplit.splitting import (PROBE_STEP, DivergenceError,
+                                 IterationTrace, StepSizeWarning, StopRule,
+                                 fb, fbf, frb, gfrb_adaptive, gfrb_fixed,
+                                 rfb)
 from monosplit.stepsize import GammaSpec, make_stepsize_state
 
 from conftest import RecordingResolvent, counting_forward, \
@@ -142,6 +143,41 @@ def test_eval_counts_per_iteration():
     B, c = fresh()
     state = make_stepsize_state(0.2, 0.1)
     gfrb_adaptive(A, B, x0, xm1, 0.2, state, stop)
+    assert c.count == T + 1
+
+
+def test_eval_counts_from_seeds_at_x0():
+    # A seed that is the same point as x0 -- x0 itself, or a copy with
+    # its bits -- takes B(x0) instead of a second evaluation.  -0.0 is
+    # not the same point as 0.0: B may tell them apart.
+    x0 = np.random.default_rng(5).standard_normal(6)
+    T = 17
+    stop = StopRule(tol=0.0, max_iter=T)
+    A = zero_resolvent()
+
+    def fresh():
+        return counting_forward(lambda x: 0.5 * x + 1.0, lipschitz_hint=0.5)
+
+    for seed in (x0, x0.copy()):
+        B, c = fresh()
+        frb(A, B, x0, seed, 0.9, stop)
+        assert c.count == T
+
+        B, c = fresh()
+        gfrb_fixed(A, B, x0, seed, seed, 0.6, 0.2, stop)
+        assert c.count == T
+
+        B, c = fresh()
+        gfrb_adaptive(A, B, x0, seed, 0.2, make_stepsize_state(0.2, 0.1),
+                      stop)
+        assert c.count == T
+
+    B, c = fresh()
+    frb(A, B, np.zeros(6), -np.zeros(6), 0.9, stop)
+    assert c.count == T + 1
+
+    B, c = fresh()
+    gfrb_adaptive(A, B, x0, None, 0.2, make_stepsize_state(0.2, 0.1), stop)
     assert c.count == T + 1
 
 
@@ -421,3 +457,113 @@ def test_hot_path_matches_reference_loops(solver):
         for p, rp in zip(points, rpoints):
             assert np.all(p == rp)
         assert np.all(x == rx)
+
+
+@pytest.mark.parametrize("solver", ["gfrb_adaptive", "gfrb_fixed", "frb"])
+def test_seeds_at_x0_match_reference_loops(solver):
+    # With every seed at x0 the reflected solvers evaluate B(x0) once;
+    # the reference evaluates it at each seed, and the bits must agree.
+    delta = 0.1
+    stop = StopRule(tol=1e-9, max_iter=400)
+    for instance in (gen_example1(30, 2), gen_example2(30, 12),
+                     gen_lasso(32, 64, 4, seed=5)):
+        B, L = instance.forward_b, instance.forward_b.lipschitz_hint
+        J = instance.resolvent_a
+        x0 = np.ones(instance.dim)
+        if solver == "gfrb_adaptive":
+            x, trace = gfrb_adaptive(J, B, x0, x0, delta,
+                                     make_stepsize_state(delta, 0.1), stop)
+            ref = _ref_reflected(J, B, x0, x0, None, delta, stop,
+                                 state=make_stepsize_state(delta, 0.1))
+        else:
+            d = delta if solver == "gfrb_fixed" else 0.0
+            lam = 0.9 * _REF_BOUNDS[solver](L, d)
+            if solver == "gfrb_fixed":
+                x, trace = gfrb_fixed(J, B, x0, x0, x0, lam, d, stop)
+            else:
+                x, trace = frb(J, B, x0, x0, lam, stop)
+            ref = _ref_reflected(J, B, x0, x0, x0, d, stop, lam=lam)
+        rx, rerrs, rlams = ref
+        assert trace.errs == rerrs and trace.lambdas == rlams, instance.name
+        assert x.tobytes() == rx.tobytes(), instance.name
+
+
+def test_probe_seed_is_a_short_step_against_B():
+    # x_minus1=None: B is evaluated at x0, then at the probe point
+    # x0 - PROBE_STEP * B(x0) / ||B(x0)||, then once per later pass.
+    inst = gen_example1(30, 2)
+    points = []
+
+    def recording(x, B=inst.forward_b):
+        points.append(np.array(x))
+        return B(x)
+    B = ForwardOperator(recording, inst.forward_b.lipschitz_hint)
+    x0 = np.ones(30)
+    T = 9
+    gfrb_adaptive(inst.resolvent_a, B, x0, None, 0.1,
+                  make_stepsize_state(0.1, 0.1), StopRule(tol=0.0, max_iter=T))
+    assert len(points) == T + 1
+    assert points[0].tobytes() == x0.tobytes()
+    Bx0 = inst.forward_b(x0)
+    step = x0 - points[1]
+    assert np.linalg.norm(step) == pytest.approx(PROBE_STEP, rel=1e-9)
+    cosine = step @ Bx0 / (np.linalg.norm(step) * np.linalg.norm(Bx0))
+    assert cosine == pytest.approx(1.0, abs=1e-9)
+
+
+def test_probe_shrinks_a_large_first_step():
+    # From the probe the first update sees dB/dx = 2 on B = 2x + b and
+    # takes the shrink branch c1 * dx / dB; from x_{-1} = x0 it runs
+    # (1 + gamma_1) * lambda0 as given.
+    b = np.random.default_rng(3).standard_normal(8)
+    B = ForwardOperator(lambda x: 2.0 * x + b)
+    x0 = np.ones(8)
+    stop = StopRule(tol=0.0, max_iter=1)
+    state = make_stepsize_state(0.1, 100.0)
+    _x, probed = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1, state,
+                               stop)
+    assert probed.lambdas[0] == pytest.approx(state.c1 / 2.0, rel=1e-6)
+    _x, plain = gfrb_adaptive(zero_resolvent(), B, x0, x0, 0.1,
+                              make_stepsize_state(0.1, 100.0), stop)
+    assert plain.lambdas[0] == 150.0
+
+
+def test_probe_guard_zero_forward_at_x0():
+    # B(x0) = 0: the probe has no direction, so x_{-1} = x0, B is not
+    # evaluated again, and the first update grows the step.  Here x0
+    # solves 0 in B(x) (A = 0), so the run stops after one pass.
+    c = np.array([1.0, -2.0, 0.5])
+    B, calls = counting_forward(lambda x: x - c, lipschitz_hint=1.0)
+    x, trace = gfrb_adaptive(zero_resolvent(), B, c, None, 0.1,
+                             make_stepsize_state(0.1, 0.1),
+                             StopRule(tol=1e-12, max_iter=50))
+    assert trace.converged and len(trace) == 1
+    assert trace.errs[0] == 0.0 and trace.lambdas[0] == 1.5 * 0.1
+    assert calls.count == 1
+    np.testing.assert_array_equal(x, c)
+
+
+def test_probe_guard_probe_rounds_back_to_x0():
+    # At |x0| = 1e12 a step of PROBE_STEP is below half an ulp, so the
+    # probe is x0 again: dx = dB = 0 and the step grows, as from x0.
+    x0 = np.full(3, 1e12)
+    B, calls = counting_forward(lambda x: x - (1e12 - 1.0))
+    _x, trace = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1,
+                              make_stepsize_state(0.1, 0.1),
+                              StopRule(tol=0.0, max_iter=1))
+    assert trace.lambdas[0] == 1.5 * 0.1
+    assert calls.count == 1
+
+
+def test_probe_guard_constant_forward():
+    # A constant B gives dB = 0 < dx on the first update: the growth
+    # branch, never an OperatorConsistencyError.  0 in d|x| + c with
+    # |c| < 1 has the solution x = 0.
+    c = np.array([0.5, -0.25, 0.0, 0.75])
+    B = ForwardOperator(lambda x: c, lipschitz_hint=0.0)
+    x, trace = gfrb_adaptive(l1_resolvent(), B, np.ones(4), None, 0.1,
+                             make_stepsize_state(0.1, 0.1),
+                             StopRule(tol=1e-12, max_iter=500))
+    assert trace.converged
+    assert trace.lambdas[0] == 1.5 * 0.1
+    np.testing.assert_array_equal(x, np.zeros(4))

@@ -109,6 +109,18 @@ def test_make_stepsize_state_rejects_bad_box():
         make_stepsize_state(0.1, -0.5)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((float("nan"),), "lambda0"), ((float("inf"),), "lambda0"),
+    ((0.0,), "lambda0"), ((0.1, float("nan")), "lambda_minus1"),
+    ((0.1, float("inf")), "lambda_minus1"), ((0.1, -1.0), "lambda_minus1")])
+def test_make_stepsize_state_rejects_bad_steps(args, name):
+    # A NaN or infinite step fails when the state is built, naming the
+    # argument, not later as a divergence inside the run.
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         "finite"):
+        make_stepsize_state(0.1, *args)
+
+
 def test_validate_coefficients_names_c1():
     with pytest.raises(ValueError, match="c1"):
         validate_coefficients(0.5, 0.4, 0.0)
