@@ -40,8 +40,8 @@ SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
 # Config fields only epdtr reads, and those only the splitting solvers read.
 _EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
-_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "lambda_minus1", "epsilon",
-                     "c1", "c2", "gamma_kind", "gamma_ratio", "gamma_scale")
+_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "epsilon", "c1", "c2",
+                     "gamma_kind", "gamma_ratio", "gamma_scale")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
 _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
@@ -201,7 +201,6 @@ class ExperimentConfig:
     delta: float = 0.1
     lam: float = None
     lambda0: float = 0.1
-    lambda_minus1: float = None
     epsilon: float = 1e-4
     c1: float = None
     c2: float = None
@@ -290,7 +289,7 @@ def _check(cfg):
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
-    for key in ("lambda0", "tol", "lam", "lambda_minus1", "tau", "sigma"):
+    for key in ("lambda0", "tol", "lam", "tau", "sigma"):
         value = getattr(cfg, key)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"config field '{key}': must be positive and "
@@ -369,8 +368,8 @@ def _controller(cfg):
     """The adaptive step controller cfg configures for gfrb_adaptive."""
     gamma = GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
                       scale=cfg.gamma_scale)
-    return make_stepsize_state(cfg.delta, cfg.lambda0, cfg.lambda_minus1,
-                               cfg.epsilon, cfg.c1, cfg.c2, gamma)
+    return make_stepsize_state(cfg.delta, cfg.lambda0, epsilon=cfg.epsilon,
+                               c1=cfg.c1, c2=cfg.c2, gamma_spec=gamma)
 
 
 def generate(cfg):

@@ -80,7 +80,9 @@ def soft_threshold(z, lam):
 
 def l1_resolvent(weight=1.0):
     """Resolvent ``J(z, lam)`` of the scaled l1 subdifferential, i.e. soft
-    thresholding at lam * weight."""
+    thresholding at lam * weight, for a finite real weight >= 0."""
+    if not (isinstance(weight, numbers.Real) and 0.0 <= weight < math.inf):
+        raise ValueError(f"weight must be a finite real >= 0, got {weight!r}")
     return lambda z, lam: soft_threshold(z, lam * weight)
 
 
@@ -151,6 +153,10 @@ def make_affine_forward(M, b):
     SVD to about 5e-15 relative (see _top_gram_eigenvalue)."""
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square 2-d array, got shape {M.shape}")
+    if b.shape != M.shape[:1]:
+        raise ValueError(f"b must have shape {M.shape[:1]}, got {b.shape}")
     return ForwardOperator(lambda x: M @ x + b,
                            lipschitz_hint=math.sqrt(_top_gram_eigenvalue(M)))
 
@@ -162,6 +168,8 @@ def make_lasso_forward(A, y):
     _top_gram_eigenvalue)."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.shape != A.shape[:1]:
+        raise ValueError(f"y must have shape {A.shape[:1]}, got {y.shape}")
     return ForwardOperator(lambda x: A.T @ (A @ x - y),
                            lipschitz_hint=_top_gram_eigenvalue(A))
 

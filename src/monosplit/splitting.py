@@ -19,8 +19,8 @@ m = 200 problems are bound by per-call overhead) while producing the
 same bits as the plain formulas in the docstrings.  They rest on these
 identities, which any rewrite must keep:
 
-- ``np.linalg.norm(v)`` of a 1-d float64 array is
-  ``math.sqrt(np.vdot(v, v))``, bit for bit (``_norm``).
+- ``np.linalg.norm(v)`` of a contiguous 1-d float64 array is
+  ``math.sqrt(v.dot(v))``, numpy's own formula, bit for bit (``_norm``).
 - ``a - b`` is exactly ``-(b - a)``, so one difference
   ``D_k = B x_k - B x_{k-1}`` serves as the controller's ``dB``, as the
   ``(1 + delta)`` term and, one iteration later, as the ``delta`` term.
@@ -129,8 +129,8 @@ def _forward(B, x):
 
 
 def _norm(v):
-    """``np.linalg.norm(v)`` for a 1-d float array, bitwise, as a float."""
-    return math.sqrt(np.vdot(v, v))
+    """``np.linalg.norm(v)`` for a contiguous 1-d float array, bitwise."""
+    return math.sqrt(v.dot(v))
 
 
 def _same_point(u, v):
@@ -232,11 +232,12 @@ def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
     lam.  A non-finite dB is returned as the row's err, so the driver
     reports it as divergence.
     """
-    lam_p, lam_pp = (lam, lam) if state is None else \
-        (state.lambda_curr, state.lambda_prev)
     reflect = 1.0 + delta
     # D_p = B_p - B_pp; each pass's D = Bx - B_p becomes the next D_p.
+    # gfrb_adaptive passes B_pp = B_p, so D_p is +0.0 and (lam_pp*delta)*D_p
+    # adds the same zero for any lam_pp > 0: lambda_{-1} = lambda_0 is exact.
     D_p = B_p - B_pp
+    lam_p = lam_pp = lam if state is None else state.lambda_curr
     pending = Bx0
 
     def step(x):
@@ -297,8 +298,8 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
         Reflection mix-in weight.
     state : StepSizeState
         Adaptive controller; its (c1, c2) box is validated against
-        delta before iterating.  lambda_curr seeds lambda_0 and
-        lambda_prev seeds lambda_{-1}.
+        delta before iterating.  lambda_curr is lambda_0: the first
+        update starts from it, and it weights the first (1 + delta) term.
     stop : StopRule
 
     Returns

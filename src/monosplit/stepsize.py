@@ -55,7 +55,6 @@ class StepSizeState:
     """Controller state after k updates: lambda_curr is the latest step."""
 
     lambda_curr: float
-    lambda_prev: float
     c1: float
     c2: float
     epsilon: float = 1e-4
@@ -68,31 +67,25 @@ def coefficient_bound(delta, epsilon=1e-4):
     return (1.0 - epsilon) / (2.0 * abs(delta) + 2.0)
 
 
-def make_stepsize_state(delta, lambda0, lambda_minus1=None, epsilon=1e-4,
-                        c1=None, c2=None, gamma_spec=None):
+def make_stepsize_state(delta, lambda0, *, epsilon=1e-4, c1=None, c2=None,
+                        gamma_spec=None):
     """Controller seeded with the default admissible constants.
 
     Defaults place c2 at 99% of the open upper edge and c1 at 90% of c2.
-    lambda_minus1 defaults to lambda0.  Both steps must be positive and
-    finite, else ValueError naming the argument.
+    lambda0, the step the first update starts from, must be positive and
+    finite, else ValueError naming it.
     """
     if c2 is None:
         c2 = 0.99 * coefficient_bound(delta, epsilon)
     if c1 is None:
         c1 = 0.9 * c2
     validate_coefficients(c1, c2, delta, epsilon)
-    if lambda_minus1 is None:
-        lambda_minus1 = lambda0
-    for name, value in (("lambda0", lambda0),
-                        ("lambda_minus1", lambda_minus1)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
+    if not (math.isfinite(lambda0) and lambda0 > 0.0):
+        raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
     if gamma_spec is None:
         gamma_spec = GammaSpec()
-    return StepSizeState(lambda_curr=float(lambda0),
-                         lambda_prev=float(lambda_minus1),
-                         c1=float(c1), c2=float(c2), epsilon=float(epsilon),
+    return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),
+                         c2=float(c2), epsilon=float(epsilon),
                          gamma_spec=gamma_spec)
 
 
@@ -110,8 +103,7 @@ def validate_coefficients(c1, c2, delta, epsilon=1e-4):
 def next_step(state, dx, dB):
     """Advance the controller one update and return the new step.
 
-    Mutates ``state``: lambda_curr becomes the returned step, lambda_prev
-    the step before it, and the update counter k advances.
+    Mutates ``state``: lambda_curr becomes the returned step, k advances.
     """
     if not (math.isfinite(dx) and math.isfinite(dB)) or dx < 0.0 or dB < 0.0:
         raise ValueError(f"displacements must be finite and nonnegative, "
@@ -126,7 +118,6 @@ def next_step(state, dx, dB):
         lam = state.c1 * dx / dB
     else:
         lam = (1.0 + state.gamma_spec.value(k)) * state.lambda_curr
-    state.lambda_prev = state.lambda_curr
     state.lambda_curr = lam
     state.k = k
     return lam

@@ -1,3 +1,4 @@
+import json
 import pathlib
 from dataclasses import fields, replace
 
@@ -155,12 +156,20 @@ def test_config_from_dict_defaults_and_errors():
 
 def test_config_path_keeps_its_step_messages():
     # _check rejects these before make_stepsize_state sees them.
-    for key in ("lambda0", "lambda_minus1"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"^config field '{key}': "
-                                                 "must be positive and "
-                                                 "finite$"):
-                config_from_dict({key: value})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^config field 'lambda0': "
+                                             "must be positive and finite$"):
+            config_from_dict({"lambda0": value})
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "lasso"])
+def test_config_with_lambda_minus1_is_rejected(name):
+    # A config that still carries lambda_minus1 fails naming the key.
+    d = json.loads((CONFIGS / f"{name}.json").read_text())
+    d["lambda_minus1"] = 0.1
+    with pytest.raises(ValueError, match="^config field 'lambda_minus1': "
+                                         "unknown field$"):
+        config_from_dict(d)
 
 
 def test_validate_config_boxes():
@@ -296,12 +305,12 @@ def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
 def test_probe_start_needs_no_lambda0_guess(name, iters):
     # From its probe seed gfrb_adaptive shrinks a too-large lambda0 on the
     # first update, so the shipped configs take the same count from any
-    # lambda0 = lambda_{-1} in [0.1, 100].
+    # lambda0 in [0.1, 100].
     cfg = load_config(CONFIGS / f"{name}.json")
     inst = generate(cfg)
     for lam0 in (0.1, 1.0, 10.0, 100.0):
         res = run_solver(inst, "gfrb_adaptive",
-                         replace(cfg, lambda0=lam0, lambda_minus1=lam0))
+                         replace(cfg, lambda0=lam0))
         assert res.converged and res.iterations == iters, lam0
         assert np.linalg.norm(res.x - inst.x_star) <= 1e-5, lam0
 

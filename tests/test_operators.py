@@ -46,6 +46,22 @@ def test_l1_resolvent_satisfies_optimality(z, lam, weight):
     assert np.all(np.abs(grad[~on]) <= lam * weight + 1e-12)
 
 
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+def test_l1_resolvent_rejects_a_bad_weight(weight):
+    # A negative weight would map 0.5 to 1.5 at lam = 1, expanding, and a
+    # NaN one would return NaN; both fail when the resolvent is built.
+    with pytest.raises(ValueError, match="^weight must be"):
+        l1_resolvent(weight)
+
+
+def test_l1_resolvent_weights_zero_and_one():
+    z = np.array([2.0, -0.5, 0.3, -0.0, 0.0, -3.0])
+    assert l1_resolvent(0.0)(z, 0.7).tobytes() == z.tobytes()
+    shrunk = soft_threshold(z, 0.7).tobytes()
+    assert l1_resolvent(1.0)(z, 0.7).tobytes() == shrunk
+    assert l1_resolvent()(z, 0.7).tobytes() == shrunk
+
+
 def test_soft_threshold_matches_sign_form_bitwise():
     t = 0.75
     z = np.concatenate([
@@ -159,6 +175,22 @@ def test_make_affine_forward_example():
     op = make_affine_forward(2.0 * np.eye(2), np.zeros(2))
     np.testing.assert_allclose(op(np.array([1.0, 1.0])), [2.0, 2.0])
     assert op.lipschitz_hint == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("M, b, name", [
+    (np.eye(3), np.zeros(2), "b"), (np.eye(3), np.zeros((3, 1)), "b"),
+    (np.ones((3, 2)), np.zeros(3), "M"), (np.ones(3), np.zeros(3), "M")])
+def test_make_affine_forward_checks_shapes(M, b, name):
+    # Without the check a bad b builds and fails at its first evaluation
+    # with a broadcast error, and a non-square M only inside a solver.
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        make_affine_forward(M, b)
+
+
+@pytest.mark.parametrize("y", [np.zeros(3), np.zeros(())])
+def test_make_lasso_forward_checks_shapes(y):
+    with pytest.raises(ValueError, match=r"^y must have shape \(4,\)"):
+        make_lasso_forward(np.ones((4, 3)), y)
 
 
 def test_make_lasso_forward_matches_normal_equations():

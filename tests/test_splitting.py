@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monosplit.experiments import gen_example1, gen_example2, gen_lasso
 from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
@@ -7,8 +9,8 @@ from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
 from monosplit.primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from monosplit.splitting import (PROBE_STEP, DivergenceError,
                                  IterationTrace, StepSizeWarning, StopRule,
-                                 fb, fbf, frb, gfrb_adaptive, gfrb_fixed,
-                                 rfb)
+                                 _norm, fb, fbf, frb, gfrb_adaptive,
+                                 gfrb_fixed, rfb)
 from monosplit.stepsize import GammaSpec, make_stepsize_state
 
 from conftest import RecordingResolvent, counting_forward, \
@@ -23,6 +25,14 @@ def test_stop_rule_defaults():
     rule = StopRule()
     assert rule.tol == 1e-6
     assert rule.max_iter == 5000
+
+
+@given(st.integers(0, 2048), st.floats(-150.0, 150.0),
+       st.integers(0, 2**32 - 1))
+def test_norm_is_numpys_norm_bitwise(size, exponent, seed):
+    # The step kernels' err and dB must keep np.linalg.norm's bits.
+    v = np.random.default_rng(seed).standard_normal(size) * 10.0 ** exponent
+    assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -97,7 +107,7 @@ def test_gfrb_adaptive_with_frozen_step_is_gfrb_fixed_bitwise():
     # lambda0 * L < c2 keeps the shrink branch silent forever, and zero
     # gamma freezes the step, so the run must equal the fixed-step one.
     lam0 = 0.9 * state.c2 / L
-    state.lambda_curr = state.lambda_prev = lam0
+    state.lambda_curr = lam0
     x0 = gen.standard_normal(10)
     xm1 = gen.standard_normal(10)
     stop = StopRule(tol=0.0, max_iter=80)
@@ -346,7 +356,7 @@ def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
     if state is None:
         lam_p = lam_pp = lam
     else:
-        lam_p, lam_pp = state.lambda_curr, state.lambda_prev
+        lam_p = lam_pp = state.lambda_curr
         c1, c2, gamma = state.c1, state.c2, state.gamma_spec
     dx = float(np.linalg.norm(x_m1 - x))
     errs, lams = [], []

@@ -10,7 +10,7 @@ from monosplit.stepsize import (GammaSpec, OperatorConsistencyError,
 
 
 def fresh_state(lam=0.1, c1=0.2, c2=0.4, gamma=None):
-    return StepSizeState(lambda_curr=lam, lambda_prev=lam, c1=c1, c2=c2,
+    return StepSizeState(lambda_curr=lam, c1=c1, c2=c2,
                          gamma_spec=gamma or GammaSpec())
 
 
@@ -18,7 +18,6 @@ def test_growth_branch_matches_worked_example():
     # dB = 0 takes the growth branch: 0.1 -> (1 + 0.5) * 0.1 = 0.15.
     state = fresh_state(lam=0.1)
     assert next_step(state, dx=1.0, dB=0.0) == pytest.approx(0.15)
-    assert state.lambda_prev == pytest.approx(0.1)
     assert state.k == 1
 
 
@@ -42,8 +41,7 @@ def test_tie_takes_growth_branch():
 def test_branch_law(lam, dx, dB, k0):
     if dx == 0.0 and dB > 0.0:
         return
-    state = StepSizeState(lambda_curr=lam, lambda_prev=lam, c1=0.2, c2=0.4,
-                          k=k0)
+    state = StepSizeState(lambda_curr=lam, c1=0.2, c2=0.4, k=k0)
     out = next_step(state, dx, dB)
     if lam * dB > 0.4 * dx:
         assert out == 0.2 * dx / dB
@@ -96,7 +94,7 @@ def test_make_stepsize_state_defaults():
     bound = (1.0 - eps) / (2.0 * abs(delta) + 2.0)
     assert state.c2 == pytest.approx(0.99 * bound)
     assert state.c1 == pytest.approx(0.9 * state.c2)
-    assert state.lambda_prev == state.lambda_curr == 0.1
+    assert state.lambda_curr == 0.1
     assert coefficient_bound(delta, eps) == pytest.approx(bound)
 
 
@@ -111,14 +109,20 @@ def test_make_stepsize_state_rejects_bad_box():
 
 @pytest.mark.parametrize("args, name", [
     ((float("nan"),), "lambda0"), ((float("inf"),), "lambda0"),
-    ((0.0,), "lambda0"), ((0.1, float("nan")), "lambda_minus1"),
-    ((0.1, float("inf")), "lambda_minus1"), ((0.1, -1.0), "lambda_minus1")])
+    ((0.0,), "lambda0")])
 def test_make_stepsize_state_rejects_bad_steps(args, name):
     # A NaN or infinite step fails when the state is built, naming the
     # argument, not later as a divergence inside the run.
     with pytest.raises(ValueError, match=f"^{name} must be positive and "
                                          "finite"):
         make_stepsize_state(0.1, *args)
+
+
+def test_make_stepsize_state_takes_one_step_positionally():
+    # A third positional argument, once lambda_{-1}, must not bind to
+    # epsilon.
+    with pytest.raises(TypeError):
+        make_stepsize_state(0.1, 0.1, 0.1)
 
 
 def test_validate_coefficients_names_c1():
