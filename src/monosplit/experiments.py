@@ -40,8 +40,8 @@ SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
 # Config fields only epdtr reads, and those only the splitting solvers read.
 _EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
-_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "epsilon", "c1", "c2",
-                     "gamma_kind", "gamma_ratio", "gamma_scale")
+_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "c1", "c2", "gamma_kind",
+                     "gamma_ratio", "gamma_scale")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
 _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
@@ -201,7 +201,6 @@ class ExperimentConfig:
     delta: float = 0.1
     lam: float = None
     lambda0: float = 0.1
-    epsilon: float = 1e-4
     c1: float = None
     c2: float = None
     gamma_kind: str = "geometric"
@@ -260,7 +259,7 @@ def config_from_dict(d):
 def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
     ValueError naming the first field of cfg with a bad type or value,
-    the adaptive box 0 < c1 < c2 < (1-epsilon)/(2|delta|+2) included."""
+    the adaptive box 0 < c1 < c2 < coefficient_bound(delta) included."""
     for key, expected in _CONFIG_TYPES.items():
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, expected):
@@ -316,8 +315,6 @@ def _check(cfg):
     except ValueError as exc:
         raise ValueError(
             f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise ValueError("config field 'epsilon': must lie in (0, 1)")
     try:
         _controller(cfg)
     except ValueError as exc:
@@ -368,8 +365,8 @@ def _controller(cfg):
     """The adaptive step controller cfg configures for gfrb_adaptive."""
     gamma = GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
                       scale=cfg.gamma_scale)
-    return make_stepsize_state(cfg.delta, cfg.lambda0, epsilon=cfg.epsilon,
-                               c1=cfg.c1, c2=cfg.c2, gamma_spec=gamma)
+    return make_stepsize_state(cfg.delta, cfg.lambda0, c1=cfg.c1, c2=cfg.c2,
+                               gamma_spec=gamma)
 
 
 def generate(cfg):

@@ -92,13 +92,24 @@ def zero_resolvent():
 
 
 def diagonal_resolvent(d):
-    """Resolvent ``J(z, lam)`` of x -> diag(d) x for d >= 0: the
-    elementwise scaling (1 / (1 + lam*d)) * z, into a fresh array.
+    """Resolvent ``J(z, lam)`` of x -> diag(d) x for finite d >= 0, else
+    ValueError: the elementwise scaling (1 / (1 + lam*d)) * z, into a
+    fresh array.
 
     The coefficient vector is kept for the last lam seen, so a
     fixed-step run builds it once.
     """
     d = np.asarray(d, dtype=float)
+    bad = np.argwhere(~(np.isfinite(d) & (d >= 0.0)))
+    if len(bad):
+        i = bad[0].tolist()
+        raise ValueError("d must hold finite reals >= 0, got "
+                         f"d{i} = {float(d[tuple(i)])!r}")
+    return _scaling(d)
+
+
+def _scaling(d):
+    """diagonal_resolvent's map for a float array d, unchecked."""
     # (lam, coefficient) replaced as one tuple, so callers sharing the
     # resolvent across threads never pair a lam with another's vector.
     cached = (None, None)
@@ -119,12 +130,14 @@ def symmetric_affine_resolvent(E, beta=0.0):
     E = P diag(eigs) P^T.
 
     Decomposes E once; each call solves (I + lam*(E + beta*I)) x = z in
-    the eigenbasis as P @ J_diag(P^T @ z, lam), with J_diag the
-    ``diagonal_resolvent`` of eigs + beta: one matvec pair and no
-    refactorization.
+    the eigenbasis as P @ J_diag(P^T @ z, lam), with J_diag the scaling
+    of ``diagonal_resolvent`` at eigs + beta: one matvec pair and no
+    refactorization.  The scaling skips that resolvent's d >= 0 check,
+    because eigh can round the smallest eigenvalue of a semidefinite
+    E + beta*I to about -1e-15 (with beta = max|eigvalsh(E)|, say).
     """
     eigs, P = np.linalg.eigh(np.asarray(E, dtype=float))
-    scale = diagonal_resolvent(eigs + beta)
+    scale = _scaling(eigs + beta)
     # P.T stays a view: a contiguous copy could change the BLAS path and
     # with it the last bits of the product.
     P_t = P.T
@@ -168,6 +181,8 @@ def make_lasso_forward(A, y):
     _top_gram_eigenvalue)."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a 2-d array, got shape {A.shape}")
     if y.shape != A.shape[:1]:
         raise ValueError(f"y must have shape {A.shape[:1]}, got {y.shape}")
     return ForwardOperator(lambda x: A.T @ (A @ x - y),

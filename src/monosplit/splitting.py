@@ -21,6 +21,8 @@ identities, which any rewrite must keep:
 
 - ``np.linalg.norm(v)`` of a contiguous 1-d float64 array is
   ``math.sqrt(v.dot(v))``, numpy's own formula, bit for bit (``_norm``).
+  A forward value may be a strided view, where the two differ in the
+  last bits, so ``_norm`` takes only arrays a step allocated.
 - ``a - b`` is exactly ``-(b - a)``, so one difference
   ``D_k = B x_k - B x_{k-1}`` serves as the controller's ``dB``, as the
   ``(1 + delta)`` term and, one iteration later, as the ``delta`` term.
@@ -129,7 +131,11 @@ def _forward(B, x):
 
 
 def _norm(v):
-    """``np.linalg.norm(v)`` for a contiguous 1-d float array, bitwise."""
+    """``np.linalg.norm(v)`` for a contiguous 1-d float array, bitwise.
+
+    Only for arrays a step allocated: a value B returned may be a strided
+    view, whose norm this does not give bit for bit.
+    """
     return math.sqrt(v.dot(v))
 
 
@@ -313,11 +319,11 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
     x_{-1} holds x0's exact bits, so T passes cost T + 1 evaluations
     (T when x_{-1} is x0).
     """
-    validate_coefficients(state.c1, state.c2, delta, state.epsilon)
+    validate_coefficients(state.c1, state.c2, delta)
     x = _seed(x0)
     if x_minus1 is None:
         Bx = _forward(B, x)
-        size = _norm(Bx)
+        size = float(np.linalg.norm(Bx))
         x_p = x - (PROBE_STEP / size) * Bx if 0.0 < size < math.inf else x
         B_p = Bx if _same_point(x_p, x) else _forward(B, x_p)
     else:

@@ -15,6 +15,8 @@ import numpy as np
 
 
 GAMMA_KINDS = ("geometric", "inverse_square", "zero")
+# Margin that keeps c2 strictly below the open edge 1 / (2|delta| + 2).
+EPSILON = 1e-4
 
 
 class OperatorConsistencyError(ValueError):
@@ -57,18 +59,16 @@ class StepSizeState:
     lambda_curr: float
     c1: float
     c2: float
-    epsilon: float = 1e-4
     gamma_spec: GammaSpec = field(default_factory=GammaSpec)
     k: int = 0
 
 
-def coefficient_bound(delta, epsilon=1e-4):
-    """Upper edge (1 - epsilon) / (2|delta| + 2) of the admissible c-box."""
-    return (1.0 - epsilon) / (2.0 * abs(delta) + 2.0)
+def coefficient_bound(delta):
+    """Upper edge (1 - EPSILON) / (2|delta| + 2) of the admissible c-box."""
+    return (1.0 - EPSILON) / (2.0 * abs(delta) + 2.0)
 
 
-def make_stepsize_state(delta, lambda0, *, epsilon=1e-4, c1=None, c2=None,
-                        gamma_spec=None):
+def make_stepsize_state(delta, lambda0, *, c1=None, c2=None, gamma_spec=None):
     """Controller seeded with the default admissible constants.
 
     Defaults place c2 at 99% of the open upper edge and c1 at 90% of c2.
@@ -76,24 +76,21 @@ def make_stepsize_state(delta, lambda0, *, epsilon=1e-4, c1=None, c2=None,
     finite, else ValueError naming it.
     """
     if c2 is None:
-        c2 = 0.99 * coefficient_bound(delta, epsilon)
+        c2 = 0.99 * coefficient_bound(delta)
     if c1 is None:
         c1 = 0.9 * c2
-    validate_coefficients(c1, c2, delta, epsilon)
+    validate_coefficients(c1, c2, delta)
     if not (math.isfinite(lambda0) and lambda0 > 0.0):
         raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
     if gamma_spec is None:
         gamma_spec = GammaSpec()
     return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),
-                         c2=float(c2), epsilon=float(epsilon),
-                         gamma_spec=gamma_spec)
+                         c2=float(c2), gamma_spec=gamma_spec)
 
 
-def validate_coefficients(c1, c2, delta, epsilon=1e-4):
-    """Enforce 0 < c1 < c2 < (1 - epsilon) / (2|delta| + 2)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    bound = coefficient_bound(delta, epsilon)
+def validate_coefficients(c1, c2, delta):
+    """Enforce 0 < c1 < c2 < (1 - EPSILON) / (2|delta| + 2)."""
+    bound = coefficient_bound(delta)
     if not 0.0 < c1 < c2 < bound:
         raise ValueError(
             f"need 0 < c1 < c2 < {bound:.6g} for delta={delta:g}, "

@@ -127,6 +127,15 @@ def test_config_from_dict_defaults_and_errors():
     assert cfg.solvers == ("gfrb_adaptive", "gfrb_fixed", "frb", "fbf", "rfb")
     with pytest.raises(ValueError, match="bogus"):
         config_from_dict({"bogus": 1})
+    with pytest.raises(ValueError, match="^config root must be a JSON "
+                                         "object$"):
+        config_from_dict([1])
+    with pytest.raises(ValueError, match="^config field 'solvers': must not "
+                                         "be empty$"):
+        config_from_dict({"solvers": []})
+    with pytest.raises(ValueError, match="^config field 'gamma_kind': must "
+                                         "be one of"):
+        config_from_dict({"gamma_kind": "harmonic"})
     with pytest.raises(ValueError, match="'m'"):
         config_from_dict({"m": "5"})
     with pytest.raises(ValueError, match="'m'"):
@@ -164,12 +173,14 @@ def test_config_path_keeps_its_step_messages():
 
 @pytest.mark.parametrize("name", ["example1", "example2", "lasso"])
 def test_config_with_lambda_minus1_is_rejected(name):
-    # A config that still carries lambda_minus1 fails naming the key.
-    d = json.loads((CONFIGS / f"{name}.json").read_text())
-    d["lambda_minus1"] = 0.1
-    with pytest.raises(ValueError, match="^config field 'lambda_minus1': "
-                                         "unknown field$"):
-        config_from_dict(d)
+    # A config that still carries a removed key, lambda_minus1 or
+    # epsilon, fails naming the key.
+    for key, value in (("lambda_minus1", 0.1), ("epsilon", 1e-4)):
+        d = json.loads((CONFIGS / f"{name}.json").read_text())
+        d[key] = value
+        with pytest.raises(ValueError, match=f"^config field '{key}': "
+                                             "unknown field$"):
+            config_from_dict(d)
 
 
 def test_validate_config_boxes():
@@ -340,6 +351,9 @@ def test_run_solver_rejects_unknown():
     inst = generate(cfg)
     with pytest.raises(ValueError):
         run_solver(inst, "newton", cfg)
+    # generate does not run _check, so it names a bad problem itself.
+    with pytest.raises(ValueError, match="^unknown problem 'nope'$"):
+        generate(replace(cfg, problem="nope"))
 
 
 def test_run_benchmark_writes_outputs(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from monosplit.operators import (ForwardOperator, LinearMap,
-                                 l1_resolvent, make_affine_forward,
+                                 diagonal_resolvent, l1_resolvent,
+                                 make_affine_forward,
                                  make_lasso_forward, power_norm,
                                  soft_threshold, symmetric_affine_resolvent,
                                  zero_resolvent)
@@ -60,6 +63,23 @@ def test_l1_resolvent_weights_zero_and_one():
     shrunk = soft_threshold(z, 0.7).tobytes()
     assert l1_resolvent(1.0)(z, 0.7).tobytes() == shrunk
     assert l1_resolvent()(z, 0.7).tobytes() == shrunk
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_diagonal_resolvent_rejects_a_bad_d(bad):
+    # A negative entry would divide by zero at lam = 1 and a NaN one
+    # would return NaN; both fail when the resolvent is built.
+    with pytest.raises(ValueError, match=r"^d must hold finite reals >= 0, "
+                                         r"got d\[1\]"):
+        diagonal_resolvent([2.0, bad, 0.5])
+
+
+def test_diagonal_resolvent_scales_zeros_and_positive_entries():
+    z = np.array([2.0, -0.5, 0.3, -0.0])
+    assert diagonal_resolvent(np.zeros(4))(z, 0.7).tobytes() == z.tobytes()
+    d = np.array([0.0, 1.5, 3.0, 0.25])
+    expected = (1.0 / (1.0 + 0.7 * d)) * z
+    assert diagonal_resolvent(d)(z, 0.7).tobytes() == expected.tobytes()
 
 
 def test_soft_threshold_matches_sign_form_bitwise():
@@ -136,6 +156,18 @@ def test_resolvent_symmetric_affine_explicit_basis():
     np.testing.assert_allclose(out, [2.0 / 2.0, 4.0 / 3.0])
 
 
+def test_symmetric_affine_resolvent_takes_a_rounded_semidefinite_shift():
+    # eigh can round the smallest eigenvalue of a semidefinite E + beta*I
+    # just below 0; that must not trip diagonal_resolvent's d >= 0 check.
+    E = np.diag([-1.0, 2.0])
+    beta = np.nextafter(1.0, 0.0)
+    z = np.array([2.0, 4.0])
+    d = np.array([-1.0 + beta, 2.0 + beta])
+    assert d[0] < 0.0
+    out = symmetric_affine_resolvent(E, beta)(z, 0.5)
+    assert out.tobytes() == ((1.0 / (1.0 + 0.5 * d)) * z).tobytes()
+
+
 def test_symmetric_affine_resolvent_firmly_nonexpansive():
     gen = np.random.default_rng(11)
     m = 6
@@ -191,6 +223,15 @@ def test_make_affine_forward_checks_shapes(M, b, name):
 def test_make_lasso_forward_checks_shapes(y):
     with pytest.raises(ValueError, match=r"^y must have shape \(4,\)"):
         make_lasso_forward(np.ones((4, 3)), y)
+
+
+@pytest.mark.parametrize("A", [np.ones(4), np.ones((4, 3, 2))])
+def test_make_lasso_forward_needs_a_2d_A(A):
+    # Without the check a 1-d A fails with a bare IndexError and a 3-d
+    # one inside matmul.
+    with pytest.raises(ValueError, match="^A must be a 2-d array, got "
+                                         f"shape {re.escape(str(A.shape))}$"):
+        make_lasso_forward(A, np.zeros(4))
 
 
 def test_make_lasso_forward_matches_normal_equations():

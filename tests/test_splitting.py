@@ -521,6 +521,25 @@ def test_probe_seed_is_a_short_step_against_B():
     assert cosine == pytest.approx(1.0, abs=1e-9)
 
 
+def test_probe_length_ignores_the_forward_value_layout():
+    # A forward value that is a strided view gets the probe length of
+    # np.linalg.norm, which copies first; a dot product on the view
+    # differs in the last bits here (n = 20).
+    b = np.random.default_rng(20).standard_normal(20)
+    points = []
+
+    def strided(x):
+        points.append(np.array(x))
+        return np.repeat(2.0 * x + b, 3)[::3]
+    x0 = np.zeros(20)
+    gfrb_adaptive(zero_resolvent(), strided, x0, None, 0.1,
+                  make_stepsize_state(0.1, 0.1),
+                  StopRule(tol=0.0, max_iter=1))
+    Bx0 = strided(x0)
+    probe = x0 - (PROBE_STEP / np.linalg.norm(Bx0)) * Bx0
+    assert points[1].tobytes() == probe.tobytes()
+
+
 def test_probe_shrinks_a_large_first_step():
     # From the probe the first update sees dB/dx = 2 on B = 2x + b and
     # takes the shrink branch c1 * dx / dB; from x_{-1} = x0 it runs

@@ -95,7 +95,7 @@ def test_make_stepsize_state_defaults():
     assert state.c2 == pytest.approx(0.99 * bound)
     assert state.c1 == pytest.approx(0.9 * state.c2)
     assert state.lambda_curr == 0.1
-    assert coefficient_bound(delta, eps) == pytest.approx(bound)
+    assert coefficient_bound(delta) == pytest.approx(bound)
 
 
 def test_make_stepsize_state_rejects_bad_box():
@@ -120,9 +120,15 @@ def test_make_stepsize_state_rejects_bad_steps(args, name):
 
 def test_make_stepsize_state_takes_one_step_positionally():
     # A third positional argument, once lambda_{-1}, must not bind to
-    # epsilon.
+    # c1.
     with pytest.raises(TypeError):
         make_stepsize_state(0.1, 0.1, 0.1)
+
+
+def test_make_stepsize_state_takes_no_epsilon():
+    # The c-box margin is the constant EPSILON, not a keyword.
+    with pytest.raises(TypeError):
+        make_stepsize_state(0.1, 0.1, epsilon=1e-4)
 
 
 def test_validate_coefficients_names_c1():
