@@ -18,7 +18,7 @@ from .rate_analysis import (RateDesign, characteristic_roots, cubic_roots,
 from .splitting import (DivergenceError, IterationTrace, StepSizeWarning,
                         StopRule, fb, fbf, frb, gfrb_adaptive, gfrb_fixed,
                         rfb)
-from .stepsize import (GammaSpec, OperatorConsistencyError, StepSizeState,
+from .stepsize import (OperatorConsistencyError, StepSizeState,
                        make_stepsize_state, next_step)
 from .experiments import (ExperimentConfig, RunResult, gen_example1,
                           gen_example2, gen_lasso, run_benchmark, snr)

@@ -24,7 +24,7 @@ from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
 from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve, step_pair
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
-from .stepsize import GAMMA_KINDS, GammaSpec, make_stepsize_state
+from .stepsize import make_stepsize_state
 
 # Fixed-step solvers as run from a config: every seed iterate is x0.
 _FIXED_STEP_RUNS = {
@@ -40,8 +40,7 @@ SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
 # Config fields only epdtr reads, and those only the splitting solvers read.
 _EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
-_SPLITTING_FIELDS = ("delta", "lam", "lambda0", "c1", "c2", "gamma_kind",
-                     "gamma_ratio", "gamma_scale")
+_SPLITTING_FIELDS = ("delta", "lam", "lambda0")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
 _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
@@ -201,11 +200,6 @@ class ExperimentConfig:
     delta: float = 0.1
     lam: float = None
     lambda0: float = 0.1
-    c1: float = None
-    c2: float = None
-    gamma_kind: str = "geometric"
-    gamma_ratio: float = 0.5
-    gamma_scale: float = 1.0
     tol: float = 1e-6
     max_iter: int = 5000
     x0_kind: str = "ones"
@@ -259,7 +253,8 @@ def config_from_dict(d):
 def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
     ValueError naming the first field of cfg with a bad type or value,
-    the adaptive box 0 < c1 < c2 < coefficient_bound(delta) included."""
+    a delta whose derived adaptive box 0 < c1 < c2 <
+    coefficient_bound(delta) is empty included."""
     for key, expected in _CONFIG_TYPES.items():
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, expected):
@@ -306,19 +301,10 @@ def _check(cfg):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"config field '{key}': must be nonnegative and "
                              "finite")
-    if cfg.gamma_kind not in GAMMA_KINDS:
-        raise ValueError(
-            f"config field 'gamma_kind': must be one of {GAMMA_KINDS}")
-    try:
-        GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
-                  scale=cfg.gamma_scale)
-    except ValueError as exc:
-        raise ValueError(
-            f"config fields 'gamma_ratio'/'gamma_scale': {exc}") from exc
     try:
         _controller(cfg)
     except ValueError as exc:
-        raise ValueError(f"config fields 'c1'/'c2': {exc}") from exc
+        raise ValueError(f"config field 'delta': {exc}") from exc
 
 
 def load_config(path, **overrides):
@@ -363,10 +349,7 @@ def resolve(cfg):
 
 def _controller(cfg):
     """The adaptive step controller cfg configures for gfrb_adaptive."""
-    gamma = GammaSpec(kind=cfg.gamma_kind, ratio=cfg.gamma_ratio,
-                      scale=cfg.gamma_scale)
-    return make_stepsize_state(cfg.delta, cfg.lambda0, c1=cfg.c1, c2=cfg.c2,
-                               gamma_spec=gamma)
+    return make_stepsize_state(cfg.delta, cfg.lambda0)
 
 
 def generate(cfg):

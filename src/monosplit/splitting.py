@@ -43,6 +43,7 @@ ever written to.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -77,10 +78,24 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class StopRule:
-    """Stop when ||x_{k+1} - x_k|| <= tol, or after max_iter iterations."""
+    """Stop when ||x_{k+1} - x_k|| <= tol, or after max_iter iterations.
+
+    tol must be finite and >= 0 and max_iter an integer >= 1, else
+    ValueError naming the field.
+    """
 
     tol: float = 1e-6
     max_iter: int = 5000
+
+    def __post_init__(self):
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if isinstance(max_iter, bool) \
+                or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got "
+                             f"{max_iter!r}")
 
 
 class IterationTrace:

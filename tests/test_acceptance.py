@@ -26,8 +26,7 @@ from monosplit.rate_analysis import (ROTATION, TABLE_DELTAS, design_rate,
                                      rate_table)
 from monosplit.splitting import (DivergenceError, StopRule, fb, frb,
                                  gfrb_adaptive, gfrb_fixed)
-from monosplit.stepsize import GammaSpec, coefficient_bound, \
-    make_stepsize_state
+from monosplit.stepsize import coefficient_bound, make_stepsize_state
 from monosplit.experiments import (ExperimentConfig, gen_composite,
                                    gen_lasso, generate, run_solver, snr)
 
@@ -274,8 +273,10 @@ def test_criterion_07_reduction_equivalences():
 
         delta = 0.1
         lam0 = 0.9 * 0.99 * coefficient_bound(delta) / L
-        state = make_stepsize_state(delta, lam0,
-                                    gamma_spec=GammaSpec(kind="zero"))
+        # 1 + 0.5**k rounds to 1 from k = 53 on: started at k = 60 the
+        # controller never grows its step.
+        state = make_stepsize_state(delta, lam0)
+        state.k = 60
         rec_c = RecordingResolvent(inner)
         gfrb_adaptive(rec_c, forward, x0, x_minus1, delta, state, stop)
         rec_d = RecordingResolvent(inner)

@@ -107,19 +107,22 @@ def test_validate_config_ok(tmp_path, capsys):
 
 
 def test_validate_config_bad_coefficients(tmp_path, capsys):
-    path = write_config(tmp_path, "bad.json", {"c1": 0.4, "c2": 0.2})
+    # The c-box derives from delta and is empty once 2|delta| + 2
+    # overflows.
+    path = write_config(tmp_path, "bad.json", {"delta": 1e308})
     assert main(["validate-config", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "c1" in err
+    assert "'delta'" in err and "c1" in err
 
 
 def test_validate_config_bad_gamma_box(tmp_path, capsys):
+    # The growth sequence is a constant of stepsize, not a config field.
     path = write_config(tmp_path, "gamma.json", {"gamma_ratio": 2})
     assert main(["validate-config", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "gamma_ratio" in err
+    assert "config field 'gamma_ratio': unknown field" in err
 
 
 def test_validate_config_unknown_field(tmp_path, capsys):
@@ -331,7 +334,7 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
     ({"problem": "example1", "m": 20, "tau": 0.1, "sigma": 50.0,
       "b_reflect": 3}, "'tau'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
-      "delta": 0.3, "lam": 0.5, "gamma_kind": "zero"}, "'delta'"),
+      "delta": 0.3, "lam": 0.5}, "'delta'"),
     ({"problem": "example1", "m": 20, "reg_lambda": 0.5, "solvers": ["frb"]},
      "'reg_lambda'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
@@ -528,6 +531,7 @@ def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("name, iters", [
     ("example1", [47, 47, 45, 146, 51]),
     ("example2", [54, 78, 72, 50, 84]),
+    ("lasso", [2312, 2873, 2634, 1400, 3127]),
 ])
 def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
                                                 iters):

@@ -133,9 +133,6 @@ def test_config_from_dict_defaults_and_errors():
     with pytest.raises(ValueError, match="^config field 'solvers': must not "
                                          "be empty$"):
         config_from_dict({"solvers": []})
-    with pytest.raises(ValueError, match="^config field 'gamma_kind': must "
-                                         "be one of"):
-        config_from_dict({"gamma_kind": "harmonic"})
     with pytest.raises(ValueError, match="'m'"):
         config_from_dict({"m": "5"})
     with pytest.raises(ValueError, match="'m'"):
@@ -157,8 +154,11 @@ def test_config_from_dict_defaults_and_errors():
                        ("b_reflect", float("inf")), ("epsilon", 2.0)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict({key: value})
-    with pytest.raises(ValueError, match="'c1'/'c2'"):
-        config_from_dict({"c1": 0.4, "c2": 0.3})
+    # The box derives from delta; it is empty only when 2|delta| + 2
+    # overflows.
+    with pytest.raises(ValueError, match="^config field 'delta': need 0 < "
+                                         "c1 < c2"):
+        config_from_dict({"delta": 1e308})
     with pytest.raises(ValueError, match="'k'"):
         config_from_dict({"problem": "lasso", "k": 30, "n": 10})
 
@@ -173,9 +173,11 @@ def test_config_path_keeps_its_step_messages():
 
 @pytest.mark.parametrize("name", ["example1", "example2", "lasso"])
 def test_config_with_lambda_minus1_is_rejected(name):
-    # A config that still carries a removed key, lambda_minus1 or
-    # epsilon, fails naming the key.
-    for key, value in (("lambda_minus1", 0.1), ("epsilon", 1e-4)):
+    # A config that still carries a removed key fails naming the key.
+    for key, value in (("lambda_minus1", 0.1), ("epsilon", 1e-4),
+                       ("c1", 0.4049595), ("c2", 0.44995499999999994),
+                       ("gamma_kind", "geometric"), ("gamma_ratio", 0.5),
+                       ("gamma_scale", 1.0)):
         d = json.loads((CONFIGS / f"{name}.json").read_text())
         d[key] = value
         with pytest.raises(ValueError, match=f"^config field '{key}': "
@@ -183,11 +185,32 @@ def test_config_with_lambda_minus1_is_rejected(name):
             config_from_dict(d)
 
 
+@pytest.mark.parametrize("name, iters", [
+    ("example1", [47, 44, 48, 50, 53]),
+    ("example2", [54, 52, 48, 53, 57]),
+    ("lasso", [2312, 2172, 1749, 1718, 1780]),
+])
+def test_shipped_configs_sweep_delta(name, iters):
+    # The c-box derives from delta, so each shipped config loads at any
+    # delta; these are ROADMAP's gfrb_adaptive counts at delta = 0.1, 0,
+    # -0.1, -0.2 and -0.3.
+    base = json.loads((CONFIGS / f"{name}.json").read_text())
+    counts = []
+    for delta in (0.1, 0.0, -0.1, -0.2, -0.3):
+        cfg = config_from_dict(dict(base, delta=delta,
+                                    solvers=["gfrb_adaptive"]))
+        (result,) = run_benchmark(cfg)
+        assert result.converged
+        counts.append(result.iterations)
+    assert counts == iters
+
+
 def test_validate_config_boxes():
     cfg = config_from_dict({"problem": "example1"})
     resolve(cfg)
-    with pytest.raises(ValueError, match="c1"):
-        resolve(config_from_dict({"c1": 0.4, "c2": 0.3}))
+    with pytest.raises(ValueError, match="^config field 'delta': need 0 < "
+                                         "c1 < c2"):
+        resolve(config_from_dict({"delta": 1e308}))
     with pytest.raises(ValueError, match="tau"):
         resolve(config_from_dict({"tau": 0.1}))
     # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27, then +0.59.
@@ -399,8 +422,8 @@ def test_run_benchmark_deterministic_iterates():
 
 
 @pytest.mark.parametrize("payload, match", [
-    ({"problem": "example1", "m": 20, "c1": 0.4, "c2": 0.3},
-     "config fields 'c1'/'c2'"),
+    ({"problem": "example1", "m": 20, "delta": 1e308},
+     "config field 'delta'"),
     # L = 1 and ||K||^2 = 4.27 on this instance: slack -4.27.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),

@@ -168,6 +168,25 @@ def test_symmetric_affine_resolvent_takes_a_rounded_semidefinite_shift():
     assert out.tobytes() == ((1.0 / (1.0 + 0.5 * d)) * z).tobytes()
 
 
+@pytest.mark.parametrize("eigs", [[-3.0, 2.0], [-1.0, 2.0]])
+def test_symmetric_affine_resolvent_rejects_an_indefinite_shift(eigs):
+    # At beta = 0, E + beta*I has the eigenvalue -3 or -1: no resolvent.
+    with pytest.raises(ValueError, match="beta=0.0"):
+        symmetric_affine_resolvent(np.diag(eigs), 0.0)
+
+
+def test_symmetric_affine_resolvent_takes_semidefinite_shifts():
+    # beta = max|eig(E)| makes E + beta*I semidefinite, however eigh
+    # rounds its smallest eigenvalue.
+    gen = np.random.default_rng(29)
+    for n in (2, 3, 5, 17, 64):
+        for _ in range(10):
+            R = gen.standard_normal((n, n))
+            E = 0.5 * (R + R.T)
+            beta = float(np.max(np.abs(np.linalg.eigvalsh(E))))
+            symmetric_affine_resolvent(E, beta)
+
+
 def test_symmetric_affine_resolvent_firmly_nonexpansive():
     gen = np.random.default_rng(11)
     m = 6

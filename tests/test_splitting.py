@@ -11,7 +11,7 @@ from monosplit.splitting import (PROBE_STEP, DivergenceError,
                                  IterationTrace, StepSizeWarning, StopRule,
                                  _norm, fb, fbf, frb, gfrb_adaptive,
                                  gfrb_fixed, rfb)
-from monosplit.stepsize import GammaSpec, make_stepsize_state
+from monosplit.stepsize import GROWTH_RATIO, make_stepsize_state
 
 from conftest import RecordingResolvent, counting_forward, \
     random_monotone_affine
@@ -25,6 +25,18 @@ def test_stop_rule_defaults():
     rule = StopRule()
     assert rule.tol == 1e-6
     assert rule.max_iter == 5000
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
+    ({"tol": -1.0}, "tol"), ({"tol": "1e-6"}, "tol"),
+    ({"max_iter": -3}, "max_iter"), ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": 2.5}, "max_iter"), ({"max_iter": True}, "max_iter")])
+def test_stop_rule_rejects_bad_input(kwargs, name):
+    # Caught when the rule is built, not as a silent run to max_iter, an
+    # empty trace or a TypeError inside range.
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        StopRule(**kwargs)
 
 
 @given(st.integers(0, 2048), st.floats(-150.0, 150.0),
@@ -103,9 +115,11 @@ def test_gfrb_adaptive_with_frozen_step_is_gfrb_fixed_bitwise():
     L = B.lipschitz_hint
     A = zero_resolvent()
     delta = 0.3
-    state = make_stepsize_state(delta, 0.1, gamma_spec=GammaSpec(kind="zero"))
-    # lambda0 * L < c2 keeps the shrink branch silent forever, and zero
-    # gamma freezes the step, so the run must equal the fixed-step one.
+    state = make_stepsize_state(delta, 0.1)
+    # lambda0 * L < c2 keeps the shrink branch silent forever, and from
+    # k = 60 on 1 + 0.5**k rounds to 1 and freezes the step, so the run
+    # must equal the fixed-step one.
+    state.k = 60
     lam0 = 0.9 * state.c2 / L
     state.lambda_curr = lam0
     x0 = gen.standard_normal(10)
@@ -357,7 +371,7 @@ def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
         lam_p = lam_pp = lam
     else:
         lam_p = lam_pp = state.lambda_curr
-        c1, c2, gamma = state.c1, state.c2, state.gamma_spec
+        c1, c2 = state.c1, state.c2
     dx = float(np.linalg.norm(x_m1 - x))
     errs, lams = [], []
     for k in range(1, stop.max_iter + 1):
@@ -368,7 +382,7 @@ def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
             if lam_p * dB > c2 * dx:
                 lam_k = c1 * dx / dB
             else:
-                lam_k = (1.0 + gamma.scale * gamma.ratio ** k) * lam_p
+                lam_k = (1.0 + GROWTH_RATIO ** k) * lam_p
         x_new = J(x - lam_k * Bx - lam_p * (1.0 + delta) * (Bx - B_p)
                   + lam_pp * delta * (B_p - B_pp), lam_k)
         dx = float(np.linalg.norm(x_new - x))

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monosplit.stepsize import (GammaSpec, OperatorConsistencyError,
+from monosplit.stepsize import (GROWTH_RATIO, OperatorConsistencyError,
                                 StepSizeState, coefficient_bound,
                                 make_stepsize_state, next_step,
                                 validate_coefficients)
 
 
-def fresh_state(lam=0.1, c1=0.2, c2=0.4, gamma=None):
-    return StepSizeState(lambda_curr=lam, c1=c1, c2=c2,
-                         gamma_spec=gamma or GammaSpec())
+def fresh_state(lam=0.1, c1=0.2, c2=0.4, k=0):
+    return StepSizeState(lambda_curr=lam, c1=c1, c2=c2, k=k)
 
 
 def test_growth_branch_matches_worked_example():
@@ -30,10 +29,11 @@ def test_shrink_branch_returns_exact_ratio():
 
 
 def test_tie_takes_growth_branch():
-    state = fresh_state(lam=0.5, c1=0.2, c2=0.25, gamma=GammaSpec(kind="zero"))
-    # lambda * dB == c2 * dx exactly: 0.5 * 0.5 == 0.25.
+    state = fresh_state(lam=0.5, c1=0.2, c2=0.25)
+    # lambda * dB == c2 * dx exactly: 0.5 * 0.5 == 0.25.  Growth gives
+    # (1 + 0.5) * 0.5; the shrink branch would give 0.2 * 1 / 0.5 = 0.4.
     lam = next_step(state, dx=1.0, dB=0.5)
-    assert lam == 0.5
+    assert lam == 0.75
 
 
 @given(st.floats(0.01, 10), st.floats(0.0, 10), st.floats(0.0, 10),
@@ -46,7 +46,7 @@ def test_branch_law(lam, dx, dB, k0):
     if lam * dB > 0.4 * dx:
         assert out == 0.2 * dx / dB
     else:
-        assert out == (1.0 + state.gamma_spec.value(k0 + 1)) * lam
+        assert out == (1.0 + GROWTH_RATIO ** (k0 + 1)) * lam
     assert state.k == k0 + 1
 
 
@@ -56,8 +56,8 @@ def test_inconsistent_displacements_raise():
 
 
 def test_zero_zero_takes_growth():
-    state = fresh_state(lam=0.2, gamma=GammaSpec(kind="zero"))
-    assert next_step(state, 0.0, 0.0) == 0.2
+    state = fresh_state(lam=0.2)
+    assert next_step(state, 0.0, 0.0) == (1.0 + GROWTH_RATIO) * 0.2
 
 
 @pytest.mark.parametrize("dx,dB", [(-1.0, 0.0), (0.0, -1.0),
@@ -67,25 +67,18 @@ def test_bad_displacements_raise(dx, dB):
         next_step(fresh_state(), dx, dB)
 
 
-def test_gamma_kinds():
-    assert GammaSpec("geometric", ratio=0.5, scale=1.0).value(2) == 0.25
-    assert GammaSpec("inverse_square", scale=2.0).value(2) == 0.5
-    assert GammaSpec("zero").value(100) == 0.0
-
-
-def test_gamma_validation():
-    with pytest.raises(ValueError):
-        GammaSpec("nope")
-    with pytest.raises(ValueError):
-        GammaSpec("geometric", ratio=1.5)
-    with pytest.raises(ValueError):
-        GammaSpec("geometric", scale=-1.0)
-
-
 def test_gamma_sequence_is_summable():
-    for spec in [GammaSpec(), GammaSpec("inverse_square")]:
-        total = sum(spec.value(k) for k in range(1, 10000))
-        assert total < 3.0
+    assert 0.0 < GROWTH_RATIO < 1.0
+    assert sum(GROWTH_RATIO ** k for k in range(1, 10000)) < 3.0
+
+
+def test_growth_stops_at_k_53():
+    # 1 + 0.5**k rounds to 1 from k = 53 on, so a controller past that
+    # point holds its step: the frozen-step reductions rest on this.
+    assert next_step(fresh_state(lam=0.2, k=51), 1.0, 0.0) > 0.2
+    state = fresh_state(lam=0.2, k=52)
+    for _ in range(20):
+        assert next_step(state, 1.0, 0.0) == 0.2
 
 
 def test_make_stepsize_state_defaults():
@@ -96,13 +89,18 @@ def test_make_stepsize_state_defaults():
     assert state.c1 == pytest.approx(0.9 * state.c2)
     assert state.lambda_curr == 0.1
     assert coefficient_bound(delta) == pytest.approx(bound)
+    # Bit for bit the box configs pinned at delta = 0.1, so they run
+    # unchanged without the keys.
+    assert (state.c1, state.c2) == (0.4049595, 0.44995499999999994)
+    for delta in (0.3, 0.0, -0.2, -0.3, -7.5):
+        state = make_stepsize_state(delta, 0.1)
+        assert 0.0 < state.c1 < state.c2 < coefficient_bound(delta)
 
 
 def test_make_stepsize_state_rejects_bad_box():
+    # The derived box is empty only when 2|delta| + 2 overflows.
     with pytest.raises(ValueError, match="c1"):
-        make_stepsize_state(0.1, 0.1, c1=0.4, c2=0.3)
-    with pytest.raises(ValueError):
-        make_stepsize_state(0.1, 0.1, c2=10.0)
+        make_stepsize_state(1e308, 0.1)
     with pytest.raises(ValueError):
         make_stepsize_state(0.1, -0.5)
 
@@ -129,6 +127,15 @@ def test_make_stepsize_state_takes_no_epsilon():
     # The c-box margin is the constant EPSILON, not a keyword.
     with pytest.raises(TypeError):
         make_stepsize_state(0.1, 0.1, epsilon=1e-4)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c1", 0.4), ("c2", 0.45), ("gamma_spec", None)])
+def test_make_stepsize_state_takes_no_box_or_growth(key, value):
+    # The box derives from delta and the growth sequence is the constant
+    # GROWTH_RATIO**k; neither is a keyword.
+    with pytest.raises(TypeError):
+        make_stepsize_state(0.1, 0.1, **{key: value})
 
 
 def test_validate_coefficients_names_c1():
