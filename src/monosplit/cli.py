@@ -7,15 +7,14 @@ experiment       run every configured solver; write summary + traces
 rate-table       spectral radii over the delta grid and three step rules
 design-rate R    print the mix-in weight and step achieving rate 1/R
 region           admissibility slack grid for the primal-dual step pair
-validate-config  check the config against its instance, run no solver
+validate-config  check the config and build its instance, run no solver
 
 solve, experiment and validate-config take --m and --seed, which replace
 the config file's fields before the loader checks them, so a bad override
 fails like a bad file, naming the field, and creates no output directory.
-experiments.resolve then builds the instance and checks a composite step
-pair against it, the one check that needs the instance.  The composite
-problem runs through solve and experiment too, with the primal-dual
-solver epdtr.
+experiments.resolve then builds the instance; no check needs it.  The
+composite problem runs through solve and experiment too, with the
+primal-dual solver epdtr.
 
 Exit codes: 0 success, 2 malformed config or bad input (diagnostic names
 the offending field) or an output that cannot be written, 3 divergence
@@ -186,7 +185,7 @@ def build_parser():
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("validate-config",
-                       help="check the config against its instance")
+                       help="check the config and build its instance")
     add_config(p)
     p.set_defaults(func=_cmd_validate_config)
 

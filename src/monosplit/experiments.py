@@ -21,7 +21,7 @@ from . import rng
 from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
-from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve, step_pair
+from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
 from .stepsize import make_stepsize_state
@@ -39,7 +39,7 @@ _FIXED_STEP_RUNS = {
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 PROBLEMS = ("example1", "example2", "lasso", "composite")
 # Config fields only epdtr reads, and those only the splitting solvers read.
-_EPDTR_FIELDS = ("tau", "sigma", "b_reflect")
+_EPDTR_FIELDS = ("b_reflect",)
 _SPLITTING_FIELDS = ("delta", "lam", "lambda0")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
@@ -205,10 +205,7 @@ class ExperimentConfig:
     x0_kind: str = "ones"
     noise_sigma: float = 0.01
     reg_lambda: float = 0.01
-    # epdtr's step pair (both or neither; neither means default_stepsizes
-    # at the instance's L and ||K||) and reflection weight.
-    tau: float = None
-    sigma: float = None
+    # epdtr's reflection weight; epdtr_solve derives the step pair from it.
     b_reflect: float = 0.0
 
 
@@ -283,19 +280,18 @@ def _check(cfg):
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
-    for key in ("lambda0", "tol", "lam", "tau", "sigma"):
+    for key in ("lambda0", "tol", "lam"):
         value = getattr(cfg, key)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"config field '{key}': must be positive and "
                              "finite")
-    if (cfg.tau is None) != (cfg.sigma is None):
-        given, missing = ("tau", "sigma") if cfg.sigma is None \
-            else ("sigma", "tau")
-        raise ValueError(f"config field '{given}': set without '{missing}'; "
-                         "give both or neither")
-    for key in ("delta", "b_reflect"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ValueError(f"config field '{key}': must be finite")
+    if not math.isfinite(cfg.delta):
+        raise ValueError("config field 'delta': must be finite")
+    # default_stepsizes scales by 2*(1+|b|); past overflow its pair is
+    # (0, inf).
+    if not math.isfinite(2.0 * (1.0 + abs(cfg.b_reflect))):
+        raise ValueError("config field 'b_reflect': 2*(1+|b_reflect|) "
+                         "must be finite")
     for key in ("noise_sigma", "reg_lambda"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value >= 0):
@@ -329,22 +325,10 @@ def load_config(path, **overrides):
 
 
 def resolve(cfg):
-    """Check cfg (``_check``), build its instance once through
-    ``generate`` and, on composite, reject a step pair ``step_pair`` finds
-    outside 2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1, the one check that
-    needs the instance.  Each ValueError names the offending field.
-    Returns the instance, whose map then carries its ||K|| estimate.
-    """
+    """Check cfg (``_check``, whose ValueError names the offending field)
+    and build its instance once through ``generate``."""
     _check(cfg)
-    instance = generate(cfg)
-    if cfg.problem == "composite":
-        _, slack = step_pair(instance.data["problem"],
-                             EPDTRConfig(cfg.tau, cfg.sigma, cfg.b_reflect))
-        if slack <= 0.0:
-            raise ValueError("config fields 'tau'/'sigma': step pair "
-                             "violates 2*tau*(1+|b|)*L + tau*sigma*"
-                             f"normK^2 < 1 (slack {slack:g})")
-    return instance
+    return generate(cfg)
 
 
 def _controller(cfg):
@@ -405,8 +389,8 @@ def _run_result(instance, solver, cfg, x, trace, **extra):
 def run_solver(instance, solver, cfg):
     """Run one solver from the configured seeds and wrap the outcome.
 
-    A null step is filled by the solver that runs it: cfg.lam by the
-    fixed-step solvers, (tau, sigma) by epdtr_solve at b_reflect.
+    A null cfg.lam is filled by the fixed-step solver that runs it;
+    epdtr_solve derives its step pair at b_reflect.
     gfrb_adaptive runs the controller ``_controller(cfg)`` builds, from
     x0 and its probe seed (x_minus1=None).
     The configured x0 (ones or zeros) is a point of the problem's own
@@ -427,8 +411,8 @@ def run_solver(instance, solver, cfg):
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)
-        x, _y, trace = epdtr_solve(
-            problem, EPDTRConfig(cfg.tau, cfg.sigma, cfg.b_reflect), stop)
+        x, _y, trace = epdtr_solve(problem, EPDTRConfig(b=cfg.b_reflect),
+                                   stop)
     else:
         x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, cfg.delta,
                                             stop)

@@ -33,7 +33,8 @@ class EPDTRConfig:
     """Step pair and reflection weight for the primal-dual solver.
 
     A step left None is filled by ``step_pair`` from
-    ``default_stepsizes`` at b and the problem's L and ||K||.
+    ``default_stepsizes`` at b and the problem's L and ||K||; a config
+    run always leaves both None, so an explicit pair is a library call.
     """
 
     tau: float = None
@@ -71,16 +72,29 @@ class PrimalDualState:
     Kx: np.ndarray
 
 
+def _slack(tau, sigma, b, L, norm_k):
+    """1 - 2*tau*(1+|b|)*L - tau*sigma*norm_k**2, elementwise on arrays;
+    check_stepsizes and region_grid share this grouping bit for bit."""
+    return 1.0 - 2.0 * tau * (1.0 + abs(b)) * L - tau * sigma * norm_k ** 2
+
+
+def _check_steps(tau, sigma):
+    """Raise ValueError naming a step that is not positive and finite."""
+    for name, step in (("tau", tau), ("sigma", sigma)):
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"step {name} must be positive and finite, "
+                             f"got {step!r}")
+
+
 def check_stepsizes(tau, sigma, b, L, norm_k):
     """Admissibility test; returns (admissible, slack).
 
-    slack = 1 - 2*tau*(1+|b|)*L - tau*sigma*norm_k**2; admissible means
-    slack > 0 with both steps positive.
+    slack is ``_slack``'s; admissible means slack > 0.  A step that is
+    not positive and finite raises ValueError naming it.
     """
-    if tau <= 0.0 or sigma <= 0.0:
-        raise ValueError("tau and sigma must be positive")
-    slack = 1.0 - (2.0 * tau * (1.0 + abs(b)) * L + tau * sigma * norm_k ** 2)
-    return slack > 0.0, float(slack)
+    _check_steps(tau, sigma)
+    slack = float(_slack(tau, sigma, b, L, norm_k))
+    return slack > 0.0, slack
 
 
 def default_stepsizes(b, L, norm_k):
@@ -115,7 +129,8 @@ def step_pair(problem, cfg):
     else a 1%-inflated power-iteration estimate stored as that hint, so
     each map is estimated once.  Both uses of ||K|| need L: without a
     hint the slack is None, no power iteration runs, and a missing step
-    raises ValueError.
+    raises ValueError, as does, with or without L, a step that is not
+    positive and finite.
     """
     L = getattr(problem.forward_b, "lipschitz_hint", None)
     if L is None:
@@ -123,6 +138,7 @@ def step_pair(problem, cfg):
             raise ValueError("default step sizes need a lipschitz_hint on "
                              "the forward operator; pass both steps in "
                              "the EPDTRConfig")
+        _check_steps(cfg.tau, cfg.sigma)
         return cfg, None
     K = problem.linmap_k
     if K.norm_hint is None:
@@ -235,7 +251,7 @@ def region_grid(b, L, norm_k, n=200):
     """Admissibility slack over an n-by-n grid of step pairs in (0, 1].
 
     Returns (tau_values, sigma_values, slack) with
-    slack[i, j] = 1 - 2*tau_i*(1+|b|)*L - tau_i*sigma_j*norm_k**2.
+    slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
     Raises ValueError naming the argument unless n >= 1, b is finite,
     and L and norm_k are finite and nonnegative.
     """
@@ -250,7 +266,5 @@ def region_grid(b, L, norm_k, n=200):
             raise ValueError(f"region argument '{name}' ({flag}): must be "
                              f"nonnegative and finite, got {value!r}")
     steps = np.linspace(0.0, 1.0, n + 1)[1:]
-    tt = steps[:, None]
-    ss = steps[None, :]
-    slack = 1.0 - 2.0 * tt * (1.0 + abs(b)) * L - tt * ss * norm_k ** 2
+    slack = _slack(steps[:, None], steps[None, :], b, L, norm_k)
     return steps, steps.copy(), slack

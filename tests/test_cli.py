@@ -331,6 +331,7 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("payload, field", [
+    # The removed key 'tau' is named before the unread 'b_reflect'.
     ({"problem": "example1", "m": 20, "tau": 0.1, "sigma": 50.0,
       "b_reflect": 3}, "'tau'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
@@ -339,6 +340,7 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
      "'reg_lambda'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "k": 7}, "'k'"),
+    ({"problem": "example1", "m": 20, "b_reflect": 3}, "'b_reflect'"),
 ])
 def test_validate_config_rejects_fields_the_solvers_never_read(
         tmp_path, capsys, payload, field):
@@ -482,21 +484,22 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("command, steps, solver_runs", [
+@pytest.mark.parametrize("command, reflected, solver_runs", [
     ("experiment", True, 1),
     ("solve", True, 1),
     ("experiment", False, 1),
     ("validate-config", True, 0),
 ])
 def test_composite_run_builds_and_estimates_norm_k_once(
-        tmp_path, monkeypatch, capsys, command, steps, solver_runs):
-    # The step pair (0.1, 0.5) is admissible here: slack +0.59.
+        tmp_path, monkeypatch, capsys, command, reflected, solver_runs):
+    # ||K|| is estimated by the solve that derives the step pair, at any
+    # b_reflect, and validate-config runs no solve.
     cfg = str(REPO_ROOT / "configs" / "composite.json")
-    if steps:
+    if reflected:
         with open(cfg) as fh:
             payload = json.load(fh)
-        cfg = write_config(tmp_path, "steps.json",
-                           dict(payload, tau=0.1, sigma=0.5))
+        cfg = write_config(tmp_path, "reflected.json",
+                           dict(payload, b_reflect=0.5))
     builds = _counted(monkeypatch, experiments, "generate")
     runs = _counted(monkeypatch, experiments, "run_solver")
     estimates = _counted(monkeypatch, primal_dual, "power_norm")
@@ -504,16 +507,21 @@ def test_composite_run_builds_and_estimates_norm_k_once(
     if command != "validate-config":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert (len(builds), len(estimates), len(runs)) == (1, 1, solver_runs)
+    assert (len(builds), len(estimates), len(runs)) == \
+        (1, solver_runs, solver_runs)
 
 
 @pytest.mark.parametrize("command", ["experiment", "solve"])
 @pytest.mark.parametrize("payload, field", [
     ({"problem": "example1", "m": 20, "c1": 0.4, "c2": 0.3}, "'c1'"),
+    # A removed key.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),
     ({"problem": "example1", "m": 20, "solvers": ["frb", "frb"]},
      "'solvers'"),
+    # 2*(1+|b|) overflows: default_stepsizes would give (0, inf).
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "seed": 0, "b_reflect": 1e308}, "'b_reflect'"),
 ])
 def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
                                             command, payload, field):

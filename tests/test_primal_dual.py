@@ -61,6 +61,37 @@ def test_check_stepsizes_formula_and_strictness():
         check_stepsizes(0.0, 0.1, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["tau", "sigma"])
+def test_non_finite_step_is_rejected_by_name(name, value):
+    steps = {"tau": 0.1, "sigma": 0.5}
+    steps[name] = value
+    with pytest.raises(ValueError, match=f"^step {name} must be positive "
+                                         "and finite"):
+        check_stepsizes(steps["tau"], steps["sigma"], 0.0, 1.0, 1.0)
+    # Before any iteration, not as a DivergenceError at iteration 0, and
+    # with or without a Lipschitz hint.
+    problem, _ = gen_composite(12, 8, 3)
+    hintless = replace(problem, forward_b=ForwardOperator(problem.forward_b))
+    for p in (problem, hintless):
+        with pytest.raises(ValueError, match=f"^step {name} "):
+            epdtr_solve(p, EPDTRConfig(**steps), StopRule(max_iter=5))
+
+
+@pytest.mark.parametrize("b, L, norm_k", [(0.5, 1.0, 1.0), (0.3, 1.7, 2.3)])
+def test_check_stepsizes_slack_is_region_grids_bitwise(b, L, norm_k):
+    taus, sigmas, slack = region_grid(b, L, norm_k, n=400)
+    regrouped = 0
+    for i in range(0, 400, 7):
+        for j in range(0, 400, 7):
+            tau, sigma = taus[i], sigmas[j]
+            assert check_stepsizes(tau, sigma, b, L, norm_k)[1] == slack[i, j]
+            regrouped += 1.0 - (2.0 * tau * (1.0 + abs(b)) * L
+                                + tau * sigma * norm_k ** 2) != slack[i, j]
+    # The other grouping differs in the last bits somewhere on the grid.
+    assert regrouped > 0
+
+
 def test_default_stepsizes_balance_and_budget():
     for b, L, nk in [(0.0, 1.0, 1.0), (0.5, 2.0, 3.0), (2.0, 0.3, 0.4)]:
         tau, sigma = default_stepsizes(b, L, nk)
