@@ -182,14 +182,24 @@ _STEP_BOUNDS = {
 
 def _fixed_step(lam, B, method, delta=0.0):
     """The float step ``method`` runs: lam None is 90% of its bound at B's
-    lipschitz_hint (ValueError without a positive hint); a given lam must
-    be positive and finite, and one at or beyond the bound warns."""
+    lipschitz_hint (ValueError without a positive hint, or when that
+    default is not positive and finite); a given lam must be positive and
+    finite, and one at or beyond the bound warns.  A non-finite delta is
+    a ValueError naming it."""
+    if not math.isfinite(delta):
+        raise ValueError(f"{method}: delta must be finite, got {delta!r}")
     L = getattr(B, "lipschitz_hint", None)
     if lam is None:
         if L is None or L <= 0.0:
             raise ValueError(f"{method} needs an explicit step: the forward "
                              "operator has no usable Lipschitz constant")
-        return float(0.9 * _STEP_BOUNDS[method](L, delta))
+        lam = float(0.9 * _STEP_BOUNDS[method](L, delta))
+        # 2*L*(1+|delta|) can overflow to inf, which makes the step 0.0.
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"{method}: the default step at L={L:g} and "
+                             f"delta={delta!r} is {lam!r}; it must be "
+                             "positive and finite")
+        return lam
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError(f"step lambda must be positive and finite, got {lam!r}")
     if L:

@@ -3,7 +3,8 @@
 They live beside the tests, not in ``monosplit``, so a refactor of the
 package cannot break an oracle together with the code it checks.
 ``build_matrix`` and ``spectral_radius`` check the rate routes of
-``rate_analysis`` (``cubic_roots``, ``characteristic_roots``);
+``rate_analysis`` (``cubic_roots``, ``characteristic_roots``) and predict
+fixed-step rates on example2, whose resolvent is a diagonal scaling;
 ``metric_matrix``, ``coupling_matrix`` and ``gfrb_in_metric`` check
 ``primal_dual.epdtr_step`` as a multi-step reflected splitting on the
 product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]].
@@ -12,23 +13,24 @@ product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]].
 import numpy as np
 
 
-def build_matrix(B, lam, delta):
+def build_matrix(B, lam, delta, r=None):
     """Companion-block iteration matrix of the three-term recursion.
 
     Top block row implements
-    x_{k+1} = x_k - lam*(delta+2)*B x_k + lam*(2*delta+1)*B x_{k-1}
-              - lam*delta*B x_{k-2}.
+    x_{k+1} = diag(r) (x_k - lam*(delta+2)*B x_k + lam*(2*delta+1)*B x_{k-1}
+                       - lam*delta*B x_{k-2}),
+    the error recursion of a fixed step whose resolvent J_{lam A} is the
+    linear scaling diag(r); r None is A = 0 (the identity resolvent).
     """
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
     eye = np.eye(d)
     zero = np.zeros((d, d))
-    return np.block([
-        [eye - lam * (delta + 2.0) * B, lam * (2.0 * delta + 1.0) * B,
-         -lam * delta * B],
-        [eye, zero, zero],
-        [zero, eye, zero],
-    ])
+    top = [eye - lam * (delta + 2.0) * B, lam * (2.0 * delta + 1.0) * B,
+           -lam * delta * B]
+    if r is not None:
+        top = [np.asarray(r, dtype=float)[:, None] * block for block in top]
+    return np.block([top, [eye, zero, zero], [zero, eye, zero]])
 
 
 def spectral_radius(M):

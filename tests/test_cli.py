@@ -539,7 +539,7 @@ def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("name, iters", [
     ("example1", [47, 47, 45, 146, 51]),
     ("example2", [54, 78, 72, 50, 84]),
-    ("lasso", [2312, 2873, 2634, 1400, 3127]),
+    ("lasso", [1749, 2873, 2634, 1400, 3127]),
 ])
 def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
                                                 iters):

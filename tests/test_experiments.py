@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -203,6 +204,26 @@ def test_shipped_configs_sweep_delta(name, iters):
         assert result.converged
         counts.append(result.iterations)
     assert counts == iters
+
+
+def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
+    # The shipped lasso delta = -0.1 against the old 0.1 on seeds 1-6:
+    # gfrb_adaptive's step settles larger on lasso's symmetric spectrum,
+    # so it takes at least 20 % fewer iterations on every seed.
+    base = json.loads((CONFIGS / "lasso.json").read_text())
+    counts = {}
+    for delta in (0.1, -0.1):
+        counts[delta] = []
+        for seed in range(1, 7):
+            cfg = config_from_dict(dict(base, seed=seed, delta=delta,
+                                        solvers=["gfrb_adaptive"]))
+            (result,) = run_benchmark(cfg)
+            assert result.converged
+            counts[delta].append(result.iterations)
+    assert counts[0.1] == [2568, 2074, 3261, 2349, 2068, 2114]
+    assert counts[-0.1] == [1974, 1613, 2490, 1809, 1531, 1653]
+    for old, new in zip(counts[0.1], counts[-0.1]):
+        assert new <= 0.8 * old
 
 
 def test_validate_config_boxes():
@@ -471,3 +492,17 @@ def test_run_benchmark_runs_a_config_of_numpy_scalars():
     (result,) = run_benchmark(cfg)
     assert result.converged and not result.diverged
     assert result.known_answer.startswith("distance to oracle")
+
+
+def test_readme_config_table_names_every_field():
+    # README's config-field table lists each ExperimentConfig field once
+    # and nothing else, so a config change cannot leave it stale.
+    readme = (CONFIGS.parent / "README.md").read_text()
+    table = readme.split("| field | meaning | default |\n|---|---|---|\n")
+    assert len(table) == 2
+    named = []
+    for row in table[1].splitlines():
+        if not row.startswith("|"):
+            break
+        named += re.findall(r"`(\w+)`", row.split("|")[1])
+    assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))

@@ -3,6 +3,7 @@ import pytest
 from oracles import build_matrix, spectral_radius
 from test_acceptance import reference_entries
 
+from monosplit.experiments import gen_example2
 from monosplit.operators import zero_resolvent
 from monosplit.rate_analysis import (EXCLUDED_RATES, ROTATION, STEP_RULES,
                                      TABLE_DELTAS,
@@ -207,3 +208,58 @@ def test_reference_rate_table_matches_solver_tail_rate():
         assert abs(rate - ref) <= 5e-7 + 1e-8, (delta, label, rate, ref)
         checked += 1
     assert checked == len(reference_entries()) - 1
+
+
+def _stable_edge(mu, delta):
+    """Largest lam*|mu| with every root of the scalar cubic inside the
+    unit circle, by bisection on max|cubic_roots(mu, lam, delta)| < 1."""
+    lo, hi = 1e-6, 3.0
+    assert np.max(np.abs(cubic_roots(mu, lo, delta))) < 1.0
+    assert np.max(np.abs(cubic_roots(mu, hi, delta))) >= 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.max(np.abs(cubic_roots(mu, mid, delta))) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("delta, real_edge, rotation_edge", [
+    (0.3, 0.476, 0.563), (0.1, 0.588, 0.590), (0.0, 0.667, 0.577),
+    (-0.1, 0.769, 0.554), (-0.2, 0.909, 0.526), (-0.3, 1.111, 0.498),
+    (-0.4, 1.429, 0.472)])
+def test_stable_step_is_asymmetric_in_delta(delta, real_edge, rotation_edge):
+    # The theory bound 1/(2(1+|delta|)) is symmetric in delta; the true
+    # stable step is not.  For a real mu (a symmetric B such as lasso's
+    # A^T A) a negative delta stretches it, to 2/(3+4 delta) where the
+    # cubic's root crosses -1; on the rotation mu = i it barely moves.
+    # This is why lasso ships delta = -0.1 (README "Choosing delta").
+    assert _stable_edge(1.0, delta) == pytest.approx(real_edge, abs=1e-3)
+    assert _stable_edge(1j, delta) == pytest.approx(rotation_edge, abs=1e-3)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.0, -0.1])
+def test_example2_fixed_step_rate_is_companion_spectral_radius(delta):
+    # Example2 is affine in B and its resolvent is the diagonal scaling
+    # r = 1/(1 + lam*d), so a gfrb_fixed run is a linear recursion whose
+    # rate is rho of the 3m x 3m companion (build_matrix with r).
+    m = 30
+    inst = gen_example2(m, 10)
+    A, B = inst.resolvent_a, inst.forward_b
+    B_mat = inst.basis.T @ inst.data["M"] @ inst.basis
+    x0 = inst.basis.T @ np.ones(m)
+    _x, trace = gfrb_fixed(A, B, x0, x0, x0, None, delta,
+                           StopRule(tol=0.0, max_iter=150))
+    lam = trace.lambdas[0]
+    rho = spectral_radius(build_matrix(B_mat, lam, delta, A(np.ones(m), lam)))
+    # Passes 100-150: late enough for the top mode, far above rounding.
+    ratio = (trace.errs[149] / trace.errs[99]) ** (1.0 / 50.0)
+    assert abs(ratio - rho) <= 1e-2, (ratio, rho)
+    tol = 1e-10
+    _x, trace = gfrb_fixed(A, B, x0, x0, x0, None, delta,
+                           StopRule(tol=tol, max_iter=1000))
+    assert trace.converged
+    predicted = np.log(tol / trace.errs[0]) / np.log(rho)
+    assert abs(len(trace) - predicted) <= 0.1 * predicted, \
+        (len(trace), predicted)

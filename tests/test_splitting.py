@@ -317,6 +317,23 @@ def test_nonpositive_step_rejected():
         frb(zero_resolvent(), B, np.zeros(2), np.zeros(2), -0.1)
 
 
+@pytest.mark.parametrize("delta", [1e308, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_fixed_step_rejects_delta_without_a_usable_step(delta):
+    # At 1e308 the default 1/(2L(1+|delta|)) overflows to a zero step,
+    # which stops after one pass as if converged, 4.52 from x*; a
+    # non-finite delta would only surface as divergence at iteration 0.
+    inst = gen_example1(20, 0)
+    x0 = np.ones(20)
+    with pytest.raises(ValueError, match="^gfrb_fixed: .*delta"):
+        gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, None, delta)
+    if not np.isfinite(delta):
+        with pytest.raises(ValueError, match="^gfrb_fixed: delta must be "
+                                             "finite"):
+            gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, 0.1,
+                       delta)
+
+
 def test_adaptive_rejects_bad_coefficient_box():
     state = make_stepsize_state(0.0, 0.1)
     # The box that is fine for delta = 0 is too wide for delta = 5.
