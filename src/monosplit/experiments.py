@@ -21,7 +21,8 @@ from . import rng
 from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
-from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
+from .primal_dual import (CompositeProblem, EPDTRConfig, epdtr_solve,
+                          finite_reflection)
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
 from .stepsize import make_stepsize_state
@@ -287,9 +288,7 @@ def _check(cfg):
                              "finite")
     if not math.isfinite(cfg.delta):
         raise ValueError("config field 'delta': must be finite")
-    # default_stepsizes scales by 2*(1+|b|); past overflow its pair is
-    # (0, inf).
-    if not math.isfinite(2.0 * (1.0 + abs(cfg.b_reflect))):
+    if not finite_reflection(cfg.b_reflect):
         raise ValueError("config field 'b_reflect': 2*(1+|b_reflect|) "
                          "must be finite")
     for key in ("noise_sigma", "reg_lambda"):
@@ -298,7 +297,7 @@ def _check(cfg):
             raise ValueError(f"config field '{key}': must be nonnegative and "
                              "finite")
     try:
-        _controller(cfg)
+        make_stepsize_state(cfg.delta, cfg.lambda0)
     except ValueError as exc:
         raise ValueError(f"config field 'delta': {exc}") from exc
 
@@ -329,11 +328,6 @@ def resolve(cfg):
     and build its instance once through ``generate``."""
     _check(cfg)
     return generate(cfg)
-
-
-def _controller(cfg):
-    """The adaptive step controller cfg configures for gfrb_adaptive."""
-    return make_stepsize_state(cfg.delta, cfg.lambda0)
 
 
 def generate(cfg):
@@ -391,8 +385,8 @@ def run_solver(instance, solver, cfg):
 
     A null cfg.lam is filled by the fixed-step solver that runs it;
     epdtr_solve derives its step pair at b_reflect.
-    gfrb_adaptive runs the controller ``_controller(cfg)`` builds, from
-    x0 and its probe seed (x_minus1=None).
+    gfrb_adaptive runs from cfg.delta and cfg.lambda0, from x0 and its
+    probe seed (x_minus1=None).
     The configured x0 (ones or zeros) is a point of the problem's own
     coordinates, mapped in as basis^T @ x0 when the instance has a
     basis; RunResult.x is in the instance's coordinates, as x_star is.
@@ -406,8 +400,8 @@ def run_solver(instance, solver, cfg):
         x0 = instance.basis.T @ x0
     A, B = instance.resolvent_a, instance.forward_b
     if solver == "gfrb_adaptive":
-        x, trace = gfrb_adaptive(A, B, x0, None, cfg.delta,
-                                 _controller(cfg), stop)
+        x, trace = gfrb_adaptive(A, B, x0, None, cfg.delta, cfg.lambda0,
+                                 stop)
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)

@@ -32,8 +32,8 @@ from .splitting import StepSizeWarning, _drive, _forward, _norm
 class EPDTRConfig:
     """Step pair and reflection weight for the primal-dual solver.
 
-    A step left None is filled by ``step_pair`` from
-    ``default_stepsizes`` at b and the problem's L and ||K||; a config
+    Set both steps or neither: ``step_pair`` fills an unset pair from
+    ``default_stepsizes`` at b and the problem's L and ||K||.  A config
     run always leaves both None, so an explicit pair is a library call.
     """
 
@@ -97,6 +97,11 @@ def check_stepsizes(tau, sigma, b, L, norm_k):
     return slack > 0.0, slack
 
 
+def finite_reflection(b):
+    """Whether 2*(1+|b|), which every step rule at b scales by, is finite."""
+    return math.isfinite(2.0 * (1.0 + abs(b)))
+
+
 def default_stepsizes(b, L, norm_k):
     """Step pair spending 95% of the admissibility bound.
 
@@ -123,18 +128,24 @@ def default_stepsizes(b, L, norm_k):
 def step_pair(problem, cfg):
     """The step pair a solve of ``problem`` runs, and its slack.
 
-    Returns (cfg, slack): cfg with every step it leaves None filled by
+    Returns (cfg, slack): cfg with an unset pair filled by
     ``default_stepsizes`` at cfg.b, and check_stepsizes' slack.  L is
     the forward operator's lipschitz_hint; ||K|| is the map's norm_hint,
     else a 1%-inflated power-iteration estimate stored as that hint, so
     each map is estimated once.  Both uses of ||K|| need L: without a
-    hint the slack is None, no power iteration runs, and a missing step
+    hint the slack is None, no power iteration runs, and an unset pair
     raises ValueError, as does, with or without L, a step that is not
-    positive and finite.
+    positive and finite; before any of that, so do a cfg.b that fails
+    ``finite_reflection`` and a pair with one step set.
     """
+    if not finite_reflection(cfg.b):
+        raise ValueError(f"b must keep 2*(1+|b|) finite, got {cfg.b!r}")
+    unset = [name for name in ("tau", "sigma") if getattr(cfg, name) is None]
+    if len(unset) == 1:
+        raise ValueError(f"step {unset[0]} is unset; set both or neither")
     L = getattr(problem.forward_b, "lipschitz_hint", None)
     if L is None:
-        if cfg.tau is None or cfg.sigma is None:
+        if unset:
             raise ValueError("default step sizes need a lipschitz_hint on "
                              "the forward operator; pass both steps in "
                              "the EPDTRConfig")
@@ -143,10 +154,9 @@ def step_pair(problem, cfg):
     K = problem.linmap_k
     if K.norm_hint is None:
         K.norm_hint = 1.01 * power_norm(K)
-    if cfg.tau is None or cfg.sigma is None:
+    if unset:
         tau, sigma = default_stepsizes(cfg.b, L, K.norm_hint)
-        cfg = replace(cfg, tau=tau if cfg.tau is None else cfg.tau,
-                      sigma=sigma if cfg.sigma is None else cfg.sigma)
+        cfg = replace(cfg, tau=tau, sigma=sigma)
     return cfg, check_stepsizes(cfg.tau, cfg.sigma, cfg.b, L, K.norm_hint)[1]
 
 
@@ -204,9 +214,9 @@ def epdtr_solve(problem, cfg=None, stop=None):
 
     B x and K x there are the last state's, so a solve evaluates B
     len(trace) + 1 times.  With no config, cfg is ``EPDTRConfig()``;
-    ``step_pair`` fills its missing steps (storing its ||K|| estimate
-    on the map), and a step pair it finds inadmissible warns and
-    iterates anyway.  Histories are seeded x_{-1} = x_{-2} = x_0.
+    ``step_pair`` checks b and fills an unset pair (storing its ||K||
+    estimate on the map), and a step pair it finds inadmissible warns
+    and iterates anyway.  Histories are seeded x_{-1} = x_{-2} = x_0.
     """
     K = problem.linmap_k
     m, n = K.shape

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepsize import next_step, validate_coefficients
+from .stepsize import make_stepsize_state, next_step
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -301,7 +301,7 @@ def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
     return _drive(step, x0, stop, method)
 
 
-def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
+def gfrb_adaptive(A, B, x0, x_minus1, delta, lambda0, stop=None):
     """Multi-step reflected splitting with the adaptive step controller.
 
     Parameters
@@ -326,11 +326,10 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
         history point x_{-2} is seeded to x_{-1}, which zeroes the
         oldest reflection term on the first pass.
     delta : float
-        Reflection mix-in weight.
-    state : StepSizeState
-        Adaptive controller; its (c1, c2) box is validated against
-        delta before iterating.  lambda_curr is lambda_0: the first
-        update starts from it, and it weights the first (1 + delta) term.
+        Reflection mix-in weight; it also sets the controller's box.
+    lambda0 : float
+        Starting step: the first update starts from it, and it weights
+        the first (1 + delta) term.
     stop : StopRule
 
     Returns
@@ -342,9 +341,10 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, state, stop=None):
     either shrinks the step or grows it by its summable schedule.  B(x0)
     is evaluated once, before the first pass, and B(x_{-1}) once unless
     x_{-1} holds x0's exact bits, so T passes cost T + 1 evaluations
-    (T when x_{-1} is x0).
+    (T when x_{-1} is x0).  make_stepsize_state rejects a bad delta or
+    lambda0, naming it, before B is evaluated.
     """
-    validate_coefficients(state.c1, state.c2, delta)
+    state = make_stepsize_state(delta, lambda0)
     x = _seed(x0)
     if x_minus1 is None:
         Bx = _forward(B, x)

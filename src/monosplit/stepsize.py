@@ -7,10 +7,10 @@ c1 * dx / dB or grows it by the summable factor 1 + GROWTH_RATIO**k.  The
 shrink branch fires only on the strict test lambda_{k-1} * dB > c2 * dx,
 so a tie, and in particular dB = 0, takes the growth branch.
 
-Only delta and lambda_0 are settings.  The box c2 = 0.99 *
-coefficient_bound(delta), c1 = 0.9 * c2 derives from delta, and the
-growth sequence gamma_k = GROWTH_RATIO**k is constant.  From k = 53 on,
-1.0 + 0.5**k rounds to 1.0, so the step no longer grows.
+Only delta and lambda_0 are settings; gfrb_adaptive builds its own
+controller from them.  The box c2 = 0.99 * coefficient_bound(delta),
+c1 = 0.9 * c2 derives from delta, and gamma_k = GROWTH_RATIO**k is
+constant: from k = 53 on, 1 + 0.5**k rounds to 1 and the step stays.
 """
 
 import math
@@ -45,26 +45,21 @@ def coefficient_bound(delta):
 def make_stepsize_state(delta, lambda0):
     """Controller for reflection weight delta, starting from step lambda0.
 
-    c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.
-    lambda0, the step the first update starts from, must be positive and
-    finite, else ValueError naming it.
+    c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.  A
+    delta that leaves this box empty (non-finite, or 2|delta| + 2
+    overflows) and a lambda0 not positive and finite raise ValueError.
     """
-    c2 = 0.99 * coefficient_bound(delta)
-    c1 = 0.9 * c2
-    validate_coefficients(c1, c2, delta)
-    if not (math.isfinite(lambda0) and lambda0 > 0.0):
-        raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
-    return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),
-                         c2=float(c2))
-
-
-def validate_coefficients(c1, c2, delta):
-    """Enforce 0 < c1 < c2 < (1 - EPSILON) / (2|delta| + 2)."""
     bound = coefficient_bound(delta)
+    c2 = 0.99 * bound
+    c1 = 0.9 * c2
     if not 0.0 < c1 < c2 < bound:
         raise ValueError(
             f"need 0 < c1 < c2 < {bound:.6g} for delta={delta:g}, "
             f"got c1={c1:g}, c2={c2:g}")
+    if not (math.isfinite(lambda0) and lambda0 > 0.0):
+        raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
+    return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),
+                         c2=float(c2))
 
 
 def next_step(state, dx, dB):

@@ -26,6 +26,7 @@ from monosplit.rate_analysis import (ROTATION, TABLE_DELTAS, design_rate,
                                      rate_table)
 from monosplit.splitting import (DivergenceError, StopRule, fb, frb,
                                  gfrb_adaptive, gfrb_fixed)
+from monosplit import stepsize
 from monosplit.stepsize import coefficient_bound, make_stepsize_state
 from monosplit.experiments import (ExperimentConfig, gen_composite,
                                    gen_lasso, generate, run_solver, snr)
@@ -212,10 +213,9 @@ def test_criterion_05_adaptive_step_floor_and_tail_monotonicity():
     L = 2.0
     forward = ForwardOperator(lambda x: M @ x + b, lipschitz_hint=L)
     lambda0 = 0.3
-    state = make_stepsize_state(0.1, lambda0)
-    floor = min(state.c1 / L, lambda0)
+    floor = min(make_stepsize_state(0.1, lambda0).c1 / L, lambda0)
     _, trace = gfrb_adaptive(zero_resolvent(), forward, np.ones(dim),
-                             np.ones(dim), 0.1, state,
+                             np.ones(dim), 0.1, lambda0,
                              StopRule(tol=0.0, max_iter=10000))
     lams = np.array(trace.lambdas)
     tail = lams[lams.size // 2:]
@@ -252,9 +252,10 @@ def test_criterion_06_shrinkage_benchmark_reaches_oracle():
            + "; ".join(counts))
 
 
-def test_criterion_07_reduction_equivalences():
+def test_criterion_07_reduction_equivalences(monkeypatch):
     worst_frb, worst_fixed = 0.0, 0.0
     stop = StopRule(tol=0.0, max_iter=100)
+    monkeypatch.setattr(stepsize, "GROWTH_RATIO", 0.0)
     for seed in range(10):
         gen = np.random.default_rng(1000 + seed)
         forward, _M, _b = random_monotone_affine(gen, 12)
@@ -273,12 +274,10 @@ def test_criterion_07_reduction_equivalences():
 
         delta = 0.1
         lam0 = 0.9 * 0.99 * coefficient_bound(delta) / L
-        # 1 + 0.5**k rounds to 1 from k = 53 on: started at k = 60 the
-        # controller never grows its step.
-        state = make_stepsize_state(delta, lam0)
-        state.k = 60
+        # lam0 * L < c2 never shrinks, and the zero growth ratio makes
+        # every growth factor 1 + 0.0**k exactly 1: the step is frozen.
         rec_c = RecordingResolvent(inner)
-        gfrb_adaptive(rec_c, forward, x0, x_minus1, delta, state, stop)
+        gfrb_adaptive(rec_c, forward, x0, x_minus1, delta, lam0, stop)
         rec_d = RecordingResolvent(inner)
         gfrb_fixed(rec_d, forward, x0, x_minus1, x_minus1, lam0, delta,
                    stop)
@@ -422,10 +421,9 @@ def test_criterion_11_sparse_recovery_matches_long_reference():
     # Only the solve is timed: the reference above is the check's own
     # cost, not the method's.
     rec = RecordingResolvent(l1_resolvent(reg))
-    state = make_stepsize_state(0.1, 0.1)
     t0 = time.perf_counter()
     x_alg, trace = gfrb_adaptive(rec, inst.forward_b, np.zeros(n),
-                                 np.zeros(n), 0.1, state,
+                                 np.zeros(n), 0.1, 0.1,
                                  StopRule(tol=1e-8, max_iter=20000))
     elapsed = time.perf_counter() - t0
     gap = float(np.linalg.norm(x_alg - x_ref))

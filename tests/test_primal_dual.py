@@ -272,6 +272,49 @@ def test_epdtr_solve_without_lipschitz_hint_never_estimates_norm_k(
     assert calls == []
 
 
+def counted_composite():
+    """gen_composite(40, 30, 0) with B, K and K* counted, and the same
+    problem without a Lipschitz hint; the counters are shared."""
+    problem, _ = gen_composite(40, 30, 0)
+    forward, b_calls = counting_forward(problem.forward_b,
+                                        problem.forward_b.lipschitz_hint)
+    K = problem.linmap_k
+    apply, adjoint = CallCounter(K.apply), CallCounter(K.apply_adjoint)
+    problem = replace(problem, forward_b=forward,
+                      linmap_k=LinearMap(apply, adjoint, K.shape))
+    hintless = replace(problem, forward_b=ForwardOperator(forward))
+    return (problem, hintless), (b_calls, apply, adjoint)
+
+
+@pytest.mark.parametrize("steps, unset", [({"tau": 1.0}, "sigma"),
+                                          ({"sigma": 0.5}, "tau")])
+def test_half_set_step_pair_is_rejected_by_name(steps, unset):
+    # A default for the missing step is sized for the default partner:
+    # tau = 1.0 with it runs outside the region and diverges.  One step
+    # alone fails before B or K is evaluated, with or without a hint.
+    problems, counters = counted_composite()
+    for problem in problems:
+        with pytest.raises(ValueError, match=f"^step {unset} is unset"):
+            epdtr_solve(problem, EPDTRConfig(**steps), StopRule(max_iter=5))
+    assert [c.count for c in counters] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("b", [float("inf"), float("nan"), 1e308])
+@pytest.mark.parametrize("steps", [{}, {"tau": 0.1, "sigma": 0.5}],
+                         ids=["default-pair", "explicit-pair"])
+def test_bad_reflection_weight_is_rejected_by_name(b, steps):
+    # 2*(1+|b|) overflows: the default pair would be (0, inf) and an
+    # explicit pair's slack -inf.  Either fails before B or K is
+    # evaluated, naming b, with or without a hint.
+    problems, counters = counted_composite()
+    for problem in problems:
+        with pytest.raises(ValueError, match=r"^b must keep 2\*\(1\+\|b\|\) "
+                                             "finite"):
+            epdtr_solve(problem, EPDTRConfig(b=b, **steps),
+                        StopRule(max_iter=5))
+    assert [c.count for c in counters] == [0, 0, 0]
+
+
 def test_epdtr_solve_reads_terminal_residuals_off_its_last_step():
     # The residuals take B x and K x from the last state: B runs once
     # per iteration plus once at the seed, and K or K* twice per

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monosplit import stepsize
 from monosplit.experiments import gen_example1, gen_example2, gen_lasso
 from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
                                  zero_resolvent)
@@ -109,28 +110,29 @@ def test_gfrb_fixed_delta_zero_is_frb_bitwise():
         np.testing.assert_array_equal(a, b)
 
 
-def test_gfrb_adaptive_with_frozen_step_is_gfrb_fixed_bitwise():
+def test_gfrb_adaptive_with_frozen_step_is_gfrb_fixed_bitwise(monkeypatch):
     gen = np.random.default_rng(4)
     B, _, _ = random_monotone_affine(gen, 10)
     L = B.lipschitz_hint
     A = zero_resolvent()
     delta = 0.3
-    state = make_stepsize_state(delta, 0.1)
-    # lambda0 * L < c2 keeps the shrink branch silent forever, and from
-    # k = 60 on 1 + 0.5**k rounds to 1 and freezes the step, so the run
-    # must equal the fixed-step one.
-    state.k = 60
-    lam0 = 0.9 * state.c2 / L
-    state.lambda_curr = lam0
+    # lambda0 * L < c2 keeps the shrink branch silent forever, and a zero
+    # growth ratio makes every growth factor 1 + 0.0**k exactly 1, so
+    # the run must equal the fixed-step one.
+    monkeypatch.setattr(stepsize, "GROWTH_RATIO", 0.0)
+    lam0 = 0.9 * make_stepsize_state(delta, 1.0).c2 / L
     x0 = gen.standard_normal(10)
     xm1 = gen.standard_normal(10)
     stop = StopRule(tol=0.0, max_iter=80)
     rec_a = RecordingResolvent(A)
-    gfrb_adaptive(rec_a, B, x0, xm1, delta, state, stop)
+    _, adaptive = gfrb_adaptive(rec_a, B, x0, xm1, delta, lam0, stop)
     rec_f = RecordingResolvent(A)
-    gfrb_fixed(rec_f, B, x0, xm1, xm1, lam0, delta, stop)
+    _, fixed = gfrb_fixed(rec_f, B, x0, xm1, xm1, lam0, delta, stop)
+    assert len(rec_a.outputs) == len(rec_f.outputs) == 80
     for a, b in zip(rec_a.outputs, rec_f.outputs):
         np.testing.assert_array_equal(a, b)
+    assert adaptive.errs == fixed.errs
+    assert adaptive.lambdas == fixed.lambdas
 
 
 def test_eval_counts_per_iteration():
@@ -165,8 +167,7 @@ def test_eval_counts_per_iteration():
     assert c.count == T + 2
 
     B, c = fresh()
-    state = make_stepsize_state(0.2, 0.1)
-    gfrb_adaptive(A, B, x0, xm1, 0.2, state, stop)
+    gfrb_adaptive(A, B, x0, xm1, 0.2, 0.1, stop)
     assert c.count == T + 1
 
 
@@ -192,8 +193,7 @@ def test_eval_counts_from_seeds_at_x0():
         assert c.count == T
 
         B, c = fresh()
-        gfrb_adaptive(A, B, x0, seed, 0.2, make_stepsize_state(0.2, 0.1),
-                      stop)
+        gfrb_adaptive(A, B, x0, seed, 0.2, 0.1, stop)
         assert c.count == T
 
     B, c = fresh()
@@ -201,7 +201,7 @@ def test_eval_counts_from_seeds_at_x0():
     assert c.count == T + 1
 
     B, c = fresh()
-    gfrb_adaptive(A, B, x0, None, 0.2, make_stepsize_state(0.2, 0.1), stop)
+    gfrb_adaptive(A, B, x0, None, 0.2, 0.1, stop)
     assert c.count == T + 1
 
 
@@ -209,8 +209,7 @@ def _run_from_ones(solver, A, B):
     x0 = np.ones(3)
     stop = StopRule(tol=1e-12, max_iter=200)
     if solver == "gfrb_adaptive":
-        return gfrb_adaptive(A, B, x0, x0, 0.2, make_stepsize_state(0.2, 0.1),
-                             stop)
+        return gfrb_adaptive(A, B, x0, x0, 0.2, 0.1, stop)
     if solver == "gfrb_fixed":
         return gfrb_fixed(A, B, x0, x0, x0, 1.0, 0.5, stop)
     if solver == "frb":
@@ -259,8 +258,8 @@ def _run_scalar_seed(solver, B):
             "frb": lambda: frb(A, B, 3.0, 3.0, 0.3, stop),
             "gfrb_fixed": lambda: gfrb_fixed(A, B, 3.0, 3.0, 3.0, 0.3, 0.1,
                                              stop),
-            "gfrb_adaptive": lambda: gfrb_adaptive(
-                A, B, 3.0, 3.0, 0.1, make_stepsize_state(0.1, 0.1), stop)}
+            "gfrb_adaptive": lambda: gfrb_adaptive(A, B, 3.0, 3.0, 0.1, 0.1,
+                                                   stop)}
     return runs[solver]()
 
 
@@ -334,19 +333,28 @@ def test_fixed_step_rejects_delta_without_a_usable_step(delta):
                        delta)
 
 
-def test_adaptive_rejects_bad_coefficient_box():
-    state = make_stepsize_state(0.0, 0.1)
-    # The box that is fine for delta = 0 is too wide for delta = 5.
-    with pytest.raises(ValueError, match="c1"):
-        gfrb_adaptive(zero_resolvent(), shifted_identity(np.zeros(2)),
-                      np.zeros(2), np.zeros(2), 5.0, state)
+@pytest.mark.parametrize("delta, lambda0, name", [
+    (1e308, 0.1, "delta"), (float("nan"), 0.1, "delta"),
+    (float("inf"), 0.1, "delta"), (0.1, 0.0, "lambda0"),
+    (0.1, -1.0, "lambda0"), (0.1, float("nan"), "lambda0"),
+    (0.1, float("inf"), "lambda0")])
+@pytest.mark.parametrize("x_minus1", [None, "x0"])
+def test_adaptive_rejects_bad_settings_before_evaluating(delta, lambda0,
+                                                         name, x_minus1):
+    # gfrb_adaptive builds its controller from delta and lambda0 and
+    # fails on either, naming it, before B is evaluated once.
+    B, calls = counting_forward(lambda x: 2.0 * x, lipschitz_hint=2.0)
+    x0 = np.ones(3)
+    with pytest.raises(ValueError, match=name):
+        gfrb_adaptive(zero_resolvent(), B, x0,
+                      x0 if x_minus1 == "x0" else None, delta, lambda0)
+    assert calls.count == 0
 
 
 def test_adaptive_first_step_grows_from_equal_seeds():
-    state = make_stepsize_state(0.1, 0.1)
     x0 = np.ones(4)
     _, trace = gfrb_adaptive(zero_resolvent(), shifted_identity(np.ones(4)),
-                             x0, x0, 0.1, state, StopRule(max_iter=3))
+                             x0, x0, 0.1, 0.1, StopRule(max_iter=3))
     # Equal seeds give dx = dB = 0, so the first step grows by 1 + 0.5.
     assert trace.lambdas[0] == pytest.approx(0.15)
 
@@ -445,11 +453,10 @@ def _hot_path_runs(solver, J, B, L, dim, reference):
     x0, x_m1, x_m2 = np.ones(dim), np.full(dim, 0.5), np.zeros(dim)
     stop = StopRule(tol=1e-9, max_iter=400)
     if solver == "gfrb_adaptive":
-        state = make_stepsize_state(delta, 0.1)
         if reference:
             return _ref_reflected(J, B, x0, x_m1, None, delta, stop,
-                                  state=state)
-        x, trace = gfrb_adaptive(J, B, x0, x_m1, delta, state, stop)
+                                  state=make_stepsize_state(delta, 0.1))
+        x, trace = gfrb_adaptive(J, B, x0, x_m1, delta, 0.1, stop)
     elif reference:
         lam = 0.9 * _REF_BOUNDS[solver](L, delta)
         if solver in ("gfrb_fixed", "frb"):
@@ -512,8 +519,7 @@ def test_seeds_at_x0_match_reference_loops(solver):
         J = instance.resolvent_a
         x0 = np.ones(instance.dim)
         if solver == "gfrb_adaptive":
-            x, trace = gfrb_adaptive(J, B, x0, x0, delta,
-                                     make_stepsize_state(delta, 0.1), stop)
+            x, trace = gfrb_adaptive(J, B, x0, x0, delta, 0.1, stop)
             ref = _ref_reflected(J, B, x0, x0, None, delta, stop,
                                  state=make_stepsize_state(delta, 0.1))
         else:
@@ -541,8 +547,8 @@ def test_probe_seed_is_a_short_step_against_B():
     B = ForwardOperator(recording, inst.forward_b.lipschitz_hint)
     x0 = np.ones(30)
     T = 9
-    gfrb_adaptive(inst.resolvent_a, B, x0, None, 0.1,
-                  make_stepsize_state(0.1, 0.1), StopRule(tol=0.0, max_iter=T))
+    gfrb_adaptive(inst.resolvent_a, B, x0, None, 0.1, 0.1,
+                  StopRule(tol=0.0, max_iter=T))
     assert len(points) == T + 1
     assert points[0].tobytes() == x0.tobytes()
     Bx0 = inst.forward_b(x0)
@@ -563,8 +569,7 @@ def test_probe_length_ignores_the_forward_value_layout():
         points.append(np.array(x))
         return np.repeat(2.0 * x + b, 3)[::3]
     x0 = np.zeros(20)
-    gfrb_adaptive(zero_resolvent(), strided, x0, None, 0.1,
-                  make_stepsize_state(0.1, 0.1),
+    gfrb_adaptive(zero_resolvent(), strided, x0, None, 0.1, 0.1,
                   StopRule(tol=0.0, max_iter=1))
     Bx0 = strided(x0)
     probe = x0 - (PROBE_STEP / np.linalg.norm(Bx0)) * Bx0
@@ -579,12 +584,11 @@ def test_probe_shrinks_a_large_first_step():
     B = ForwardOperator(lambda x: 2.0 * x + b)
     x0 = np.ones(8)
     stop = StopRule(tol=0.0, max_iter=1)
-    state = make_stepsize_state(0.1, 100.0)
-    _x, probed = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1, state,
+    _x, probed = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1, 100.0,
                                stop)
-    assert probed.lambdas[0] == pytest.approx(state.c1 / 2.0, rel=1e-6)
-    _x, plain = gfrb_adaptive(zero_resolvent(), B, x0, x0, 0.1,
-                              make_stepsize_state(0.1, 100.0), stop)
+    c1 = make_stepsize_state(0.1, 100.0).c1
+    assert probed.lambdas[0] == pytest.approx(c1 / 2.0, rel=1e-6)
+    _x, plain = gfrb_adaptive(zero_resolvent(), B, x0, x0, 0.1, 100.0, stop)
     assert plain.lambdas[0] == 150.0
 
 
@@ -594,8 +598,7 @@ def test_probe_guard_zero_forward_at_x0():
     # solves 0 in B(x) (A = 0), so the run stops after one pass.
     c = np.array([1.0, -2.0, 0.5])
     B, calls = counting_forward(lambda x: x - c, lipschitz_hint=1.0)
-    x, trace = gfrb_adaptive(zero_resolvent(), B, c, None, 0.1,
-                             make_stepsize_state(0.1, 0.1),
+    x, trace = gfrb_adaptive(zero_resolvent(), B, c, None, 0.1, 0.1,
                              StopRule(tol=1e-12, max_iter=50))
     assert trace.converged and len(trace) == 1
     assert trace.errs[0] == 0.0 and trace.lambdas[0] == 1.5 * 0.1
@@ -608,8 +611,7 @@ def test_probe_guard_probe_rounds_back_to_x0():
     # probe is x0 again: dx = dB = 0 and the step grows, as from x0.
     x0 = np.full(3, 1e12)
     B, calls = counting_forward(lambda x: x - (1e12 - 1.0))
-    _x, trace = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1,
-                              make_stepsize_state(0.1, 0.1),
+    _x, trace = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1, 0.1,
                               StopRule(tol=0.0, max_iter=1))
     assert trace.lambdas[0] == 1.5 * 0.1
     assert calls.count == 1
@@ -621,8 +623,7 @@ def test_probe_guard_constant_forward():
     # |c| < 1 has the solution x = 0.
     c = np.array([0.5, -0.25, 0.0, 0.75])
     B = ForwardOperator(lambda x: c, lipschitz_hint=0.0)
-    x, trace = gfrb_adaptive(l1_resolvent(), B, np.ones(4), None, 0.1,
-                             make_stepsize_state(0.1, 0.1),
+    x, trace = gfrb_adaptive(l1_resolvent(), B, np.ones(4), None, 0.1, 0.1,
                              StopRule(tol=1e-12, max_iter=500))
     assert trace.converged
     assert trace.lambdas[0] == 1.5 * 0.1

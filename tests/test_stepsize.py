@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from monosplit.stepsize import (GROWTH_RATIO, OperatorConsistencyError,
                                 StepSizeState, coefficient_bound,
-                                make_stepsize_state, next_step,
-                                validate_coefficients)
+                                make_stepsize_state, next_step)
 
 
 def fresh_state(lam=0.1, c1=0.2, c2=0.4, k=0):
@@ -74,7 +73,7 @@ def test_gamma_sequence_is_summable():
 
 def test_growth_stops_at_k_53():
     # 1 + 0.5**k rounds to 1 from k = 53 on, so a controller past that
-    # point holds its step: the frozen-step reductions rest on this.
+    # point holds its step.
     assert next_step(fresh_state(lam=0.2, k=51), 1.0, 0.0) > 0.2
     state = fresh_state(lam=0.2, k=52)
     for _ in range(20):
@@ -98,9 +97,12 @@ def test_make_stepsize_state_defaults():
 
 
 def test_make_stepsize_state_rejects_bad_box():
-    # The derived box is empty only when 2|delta| + 2 overflows.
-    with pytest.raises(ValueError, match="c1"):
-        make_stepsize_state(1e308, 0.1)
+    # The derived box is empty only when delta is not finite or
+    # 2|delta| + 2 overflows.
+    for delta in (1e308, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^need 0 < c1 < c2 < .* for "
+                                             "delta="):
+            make_stepsize_state(delta, 0.1)
     with pytest.raises(ValueError):
         make_stepsize_state(0.1, -0.5)
 
@@ -136,11 +138,6 @@ def test_make_stepsize_state_takes_no_box_or_growth(key, value):
     # GROWTH_RATIO**k; neither is a keyword.
     with pytest.raises(TypeError):
         make_stepsize_state(0.1, 0.1, **{key: value})
-
-
-def test_validate_coefficients_names_c1():
-    with pytest.raises(ValueError, match="c1"):
-        validate_coefficients(0.5, 0.4, 0.0)
 
 
 def test_lower_bound_on_affine_problem():
