@@ -262,15 +262,15 @@ def region_grid(b, L, norm_k, n=200):
 
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
-    Raises ValueError naming the argument unless n >= 1, b is finite,
-    and L and norm_k are finite and nonnegative.
+    Raises ValueError naming the argument unless n >= 1, 2*(1+|b|) is
+    finite, and L and norm_k are finite and nonnegative.
     """
     if not n >= 1:
         raise ValueError(f"region argument 'n' (--grid): must be at least 1, "
                          f"got {n!r}")
-    if not math.isfinite(b):
-        raise ValueError(f"region argument 'b' (--b): must be finite, "
-                         f"got {b!r}")
+    if not finite_reflection(b):
+        raise ValueError(f"region argument 'b' (--b): must keep 2*(1+|b|) "
+                         f"finite, got {b!r}")
     for name, flag, value in (("L", "--L", L), ("norm_k", "--normK", norm_k)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"region argument '{name}' ({flag}): must be "

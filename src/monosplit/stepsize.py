@@ -3,14 +3,21 @@
 The controller never needs the Lipschitz constant.  Each update sees the
 displacement dx = ||x_{k-1} - x_k|| and the operator displacement
 dB = ||B x_{k-1} - B x_k|| and either shrinks the step to the safe ratio
-c1 * dx / dB or grows it by the summable factor 1 + GROWTH_RATIO**k.  The
-shrink branch fires only on the strict test lambda_{k-1} * dB > c2 * dx,
-so a tie, and in particular dB = 0, takes the growth branch.
+c1 * dx / dB or grows it by the factor 1 + gamma_k.  The shrink branch
+fires only on the strict test lambda_{k-1} * dB > c2 * dx, so a tie, and
+in particular dB = 0, takes the growth branch.
 
 Only delta and lambda_0 are settings; gfrb_adaptive builds its own
 controller from them.  The box c2 = 0.99 * coefficient_bound(delta),
-c1 = 0.9 * c2 derives from delta, and gamma_k = GROWTH_RATIO**k is
-constant: from k = 53 on, 1 + 0.5**k rounds to 1 and the step stays.
+c1 = 0.9 * c2 derives from delta, and the growth is harmonic up to a
+fixed horizon: gamma_k = 1/k for k <= GROWTH_HORIZON and 0 after it.
+The sum of gamma_k is finite, as the convergence proof needs, and the
+growth factors telescope, prod_{k <= K} (1 + 1/k) = K + 1, so a run can
+grow its step at most GROWTH_HORIZON + 1 fold in all, and a lambda0 up to
+GROWTH_HORIZON times too small recovers.  Unlike a geometric gamma_k,
+whose budget is spent on the first few updates, the harmonic one keeps
+growing the step toward the local estimate c1 * dx / dB for the whole
+horizon.  After it the step can only shrink.
 """
 
 import math
@@ -19,8 +26,8 @@ from dataclasses import dataclass
 
 # Margin that keeps c2 strictly below the open edge 1 / (2|delta| + 2).
 EPSILON = 1e-4
-# Ratio of the geometric growth sequence gamma_k = GROWTH_RATIO**k.
-GROWTH_RATIO = 0.5
+# Last update that may grow the step, by 1 + 1/k; later ones only hold it.
+GROWTH_HORIZON = 1000
 
 
 class OperatorConsistencyError(ValueError):
@@ -78,8 +85,10 @@ def next_step(state, dx, dB):
     # Cross-multiplied strict test; ties fall to the growth branch.
     if state.lambda_curr * dB > state.c2 * dx:
         lam = state.c1 * dx / dB
+    elif k <= GROWTH_HORIZON:
+        lam = (1.0 + 1.0 / k) * state.lambda_curr
     else:
-        lam = (1.0 + GROWTH_RATIO ** k) * state.lambda_curr
+        lam = state.lambda_curr
     state.lambda_curr = lam
     state.k = k
     return lam

@@ -193,12 +193,15 @@ def test_criterion_04_designed_rates_track_target():
            f"deviation {worst_track:.2e} <= 1e-10")
 
 
-def test_criterion_05_adaptive_step_floor_and_tail_monotonicity():
-    # Block-diagonal scaled rotations with spread-out magnitudes; the
-    # smallest block converges slowly enough that all 10 000 displacements
-    # stay far above rounding noise, so the measured local ratios are
-    # trustworthy for the whole run.
-    gen = np.random.default_rng(0)
+def _adaptive_step_run(seed):
+    """Steps of 10 000 adaptive iterations on criterion 5's problem.
+
+    Block-diagonal scaled rotations with spread-out magnitudes; the
+    smallest block converges slowly enough that all 10 000 displacements
+    stay far above rounding noise, so the measured local ratios are
+    trustworthy for the whole run.  Returns (steps, floor, shrinks, ok).
+    """
+    gen = np.random.default_rng(seed)
     nblk = 15
     dim = 2 * nblk
     alphas = np.exp(gen.uniform(np.log(1e-3), np.log(2.0), nblk))
@@ -224,11 +227,24 @@ def test_criterion_05_adaptive_step_floor_and_tail_monotonicity():
           and bool(np.all(lams >= floor - 1e-12))
           and bool(np.all(np.diff(tail) >= -1e-15))
           and shrinks >= 1)
+    return lams, floor, shrinks, ok
+
+
+def test_criterion_05_adaptive_step_floor_and_tail_monotonicity():
+    lams, floor, shrinks, ok = _adaptive_step_run(0)
     report(5, ok,
            f"10000 adaptive iterations: min step {lams.min():.6f} >= "
            f"floor min(c1/L, lambda0) = {floor:.6f} - 1e-12, "
            f"{shrinks} shrink events fired, step nondecreasing over the "
            f"final 5000 iterations")
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_adaptive_step_floor_and_tail_monotonicity_beyond_seed_zero(seed):
+    # Criterion 5's floor and tail test on seeds 1-7 of its generator:
+    # the growth law that lets the step keep learning must still settle.
+    lams, floor, shrinks, ok = _adaptive_step_run(seed)
+    assert ok, (seed, float(lams.min()), floor, shrinks)
 
 
 def test_criterion_06_shrinkage_benchmark_reaches_oracle():
@@ -255,7 +271,7 @@ def test_criterion_06_shrinkage_benchmark_reaches_oracle():
 def test_criterion_07_reduction_equivalences(monkeypatch):
     worst_frb, worst_fixed = 0.0, 0.0
     stop = StopRule(tol=0.0, max_iter=100)
-    monkeypatch.setattr(stepsize, "GROWTH_RATIO", 0.0)
+    monkeypatch.setattr(stepsize, "GROWTH_HORIZON", 0)
     for seed in range(10):
         gen = np.random.default_rng(1000 + seed)
         forward, _M, _b = random_monotone_affine(gen, 12)
@@ -274,8 +290,8 @@ def test_criterion_07_reduction_equivalences(monkeypatch):
 
         delta = 0.1
         lam0 = 0.9 * 0.99 * coefficient_bound(delta) / L
-        # lam0 * L < c2 never shrinks, and the zero growth ratio makes
-        # every growth factor 1 + 0.0**k exactly 1: the step is frozen.
+        # lam0 * L < c2 never shrinks, and a zero growth horizon makes
+        # every growth-branch update hold the step: it is frozen.
         rec_c = RecordingResolvent(inner)
         gfrb_adaptive(rec_c, forward, x0, x_minus1, delta, lam0, stop)
         rec_d = RecordingResolvent(inner)

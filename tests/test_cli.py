@@ -89,6 +89,9 @@ def test_region_csv_and_idempotency(tmp_path):
     (["--grid", "0"], "'n' (--grid)"),
     (["--L", "-1"], "'L' (--L)"),
     (["--b", "nan"], "'b' (--b)"),
+    # Finite, but 2*(1+|b|) overflows: the slack would be -inf.
+    (["--b", "1e308"], "'b' (--b)"),
+    (["--b=-1e308"], "'b' (--b)"),
 ])
 def test_region_rejects_bad_argument(tmp_path, capsys, flags, name):
     out = tmp_path / "never"
@@ -537,9 +540,9 @@ def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("name, iters", [
-    ("example1", [47, 47, 45, 146, 51]),
-    ("example2", [54, 78, 72, 50, 84]),
-    ("lasso", [1749, 2873, 2634, 1400, 3127]),
+    ("example1", [45, 47, 45, 146, 51]),
+    ("example2", [53, 78, 72, 50, 84]),
+    ("lasso", [791, 2873, 2634, 1400, 3127]),
 ])
 def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
                                                 iters):

@@ -187,9 +187,9 @@ def test_config_with_lambda_minus1_is_rejected(name):
 
 
 @pytest.mark.parametrize("name, iters", [
-    ("example1", [47, 44, 48, 50, 53]),
-    ("example2", [54, 52, 48, 53, 57]),
-    ("lasso", [2312, 2172, 1749, 1718, 1780]),
+    ("example1", [45, 44, 47, 50, 53]),
+    ("example2", [53, 48, 45, 44, 45]),
+    ("lasso", [969, 856, 791, 711, 594]),
 ])
 def test_shipped_configs_sweep_delta(name, iters):
     # The c-box derives from delta, so each shipped config loads at any
@@ -208,8 +208,10 @@ def test_shipped_configs_sweep_delta(name, iters):
 
 def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
     # The shipped lasso delta = -0.1 against the old 0.1 on seeds 1-6:
-    # gfrb_adaptive's step settles larger on lasso's symmetric spectrum,
-    # so it takes at least 20 % fewer iterations on every seed.
+    # the cubic's stable edge is larger on lasso's symmetric spectrum, so
+    # gfrb_adaptive takes at least 15 % fewer iterations on every seed
+    # (16.5-23.4 % measured).  Since the step keeps growing toward its
+    # local estimate, the edge is no longer the whole effect.
     base = json.loads((CONFIGS / "lasso.json").read_text())
     counts = {}
     for delta in (0.1, -0.1):
@@ -220,10 +222,16 @@ def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
             (result,) = run_benchmark(cfg)
             assert result.converged
             counts[delta].append(result.iterations)
-    assert counts[0.1] == [2568, 2074, 3261, 2349, 2068, 2114]
-    assert counts[-0.1] == [1974, 1613, 2490, 1809, 1531, 1653]
+    assert counts[0.1] == [1159, 943, 1476, 1030, 904, 884]
+    assert counts[-0.1] == [947, 773, 1130, 821, 718, 738]
     for old, new in zip(counts[0.1], counts[-0.1]):
-        assert new <= 0.8 * old
+        assert new <= 0.85 * old
+    # Against the geometric growth 1 + 0.5**k, which froze the step after
+    # its first shrinks, delta = -0.1 takes at most 56 % of the iterations
+    # (44.6-48.0 % measured).
+    frozen = [1974, 1613, 2490, 1809, 1531, 1653]
+    for old, new in zip(frozen, counts[-0.1]):
+        assert new <= 0.56 * old
 
 
 def test_validate_config_boxes():
@@ -350,7 +358,7 @@ def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
         assert np.all(points[0] == 0.0)
 
 
-@pytest.mark.parametrize("name, iters", [("example1", 47), ("example2", 54)])
+@pytest.mark.parametrize("name, iters", [("example1", 45), ("example2", 53)])
 def test_probe_start_needs_no_lambda0_guess(name, iters):
     # From its probe seed gfrb_adaptive shrinks a too-large lambda0 on the
     # first update, so the shipped configs take the same count from any
@@ -362,6 +370,33 @@ def test_probe_start_needs_no_lambda0_guess(name, iters):
                          replace(cfg, lambda0=lam0))
         assert res.converged and res.iterations == iters, lam0
         assert np.linalg.norm(res.x - inst.x_star) <= 1e-5, lam0
+
+
+@pytest.mark.parametrize("name, iters", [
+    ("lasso", [1904, 823, 775]),
+    ("example1", [362, 123, 53]),
+    ("example2", [119, 53, 54])])
+def test_small_lambda0_recovers_without_a_lipschitz_guess(name, iters):
+    # The harmonic growth can raise the step up to GROWTH_HORIZON + 1
+    # fold, so a lambda0 far below the local estimate recovers.  Under the
+    # geometric 1 + 0.5**k, lasso converged from none of these, example1
+    # only from 1e-2 and example2 only from 1e-3 and 1e-2; example2 from
+    # 1e-4 and example1 from 1e-3 stopped far from x*.  The natural
+    # residual ||x - J(x - B(x)/L, 1/L)|| * L is the benchmark's oracle.
+    cfg = load_config(CONFIGS / f"{name}.json")
+    inst = generate(cfg)
+    B, J = inst.forward_b, inst.resolvent_a
+    counts = []
+    for lam0 in (1e-4, 1e-3, 1e-2):
+        res = run_solver(inst, "gfrb_adaptive", replace(cfg, lambda0=lam0))
+        assert res.converged, lam0
+        L = B.lipschitz_hint
+        residual = np.linalg.norm(res.x - J(res.x - B(res.x) / L, 1.0 / L))
+        assert residual * L <= 1e-3, lam0
+        if inst.x_star is not None:
+            assert np.linalg.norm(res.x - inst.x_star) <= 1e-4, lam0
+        counts.append(res.iterations)
+    assert counts == iters
 
 
 @pytest.mark.parametrize("cfg", [

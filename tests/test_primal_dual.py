@@ -12,7 +12,8 @@ from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
 from monosplit.primal_dual import (CompositeProblem, EPDTRConfig,
                                    PrimalDualState, check_stepsizes,
                                    default_stepsizes, epdtr_solve, epdtr_step,
-                                   region_grid, resolvent_of_inverse)
+                                   finite_reflection, region_grid,
+                                   resolvent_of_inverse)
 from monosplit.splitting import StepSizeWarning, StopRule
 
 
@@ -359,6 +360,17 @@ def test_region_grid_matches_formula_and_monotonicity():
     assert slack[i, j] == pytest.approx(expected)
     _, _, slack_big = region_grid(2.0, 1.0, 1.0, n=40)
     assert np.all(slack_big <= slack + 1e-15)
+
+
+@pytest.mark.parametrize("b", [1e308, -1e308, float("inf"), float("nan")])
+def test_region_grid_rejects_a_reflection_that_overflows(b):
+    # The same rule as epdtr_solve and the config check: 2*(1+|b|) must be
+    # finite, else every slack would be -inf.
+    assert not finite_reflection(b)
+    with pytest.raises(ValueError, match=r"^region argument 'b' \(--b\): "
+                                         r"must keep 2\*\(1\+\|b\|\) "
+                                         "finite"):
+        region_grid(b, 1.0, 1.0, n=3)
 
 
 def test_gfrb_in_metric_shapes():

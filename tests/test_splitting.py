@@ -12,7 +12,7 @@ from monosplit.splitting import (PROBE_STEP, DivergenceError,
                                  IterationTrace, StepSizeWarning, StopRule,
                                  _norm, fb, fbf, frb, gfrb_adaptive,
                                  gfrb_fixed, rfb)
-from monosplit.stepsize import GROWTH_RATIO, make_stepsize_state
+from monosplit.stepsize import GROWTH_HORIZON, make_stepsize_state
 
 from conftest import RecordingResolvent, counting_forward, \
     random_monotone_affine
@@ -117,9 +117,9 @@ def test_gfrb_adaptive_with_frozen_step_is_gfrb_fixed_bitwise(monkeypatch):
     A = zero_resolvent()
     delta = 0.3
     # lambda0 * L < c2 keeps the shrink branch silent forever, and a zero
-    # growth ratio makes every growth factor 1 + 0.0**k exactly 1, so
+    # growth horizon makes every growth-branch update hold the step, so
     # the run must equal the fixed-step one.
-    monkeypatch.setattr(stepsize, "GROWTH_RATIO", 0.0)
+    monkeypatch.setattr(stepsize, "GROWTH_HORIZON", 0)
     lam0 = 0.9 * make_stepsize_state(delta, 1.0).c2 / L
     x0 = gen.standard_normal(10)
     xm1 = gen.standard_normal(10)
@@ -355,8 +355,8 @@ def test_adaptive_first_step_grows_from_equal_seeds():
     x0 = np.ones(4)
     _, trace = gfrb_adaptive(zero_resolvent(), shifted_identity(np.ones(4)),
                              x0, x0, 0.1, 0.1, StopRule(max_iter=3))
-    # Equal seeds give dx = dB = 0, so the first step grows by 1 + 0.5.
-    assert trace.lambdas[0] == pytest.approx(0.15)
+    # Equal seeds give dx = dB = 0, so the first step grows by 1 + 1/1.
+    assert trace.lambdas[0] == pytest.approx(0.2)
 
 
 def test_max_iter_respected_and_converged_flag():
@@ -406,8 +406,10 @@ def _ref_reflected(J, B, x, x_m1, x_m2, delta, stop, lam=None, state=None):
             dB = float(np.linalg.norm(B_p - Bx))
             if lam_p * dB > c2 * dx:
                 lam_k = c1 * dx / dB
+            elif k <= GROWTH_HORIZON:
+                lam_k = (1.0 + 1.0 / k) * lam_p
             else:
-                lam_k = (1.0 + GROWTH_RATIO ** k) * lam_p
+                lam_k = lam_p
         x_new = J(x - lam_k * Bx - lam_p * (1.0 + delta) * (Bx - B_p)
                   + lam_pp * delta * (B_p - B_pp), lam_k)
         dx = float(np.linalg.norm(x_new - x))
@@ -535,6 +537,21 @@ def test_seeds_at_x0_match_reference_loops(solver):
         assert x.tobytes() == rx.tobytes(), instance.name
 
 
+def test_adaptive_matches_reference_loop_across_the_growth_horizon():
+    # tol = 0 runs past the last growth update at k = GROWTH_HORIZON; the
+    # package and the plain loop must still agree bit for bit there.
+    instance = gen_lasso(32, 64, 4, seed=5)
+    B, J = instance.forward_b, _ref_resolvent(instance)
+    x0, x_m1 = np.ones(instance.dim), np.full(instance.dim, 0.5)
+    stop = StopRule(tol=0.0, max_iter=GROWTH_HORIZON + 200)
+    x, trace = gfrb_adaptive(J, B, x0, x_m1, 0.1, 0.1, stop)
+    rx, rerrs, rlams = _ref_reflected(J, B, x0, x_m1, None, 0.1, stop,
+                                      state=make_stepsize_state(0.1, 0.1))
+    assert len(trace) == GROWTH_HORIZON + 200
+    assert trace.errs == rerrs and trace.lambdas == rlams
+    assert x.tobytes() == rx.tobytes()
+
+
 def test_probe_seed_is_a_short_step_against_B():
     # x_minus1=None: B is evaluated at x0, then at the probe point
     # x0 - PROBE_STEP * B(x0) / ||B(x0)||, then once per later pass.
@@ -579,7 +596,7 @@ def test_probe_length_ignores_the_forward_value_layout():
 def test_probe_shrinks_a_large_first_step():
     # From the probe the first update sees dB/dx = 2 on B = 2x + b and
     # takes the shrink branch c1 * dx / dB; from x_{-1} = x0 it runs
-    # (1 + gamma_1) * lambda0 as given.
+    # (1 + gamma_1) * lambda0 = 2 * lambda0 as given.
     b = np.random.default_rng(3).standard_normal(8)
     B = ForwardOperator(lambda x: 2.0 * x + b)
     x0 = np.ones(8)
@@ -589,7 +606,7 @@ def test_probe_shrinks_a_large_first_step():
     c1 = make_stepsize_state(0.1, 100.0).c1
     assert probed.lambdas[0] == pytest.approx(c1 / 2.0, rel=1e-6)
     _x, plain = gfrb_adaptive(zero_resolvent(), B, x0, x0, 0.1, 100.0, stop)
-    assert plain.lambdas[0] == 150.0
+    assert plain.lambdas[0] == 200.0
 
 
 def test_probe_guard_zero_forward_at_x0():
@@ -601,7 +618,7 @@ def test_probe_guard_zero_forward_at_x0():
     x, trace = gfrb_adaptive(zero_resolvent(), B, c, None, 0.1, 0.1,
                              StopRule(tol=1e-12, max_iter=50))
     assert trace.converged and len(trace) == 1
-    assert trace.errs[0] == 0.0 and trace.lambdas[0] == 1.5 * 0.1
+    assert trace.errs[0] == 0.0 and trace.lambdas[0] == 2.0 * 0.1
     assert calls.count == 1
     np.testing.assert_array_equal(x, c)
 
@@ -613,7 +630,7 @@ def test_probe_guard_probe_rounds_back_to_x0():
     B, calls = counting_forward(lambda x: x - (1e12 - 1.0))
     _x, trace = gfrb_adaptive(zero_resolvent(), B, x0, None, 0.1, 0.1,
                               StopRule(tol=0.0, max_iter=1))
-    assert trace.lambdas[0] == 1.5 * 0.1
+    assert trace.lambdas[0] == 2.0 * 0.1
     assert calls.count == 1
 
 
@@ -626,5 +643,5 @@ def test_probe_guard_constant_forward():
     x, trace = gfrb_adaptive(l1_resolvent(), B, np.ones(4), None, 0.1, 0.1,
                              StopRule(tol=1e-12, max_iter=500))
     assert trace.converged
-    assert trace.lambdas[0] == 1.5 * 0.1
+    assert trace.lambdas[0] == 2.0 * 0.1
     np.testing.assert_array_equal(x, np.zeros(4))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monosplit.stepsize import (GROWTH_RATIO, OperatorConsistencyError,
+from monosplit.stepsize import (GROWTH_HORIZON, OperatorConsistencyError,
                                 StepSizeState, coefficient_bound,
                                 make_stepsize_state, next_step)
 
@@ -13,10 +13,13 @@ def fresh_state(lam=0.1, c1=0.2, c2=0.4, k=0):
 
 
 def test_growth_branch_matches_worked_example():
-    # dB = 0 takes the growth branch: 0.1 -> (1 + 0.5) * 0.1 = 0.15.
+    # dB = 0 takes the growth branch: 0.1 -> (1 + 1/1) * 0.1 = 0.2, then
+    # (1 + 1/2) * 0.2 = 0.3 and (1 + 1/3) * 0.3 = 0.4.
     state = fresh_state(lam=0.1)
-    assert next_step(state, dx=1.0, dB=0.0) == pytest.approx(0.15)
+    assert next_step(state, dx=1.0, dB=0.0) == pytest.approx(0.2)
     assert state.k == 1
+    assert next_step(state, dx=1.0, dB=0.0) == pytest.approx(0.3)
+    assert next_step(state, dx=1.0, dB=0.0) == pytest.approx(0.4)
 
 
 def test_shrink_branch_returns_exact_ratio():
@@ -30,13 +33,13 @@ def test_shrink_branch_returns_exact_ratio():
 def test_tie_takes_growth_branch():
     state = fresh_state(lam=0.5, c1=0.2, c2=0.25)
     # lambda * dB == c2 * dx exactly: 0.5 * 0.5 == 0.25.  Growth gives
-    # (1 + 0.5) * 0.5; the shrink branch would give 0.2 * 1 / 0.5 = 0.4.
+    # (1 + 1/1) * 0.5; the shrink branch would give 0.2 * 1 / 0.5 = 0.4.
     lam = next_step(state, dx=1.0, dB=0.5)
-    assert lam == 0.75
+    assert lam == 1.0
 
 
 @given(st.floats(0.01, 10), st.floats(0.0, 10), st.floats(0.0, 10),
-       st.integers(0, 5))
+       st.integers(0, GROWTH_HORIZON + 5))
 def test_branch_law(lam, dx, dB, k0):
     if dx == 0.0 and dB > 0.0:
         return
@@ -44,8 +47,10 @@ def test_branch_law(lam, dx, dB, k0):
     out = next_step(state, dx, dB)
     if lam * dB > 0.4 * dx:
         assert out == 0.2 * dx / dB
+    elif k0 + 1 <= GROWTH_HORIZON:
+        assert out == (1.0 + 1.0 / (k0 + 1)) * lam
     else:
-        assert out == (1.0 + GROWTH_RATIO ** (k0 + 1)) * lam
+        assert out == lam
     assert state.k == k0 + 1
 
 
@@ -56,7 +61,7 @@ def test_inconsistent_displacements_raise():
 
 def test_zero_zero_takes_growth():
     state = fresh_state(lam=0.2)
-    assert next_step(state, 0.0, 0.0) == (1.0 + GROWTH_RATIO) * 0.2
+    assert next_step(state, 0.0, 0.0) == 2.0 * 0.2
 
 
 @pytest.mark.parametrize("dx,dB", [(-1.0, 0.0), (0.0, -1.0),
@@ -67,17 +72,36 @@ def test_bad_displacements_raise(dx, dB):
 
 
 def test_gamma_sequence_is_summable():
-    assert 0.0 < GROWTH_RATIO < 1.0
-    assert sum(GROWTH_RATIO ** k for k in range(1, 10000)) < 3.0
+    # gamma_k = 1/k up to the horizon and 0 after it: the sum is the
+    # harmonic number H_1000 < 7.49, finite as the proof needs.
+    assert GROWTH_HORIZON == 1000
+    assert sum(1.0 / k for k in range(1, GROWTH_HORIZON + 1)) < 7.49
 
 
-def test_growth_stops_at_k_53():
-    # 1 + 0.5**k rounds to 1 from k = 53 on, so a controller past that
-    # point holds its step.
-    assert next_step(fresh_state(lam=0.2, k=51), 1.0, 0.0) > 0.2
-    state = fresh_state(lam=0.2, k=52)
+def test_growth_product_telescopes_to_horizon_plus_one():
+    # prod_{k <= K} (1 + 1/k) = K + 1: a growth-only run multiplies its
+    # step by GROWTH_HORIZON + 1 in all, to rounding.
+    state = fresh_state(lam=1.0)
+    for _ in range(GROWTH_HORIZON + 50):
+        next_step(state, 1.0, 0.0)
+    assert state.lambda_curr == pytest.approx(GROWTH_HORIZON + 1.0,
+                                              rel=1e-12)
+
+
+def test_growth_stops_after_the_horizon():
+    # The last growth is at k = GROWTH_HORIZON; from there the step never
+    # grows: a growth-branch update holds it bit for bit, and after a
+    # shrink it holds the shrunk value.
+    state = fresh_state(lam=0.2, k=GROWTH_HORIZON - 1)
+    assert next_step(state, 1.0, 0.0) == (1.0 + 1.0 / GROWTH_HORIZON) * 0.2
+    held = state.lambda_curr
     for _ in range(20):
-        assert next_step(state, 1.0, 0.0) == 0.2
+        assert next_step(state, 1.0, 0.0) == held
+    shrunk = next_step(state, 1.0, 10.0)
+    assert shrunk == state.c1 * 1.0 / 10.0 < held
+    for _ in range(20):
+        assert next_step(state, 1.0, 0.0) == shrunk
+    assert state.k == GROWTH_HORIZON + 41
 
 
 def test_make_stepsize_state_defaults():
@@ -135,7 +159,7 @@ def test_make_stepsize_state_takes_no_epsilon():
     ("c1", 0.4), ("c2", 0.45), ("gamma_spec", None)])
 def test_make_stepsize_state_takes_no_box_or_growth(key, value):
     # The box derives from delta and the growth sequence is the constant
-    # GROWTH_RATIO**k; neither is a keyword.
+    # harmonic law up to GROWTH_HORIZON; neither is a keyword.
     with pytest.raises(TypeError):
         make_stepsize_state(0.1, 0.1, **{key: value})
 
