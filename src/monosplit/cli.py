@@ -69,6 +69,9 @@ def _cmd_solve(args):
     cfg = _config(args)
     out = _out_dir(args, "solve")
     cfg.solvers = cfg.solvers[:1]
+    if isinstance(cfg.delta, dict):
+        # A per-solver delta keeps only the entry of the solver that runs.
+        cfg.delta = {s: d for s, d in cfg.delta.items() if s in cfg.solvers}
     (result,) = run_benchmark(cfg, out_dir=out)
     status = "diverged" if result.diverged else \
         "converged" if result.converged else "stopped"

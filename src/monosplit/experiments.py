@@ -38,6 +38,8 @@ _FIXED_STEP_RUNS = {
 }
 # epdtr solves the composite problem and no other; the rest never solve it.
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
+# The solvers that read delta, the keys a per-solver delta object takes.
+_DELTA_READERS = ("gfrb_adaptive", "gfrb_fixed")
 PROBLEMS = ("example1", "example2", "lasso", "composite")
 # Config fields only epdtr reads, and those only the splitting solvers read.
 _EPDTR_FIELDS = ("b_reflect",)
@@ -190,7 +192,12 @@ def snr(x_star, x):
 
 @dataclass
 class ExperimentConfig:
-    """Flat, JSON-mappable description of one benchmark run."""
+    """Flat, JSON-mappable description of one benchmark run.
+
+    ``delta`` is one number for both solvers that read it, gfrb_adaptive
+    and gfrb_fixed, or an object keyed by solver name that gives each of
+    them that is listed in ``solvers`` its own.
+    """
 
     problem: str = "example1"
     solvers: tuple = ("gfrb_adaptive", "gfrb_fixed", "frb", "fbf", "rfb")
@@ -198,7 +205,7 @@ class ExperimentConfig:
     n: int = 1024
     k: int = 20
     seed: int = 0
-    delta: float = 0.1
+    delta: float | dict = 0.1
     lam: float = None
     lambda0: float = 0.1
     tol: float = 1e-6
@@ -214,6 +221,7 @@ def _accepted_types(f):
     # Numeric fields take numpy scalars too (_check rejects bool), tuple
     # fields take lists, and a None default admits None.
     types = {int: (numbers.Integral,), float: (numbers.Real,),
+             float | dict: (numbers.Real, dict),
              tuple: (list, tuple)}.get(f.type, (f.type,))
     return types + (type(None),) if f.default is None else types
 
@@ -248,11 +256,39 @@ def config_from_dict(d):
     return cfg
 
 
+def _named_deltas(cfg):
+    """{field name: value} of cfg's deltas: {'delta': cfg.delta}, or one
+    'delta.<solver>' per entry of a per-solver object, which must name
+    exactly the listed solvers that read delta, each with a number."""
+    if not isinstance(cfg.delta, dict):
+        return {"delta": cfg.delta}
+    named = {}
+    for solver, value in cfg.delta.items():
+        name = f"delta.{solver}"
+        if solver not in _DELTA_READERS:
+            raise ValueError(f"config field '{name}': {solver!r} does not "
+                             f"read delta; only {_DELTA_READERS} do")
+        if solver not in cfg.solvers:
+            raise ValueError(f"config field '{name}': {solver!r} is not "
+                             "listed in 'solvers'")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"config field '{name}': bad type "
+                             f"{type(value).__name__}")
+        named[name] = value
+    for solver in cfg.solvers:
+        if solver in _DELTA_READERS and solver not in cfg.delta:
+            raise ValueError(f"config field 'delta.{solver}': missing; each "
+                             "listed solver that reads delta needs an entry")
+    return named
+
+
 def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
     ValueError naming the first field of cfg with a bad type or value,
     a delta whose derived adaptive box 0 < c1 < c2 <
-    coefficient_bound(delta) is empty included."""
+    coefficient_bound(delta) is empty included.  Each entry of a
+    per-solver delta is checked as a scalar delta is, named
+    'delta.<solver>'."""
     for key, expected in _CONFIG_TYPES.items():
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, expected):
@@ -286,8 +322,10 @@ def _check(cfg):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"config field '{key}': must be positive and "
                              "finite")
-    if not math.isfinite(cfg.delta):
-        raise ValueError("config field 'delta': must be finite")
+    deltas = _named_deltas(cfg)
+    for name, delta in deltas.items():
+        if not math.isfinite(delta):
+            raise ValueError(f"config field '{name}': must be finite")
     if not finite_reflection(cfg.b_reflect):
         raise ValueError("config field 'b_reflect': 2*(1+|b_reflect|) "
                          "must be finite")
@@ -296,10 +334,11 @@ def _check(cfg):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"config field '{key}': must be nonnegative and "
                              "finite")
-    try:
-        make_stepsize_state(cfg.delta, cfg.lambda0)
-    except ValueError as exc:
-        raise ValueError(f"config field 'delta': {exc}") from exc
+    for name, delta in deltas.items():
+        try:
+            make_stepsize_state(delta, cfg.lambda0)
+        except ValueError as exc:
+            raise ValueError(f"config field '{name}': {exc}") from exc
 
 
 def load_config(path, **overrides):
@@ -368,6 +407,15 @@ class RunResult:
     trace: object
     known_answer: str = None
     diverged: bool = False
+    # The delta the solver ran at; None for a solver that reads none.
+    delta: float = None
+
+
+def _solver_delta(cfg, solver):
+    """The delta ``solver`` runs at under cfg, None if it reads none."""
+    if solver not in _DELTA_READERS:
+        return None
+    return cfg.delta[solver] if isinstance(cfg.delta, dict) else cfg.delta
 
 
 def _run_result(instance, solver, cfg, x, trace, **extra):
@@ -377,16 +425,17 @@ def _run_result(instance, solver, cfg, x, trace, **extra):
                      n=instance.dim, seed=cfg.seed, iterations=iterations,
                      final_err=trace.errs[-1] if iterations else 0.0,
                      elapsed_s=trace.elapsed[-1] if iterations else 0.0,
-                     converged=trace.converged, x=x, trace=trace, **extra)
+                     converged=trace.converged, x=x, trace=trace,
+                     delta=_solver_delta(cfg, solver), **extra)
 
 
 def run_solver(instance, solver, cfg):
     """Run one solver from the configured seeds and wrap the outcome.
 
     A null cfg.lam is filled by the fixed-step solver that runs it;
-    epdtr_solve derives its step pair at b_reflect.
-    gfrb_adaptive runs from cfg.delta and cfg.lambda0, from x0 and its
-    probe seed (x_minus1=None).
+    epdtr_solve derives its step pair at b_reflect.  gfrb_adaptive and
+    gfrb_fixed run at their ``_solver_delta``; gfrb_adaptive starts from
+    cfg.lambda0, x0 and its probe seed (x_minus1=None).
     The configured x0 (ones or zeros) is a point of the problem's own
     coordinates, mapped in as basis^T @ x0 when the instance has a
     basis; RunResult.x is in the instance's coordinates, as x_star is.
@@ -399,28 +448,29 @@ def run_solver(instance, solver, cfg):
     if instance.basis is not None:
         x0 = instance.basis.T @ x0
     A, B = instance.resolvent_a, instance.forward_b
+    delta = _solver_delta(cfg, solver)
     if solver == "gfrb_adaptive":
-        x, trace = gfrb_adaptive(A, B, x0, None, cfg.delta, cfg.lambda0,
-                                 stop)
+        x, trace = gfrb_adaptive(A, B, x0, None, delta, cfg.lambda0, stop)
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)
         x, _y, trace = epdtr_solve(problem, EPDTRConfig(b=cfg.b_reflect),
                                    stop)
     else:
-        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, cfg.delta,
-                                            stop)
+        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, delta, stop)
     return _run_result(instance, solver, cfg, x, trace)
 
 
 def summary_header():
-    return "problem,solver,m,n,seed,iters,final_err,elapsed_s"
+    return "problem,solver,m,n,seed,iters,final_err,elapsed_s,delta"
 
 
 def summary_row(result):
+    # delta is last and empty for a solver that reads none.
+    delta = "" if result.delta is None else f"{result.delta:.17g}"
     return (f"{result.problem},{result.solver},{result.m},{result.n},"
             f"{result.seed},{result.iterations},{result.final_err:.17g},"
-            f"{result.elapsed_s:.17g}")
+            f"{result.elapsed_s:.17g},{delta}")
 
 
 def known_answer(instance, result):

@@ -263,7 +263,9 @@ def region_grid(b, L, norm_k, n=200):
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
     Raises ValueError naming the argument unless n >= 1, 2*(1+|b|) is
-    finite, and L and norm_k are finite and nonnegative.
+    finite, L and norm_k are finite and nonnegative, and the slack's
+    coefficients 2*(1+|b|)*L and norm_k*norm_k, and their sum, are
+    finite too.
     """
     if not n >= 1:
         raise ValueError(f"region argument 'n' (--grid): must be at least 1, "
@@ -275,6 +277,18 @@ def region_grid(b, L, norm_k, n=200):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"region argument '{name}' ({flag}): must be "
                              f"nonnegative and finite, got {value!r}")
+    # Past these the slack would be -inf, or norm_k ** 2 would raise.
+    forward_term, coupling_term = 2.0 * (1.0 + abs(b)) * L, norm_k * norm_k
+    if not math.isfinite(forward_term):
+        raise ValueError(f"region argument 'L' (--L): must keep "
+                         f"2*(1+|b|)*L finite, got {L!r}")
+    if not math.isfinite(coupling_term):
+        raise ValueError(f"region argument 'norm_k' (--normK): must keep "
+                         f"norm_k*norm_k finite, got {norm_k!r}")
+    if not math.isfinite(forward_term + coupling_term):
+        raise ValueError(f"region arguments 'L' (--L) and 'norm_k' "
+                         f"(--normK): must keep 2*(1+|b|)*L + norm_k*norm_k "
+                         f"finite, got {L!r} and {norm_k!r}")
     steps = np.linspace(0.0, 1.0, n + 1)[1:]
     slack = _slack(steps[:, None], steps[None, :], b, L, norm_k)
     return steps, steps.copy(), slack

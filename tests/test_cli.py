@@ -92,6 +92,13 @@ def test_region_csv_and_idempotency(tmp_path):
     # Finite, but 2*(1+|b|) overflows: the slack would be -inf.
     (["--b", "1e308"], "'b' (--b)"),
     (["--b=-1e308"], "'b' (--b)"),
+    # Finite, but norm_k ** 2 overflows and raised OverflowError.
+    (["--L", "1", "--b", "0", "--normK", "1e200"], "'norm_k' (--normK)"),
+    # Finite, but 2*(1+|b|)*L overflows: the slack would be -inf.
+    (["--L", "1e308"], "'L' (--L)"),
+    (["--L", "1e307", "--b", "100"], "'L' (--L)"),
+    # Each coefficient is finite, but their sum is not.
+    (["--L", "8e307", "--normK", "1e154"], "'L' (--L) and 'norm_k' (--normK)"),
 ])
 def test_region_rejects_bad_argument(tmp_path, capsys, flags, name):
     out = tmp_path / "never"
@@ -157,8 +164,10 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert "frb on example1: converged" in stdout
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert summary[0] == \
-        "problem,solver,m,n,seed,iters,final_err,elapsed_s"
+        "problem,solver,m,n,seed,iters,final_err,elapsed_s,delta"
     assert summary[1].startswith("example1,frb,20,20,3,")
+    # frb reads no delta, so its delta column is empty.
+    assert summary[1].endswith(",")
     trace = (out / "frb_trace.csv").read_text().strip().splitlines()
     assert trace[0] == "k,err,lambda,elapsed_s"
     assert len(trace) >= 2
@@ -354,6 +363,34 @@ def test_validate_config_rejects_fields_the_solvers_never_read(
     assert field in err
 
 
+@pytest.mark.parametrize("solvers, deltas, written", [
+    (["gfrb_fixed", "gfrb_adaptive"],
+     {"gfrb_adaptive": -0.4, "gfrb_fixed": -0.1}, "-0.10000000000000001"),
+    (["frb", "gfrb_adaptive"], {"gfrb_adaptive": -0.4}, ""),
+])
+def test_solve_keeps_the_per_solver_delta_of_the_first_solver(
+        tmp_path, capsys, solvers, deltas, written):
+    # solve runs the first solver only, so the other entries, which would
+    # name an unlisted solver, are dropped.
+    cfg = write_config(tmp_path, "per.json", {
+        "problem": "lasso", "m": 32, "n": 64, "k": 4, "solvers": solvers,
+        "delta": deltas})
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = (out / "summary.csv").read_text().splitlines()[1:]
+    assert row.split(",")[1] == solvers[0]
+    assert row.split(",")[8] == written
+
+
+def test_validate_config_names_a_bad_per_solver_delta(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bad.json", {
+        "problem": "example1", "m": 20,
+        "delta": {"gfrb_adaptive": -0.4, "frb": 0.1}})
+    assert main(["validate-config", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'delta.frb'")
+
+
 def test_summary_final_err_is_accurate(tmp_path, capsys):
     cfg = write_config(tmp_path, "acc.json",
                        {"problem": "example1", "m": 30, "seed": 0,
@@ -428,15 +465,19 @@ def test_experiment_prints_known_answer_lines(tmp_path, capsys, payload,
              if phrase in line]
     assert [line.partition(":")[0] for line in lines] == solvers
     # The known answers leave summary.csv as the bare solver runs give it,
-    # up to elapsed_s, its last column.
+    # up to elapsed_s, its eighth column.
     config = load_config(cfg)
     instance = generate(config)
     bare = [summary_header()] + [
         summary_row(run_solver(instance, solver, config))
         for solver in solvers]
     written = (out / "summary.csv").read_text().splitlines()
-    assert [line.rsplit(",", 1)[0] for line in written] == \
-        [line.rsplit(",", 1)[0] for line in bare]
+
+    def untimed(line):
+        cells = line.split(",")
+        return cells[:7] + cells[8:]
+    assert [untimed(line) for line in written] == \
+        [untimed(line) for line in bare]
 
 
 def _readme_sh_lines():
@@ -539,10 +580,18 @@ def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
     assert runs == []
 
 
+# The (gfrb_adaptive, gfrb_fixed) delta column of each shipped config.
+SHIPPED_DELTAS = {
+    "example1": ["0.10000000000000001", "0.10000000000000001"],
+    "example2": ["-0.20000000000000001", "0.10000000000000001"],
+    "lasso": ["-0.40000000000000002", "-0.10000000000000001"],
+}
+
+
 @pytest.mark.parametrize("name, iters", [
     ("example1", [45, 47, 45, 146, 51]),
-    ("example2", [53, 78, 72, 50, 84]),
-    ("lasso", [791, 2873, 2634, 1400, 3127]),
+    ("example2", [44, 78, 72, 50, 84]),
+    ("lasso", [467, 2873, 2634, 1400, 3127]),
 ])
 def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
                                                 iters):
@@ -554,3 +603,5 @@ def test_experiment_runs_shipped_example_config(tmp_path, capsys, name,
     assert [row[1] for row in rows] == ["gfrb_adaptive", "gfrb_fixed",
                                         "frb", "fbf", "rfb"]
     assert [int(row[5]) for row in rows] == iters
+    # The delta each solver ran at; frb, fbf and rfb read none.
+    assert [row[8] for row in rows] == SHIPPED_DELTAS[name] + ["", "", ""]

@@ -206,22 +206,28 @@ def test_shipped_configs_sweep_delta(name, iters):
     assert counts == iters
 
 
-def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
-    # The shipped lasso delta = -0.1 against the old 0.1 on seeds 1-6:
-    # the cubic's stable edge is larger on lasso's symmetric spectrum, so
-    # gfrb_adaptive takes at least 15 % fewer iterations on every seed
-    # (16.5-23.4 % measured).  Since the step keeps growing toward its
-    # local estimate, the edge is no longer the whole effect.
-    base = json.loads((CONFIGS / "lasso.json").read_text())
+def _adaptive_counts(name, deltas, seeds):
+    """{delta: gfrb_adaptive's counts on seeds} from the shipped config."""
+    base = json.loads((CONFIGS / f"{name}.json").read_text())
     counts = {}
-    for delta in (0.1, -0.1):
+    for delta in deltas:
         counts[delta] = []
-        for seed in range(1, 7):
+        for seed in seeds:
             cfg = config_from_dict(dict(base, seed=seed, delta=delta,
                                         solvers=["gfrb_adaptive"]))
             (result,) = run_benchmark(cfg)
             assert result.converged
             counts[delta].append(result.iterations)
+    return counts
+
+
+def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
+    # Lasso's delta = -0.1 against the old 0.1 on seeds 1-6: the cubic's
+    # stable edge is larger on lasso's symmetric spectrum, so
+    # gfrb_adaptive takes at least 15 % fewer iterations on every seed
+    # (16.5-23.4 % measured).  Since the step keeps growing toward its
+    # local estimate, the edge is no longer the whole effect.
+    counts = _adaptive_counts("lasso", (0.1, -0.1, -0.4), range(1, 7))
     assert counts[0.1] == [1159, 943, 1476, 1030, 904, 884]
     assert counts[-0.1] == [947, 773, 1130, 821, 718, 738]
     for old, new in zip(counts[0.1], counts[-0.1]):
@@ -232,6 +238,103 @@ def test_lasso_negative_delta_gain_holds_beyond_seed_zero():
     frozen = [1974, 1613, 2490, 1809, 1531, 1653]
     for old, new in zip(frozen, counts[-0.1]):
         assert new <= 0.56 * old
+    # The shipped gfrb_adaptive delta = -0.4 takes at most 70 % of
+    # -0.1's iterations on every seed (56.4-66.0 % measured).
+    assert counts[-0.4] == [562, 498, 746, 516, 471, 416]
+    for old, new in zip(counts[-0.1], counts[-0.4]):
+        assert new <= 0.70 * old
+
+
+def test_example2_negative_delta_gain_holds_on_every_seed():
+    # example2's B is not symmetric, yet the shipped gfrb_adaptive
+    # delta = -0.2 takes at most 87 % of delta = 0.1's iterations on
+    # every seed 0-6 (81.8-85.5 % measured).
+    counts = _adaptive_counts("example2", (0.1, -0.2), range(7))
+    assert counts[0.1] == [56, 53, 55, 58, 55, 57, 55]
+    assert counts[-0.2] == [46, 44, 47, 48, 46, 48, 45]
+    for old, new in zip(counts[0.1], counts[-0.2]):
+        assert new <= 0.87 * old
+
+
+def _same_run(a, b):
+    """Whether two RunResults hold the same iterates, bit for bit."""
+    return (a.iterations == b.iterations and a.x.tobytes() == b.x.tobytes()
+            and a.trace.errs == b.trace.errs
+            and a.trace.lambdas == b.trace.lambdas)
+
+
+def test_per_solver_delta_with_equal_entries_matches_the_scalar():
+    solvers = ["gfrb_adaptive", "gfrb_fixed", "frb", "fbf", "rfb"]
+    base = {"problem": "example2", "m": 30, "seed": 3, "solvers": solvers}
+    scalar = run_benchmark(config_from_dict(dict(base, delta=-0.2)))
+    per_solver = run_benchmark(config_from_dict(dict(
+        base, delta={"gfrb_adaptive": -0.2, "gfrb_fixed": -0.2})))
+    for a, b in zip(scalar, per_solver):
+        assert a.converged and _same_run(a, b), a.solver
+        assert a.delta == b.delta == (-0.2 if a.solver.startswith("gfrb")
+                                      else None)
+
+
+def test_lasso_per_solver_delta_leaves_the_other_solvers_unmoved():
+    # The shipped lasso config gives gfrb_adaptive its own delta; every
+    # other solver runs as under the scalar -0.1 it replaced.
+    new = load_config(CONFIGS / "lasso.json")
+    assert new.delta == {"gfrb_adaptive": -0.4, "gfrb_fixed": -0.1}
+    solvers = ("gfrb_fixed", "frb", "fbf", "rfb")
+    for seed in range(7):
+        cfg = replace(new, seed=seed)
+        inst = generate(cfg)
+        for solver in solvers:
+            old = run_solver(inst, solver, replace(cfg, delta=-0.1))
+            assert old.converged
+            assert _same_run(old, run_solver(inst, solver, cfg)), \
+                (seed, solver)
+
+
+_BOTH = ["gfrb_adaptive", "gfrb_fixed"]
+
+
+@pytest.mark.parametrize("payload, name, reason", [
+    *[({"solvers": _BOTH + ([s] if s != "epdtr" else []),
+        "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 0.1, s: 0.1}},
+       f"delta.{s}", "does not read delta")
+      for s in ("frb", "fbf", "rfb", "fb", "epdtr")],
+    ({"solvers": ["gfrb_adaptive"],
+      "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 0.1}},
+     "delta.gfrb_fixed", "is not listed in 'solvers'"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1}},
+     "delta.gfrb_fixed", "missing"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": float("nan"),
+                                  "gfrb_fixed": 0.1}},
+     "delta.gfrb_adaptive", "must be finite"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1,
+                                  "gfrb_fixed": float("-inf")}},
+     "delta.gfrb_fixed", "must be finite"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 1e308}},
+     "delta.gfrb_fixed", "need 0 < c1 < c2"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": True, "gfrb_fixed": 0.1}},
+     "delta.gfrb_adaptive", "bad type bool"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": "-0.4",
+                                  "gfrb_fixed": 0.1}},
+     "delta.gfrb_adaptive", "bad type str"),
+    # composite's epdtr reads no delta, so no entry can name a listed
+    # solver.
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "delta": {"gfrb_adaptive": -0.4}},
+     "delta.gfrb_adaptive", "is not listed in 'solvers'"),
+])
+def test_per_solver_delta_rejects_a_bad_entry_by_name(payload, name, reason):
+    with pytest.raises(ValueError,
+                       match=f"^config field '{name}': .*{reason}"):
+        config_from_dict(dict({"problem": "example1", "m": 20}, **payload))
+
+
+def test_per_solver_delta_is_checked_on_a_hand_built_config():
+    cfg = ExperimentConfig(solvers=("gfrb_adaptive", "frb"),
+                           delta={"gfrb_adaptive": 1e308})
+    with pytest.raises(ValueError, match="^config field 'delta.gfrb_adaptive'"
+                                         ": need 0 < c1 < c2"):
+        run_benchmark(cfg)
 
 
 def test_validate_config_boxes():
@@ -358,7 +461,7 @@ def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
         assert np.all(points[0] == 0.0)
 
 
-@pytest.mark.parametrize("name, iters", [("example1", 45), ("example2", 53)])
+@pytest.mark.parametrize("name, iters", [("example1", 45), ("example2", 44)])
 def test_probe_start_needs_no_lambda0_guess(name, iters):
     # From its probe seed gfrb_adaptive shrinks a too-large lambda0 on the
     # first update, so the shipped configs take the same count from any
@@ -373,9 +476,9 @@ def test_probe_start_needs_no_lambda0_guess(name, iters):
 
 
 @pytest.mark.parametrize("name, iters", [
-    ("lasso", [1904, 823, 775]),
+    ("lasso", [1904, 579, 462]),
     ("example1", [362, 123, 53]),
-    ("example2", [119, 53, 54])])
+    ("example2", [119, 49, 44])])
 def test_small_lambda0_recovers_without_a_lipschitz_guess(name, iters):
     # The harmonic growth can raise the step up to GROWTH_HORIZON + 1
     # fold, so a lambda0 far below the local estimate recovers.  Under the
@@ -383,6 +486,7 @@ def test_small_lambda0_recovers_without_a_lipschitz_guess(name, iters):
     # only from 1e-2 and example2 only from 1e-3 and 1e-2; example2 from
     # 1e-4 and example1 from 1e-3 stopped far from x*.  The natural
     # residual ||x - J(x - B(x)/L, 1/L)|| * L is the benchmark's oracle.
+    # Each count is at its config's gfrb_adaptive delta.
     cfg = load_config(CONFIGS / f"{name}.json")
     inst = generate(cfg)
     B, J = inst.forward_b, inst.resolvent_a

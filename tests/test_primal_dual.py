@@ -373,6 +373,21 @@ def test_region_grid_rejects_a_reflection_that_overflows(b):
         region_grid(b, 1.0, 1.0, n=3)
 
 
+@pytest.mark.parametrize("b, L, norm_k, name", [
+    # norm_k ** 2 used to raise OverflowError out of _slack.
+    (0.0, 1.0, 1e200, r"'norm_k' \(--normK\): must keep norm_k\*norm_k"),
+    # 2*(1+|b|)*L overflows: every slack would be -inf.
+    (0.0, 1e308, 1.0, r"'L' \(--L\): must keep 2\*\(1\+\|b\|\)\*L"),
+    (100.0, 1e307, 1.0, r"'L' \(--L\)"),
+    # Each coefficient is finite, their sum is not.
+    (0.0, 8e307, 1e154, r"'L' \(--L\) and 'norm_k' \(--normK\)"),
+])
+def test_region_grid_rejects_slack_coefficients_that_overflow(b, L, norm_k,
+                                                              name):
+    with pytest.raises(ValueError, match=rf"^region arguments? {name}"):
+        region_grid(b, L, norm_k, n=3)
+
+
 def test_gfrb_in_metric_shapes():
     A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = linear_instance(2)
     n, m = x0.size, y0.size
