@@ -137,7 +137,8 @@ def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
     data['x_true']; x_star stays None because the minimizer has no
     closed form.
     """
-    A = rng.standard_normal(rng.substream(seed, 0), (m, n)) / np.sqrt(m)
+    A = rng.standard_normal(rng.substream(seed, 0), (m, n))
+    A /= np.sqrt(m)
     values = rng.standard_normal(rng.substream(seed, 1), n)
     scores = rng.substream(seed, 2).random(n)
     support = np.argsort(scores)[:k]

@@ -9,6 +9,7 @@ LinearMap carries a coupling map's shape, adjoint and norm hint.
 """
 
 import math
+import mmap
 import numbers
 
 import numpy as np
@@ -153,7 +154,7 @@ def symmetric_affine_resolvent(E, beta=0.0):
     return lambda z, lam: P @ scale(P_t @ z, lam)
 
 
-def _top_gram_eigenvalue(A):
+def _top_gram_eigenvalue(A, name="A"):
     """Largest eigenvalue of the smaller Gram matrix of A, i.e. ||A||_2^2.
 
     A A^T and A^T A share their nonzero spectrum, so the smaller one
@@ -163,38 +164,171 @@ def _top_gram_eigenvalue(A):
     differ from SVD-based ones only in their last digits.  Clamped at
     0 so that the result is never negative; an empty A gives 0, as the
     SVD does.
+
+    A non-finite entry of A, or a Gram entry that overflows, raises
+    ValueError naming ``name``.  The Gram's trace is ||A||_F^2, a sum of
+    squares, so it is finite exactly when the whole Gram is: the check
+    costs one pass over the Gram's diagonal, not over A, and runs before
+    eigvalsh, which fails on a non-finite Gram with LinAlgError or
+    returns NaN (that max(0.0, nan) would turn into 0.0).
     """
-    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        finite = math.isfinite(np.trace(gram))
+    if not finite:
+        raise ValueError(f"{name} must hold finite values whose Gram "
+                         f"matrix does not overflow")
     eigs = np.linalg.eigvalsh(gram)
     return max(0.0, float(eigs[-1])) if eigs.size else 0.0
+
+
+def _check_finite(v, name):
+    """ValueError naming the first non-finite entry of a vector v."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{name} must hold finite values, got "
+                         f"{name}[{bad[0]}] = {float(v[bad[0]])!r}")
 
 
 def make_affine_forward(M, b):
     """Forward operator x -> M x + b with Lipschitz constant ||M||_2,
     taken as sqrt(lambda_max) of the Gram of M, which agrees with the
-    SVD to about 5e-15 relative (see _top_gram_eigenvalue)."""
+    SVD to about 5e-15 relative (see _top_gram_eigenvalue).  A
+    non-finite entry of M or b raises ValueError naming it."""
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square 2-d array, got shape {M.shape}")
     if b.shape != M.shape[:1]:
         raise ValueError(f"b must have shape {M.shape[:1]}, got {b.shape}")
+    _check_finite(b, "b")
     return ForwardOperator(lambda x: M @ x + b,
-                           lipschitz_hint=math.sqrt(_top_gram_eigenvalue(M)))
+                           lipschitz_hint=math.sqrt(
+                               _top_gram_eigenvalue(M, "M")))
+
+
+# A design matrix this large is placed on its own transparent huge page(s).
+_PLACE_MIN_BYTES = 1 << 20
+_HUGE_PAGE = 2 << 20
+
+
+def _placed_copy(A):
+    """Copy of a C- or F-contiguous A, in its order, that starts a
+    2 MiB-aligned private anonymous mapping advised MADV_HUGEPAGE; None
+    where the platform lacks that advice or the mapping or advice fails.
+
+    The mapping is private: a shared anonymous one is shmem, which
+    transparent huge pages in "madvise" mode do not back.
+    """
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        return None
+    span = -(-A.nbytes // _HUGE_PAGE) * _HUGE_PAGE + _HUGE_PAGE
+    try:
+        buf = mmap.mmap(-1, span, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError:
+        return None
+    try:
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:
+        buf.close()
+        return None
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    start = -raw.ctypes.data % _HUGE_PAGE
+    order = "C" if A.flags.c_contiguous else "F"
+    placed = raw[start:start + A.nbytes].view(A.dtype).reshape(A.shape,
+                                                                order=order)
+    placed[...] = A
+    return placed
+
+
+def _snapshot(A):
+    """Private copy of A that numpy multiplies as it does A: placed by
+    _placed_copy when A is C- or F-contiguous and at least 1 MiB, else
+    a plain copy in A's order, and for a view, one with A's strides,
+    since whether numpy hands a view to BLAS depends on those."""
+    if A.flags.c_contiguous or A.flags.f_contiguous:
+        placed = _placed_copy(A) if A.nbytes >= _PLACE_MIN_BYTES else None
+        return A.copy(order="K") if placed is None else placed
+    ends = [s * (d - 1) for s, d in zip(A.strides, A.shape)]
+    low = sum(e for e in ends if e < 0)
+    span = np.empty(sum(e for e in ends if e > 0) - low + A.itemsize,
+                    dtype=np.uint8)
+    copy = np.ndarray(A.shape, A.dtype, buffer=span, offset=-low,
+                      strides=A.strides)
+    copy[...] = A
+    return copy
+
+
+# OpenBLAS deals a gemv's rows to several threads from m * n = 460800 on
+# (115200 * GEMM_MULTITHREAD_THRESHOLD, which defaults to 4).
+_SPLIT_MAX_ENTRIES = 460_800
+
+
+def _least_squares_gradient(A, y):
+    """x -> A^T (A x - y), with A x formed bottom row block first."""
+    m = A.shape[0]
+    if m < 8 or A.size >= _SPLIT_MAX_ENTRIES:
+        return lambda x: A.T @ (A @ x - y)
+    h = 4 * (m // 8)
+    top, bottom = A[:h], A[h:]
+
+    def evaluate(x):
+        r = np.empty(m)
+        np.matmul(bottom, x, out=r[h:])
+        np.matmul(top, x, out=r[:h])
+        r -= y
+        return A.T @ r
+
+    return evaluate
 
 
 def make_lasso_forward(A, y):
     """Least-squares gradient x -> A^T (A x - y) with Lipschitz constant
     ||A||_2^2, taken as the top eigenvalue of A A^T or A^T A, whichever
     is smaller; it agrees with the SVD to about 5e-15 relative (see
-    _top_gram_eigenvalue)."""
+    _top_gram_eigenvalue).  A non-finite entry of A or y raises
+    ValueError naming it.
+
+    The operator snapshots A and y when it is built, at every size, so
+    later writes to the caller's arrays do not reach it.  Its values
+    and hint equal those of the plain formula on the caller's A bit for
+    bit, in any layout.  Two things keep the 256 x 1024 (2 MiB) lasso
+    design in a core's L2 cache:
+
+    * An A of at least 1 MiB, C- or F-contiguous, is copied in its
+      order to the start of a 2 MiB-aligned private anonymous mapping
+      advised MADV_HUGEPAGE, so it fills whole huge pages instead of
+      4 KiB pages that map unevenly onto L2's sets.  Linux backs it
+      with huge pages when transparent huge pages are in "always" or
+      "madvise" mode.  Without the advice, or when mapping or advice
+      fails, A is copied plainly, as every other A is; a view keeps its
+      strides, because numpy hands a view to BLAS or to its own loop by
+      them.
+    * A x is formed as two row blocks, the bottom one first, split at
+      h = 4 * floor(m / 8), so A^T r starts on rows still in cache.
+      OpenBLAS's gemv, for C and F order alike, takes rows in groups
+      of 4 and the last m mod 4 rows apart; a split at a multiple of 4
+      that leaves at least 4 rows below keeps every row in the same
+      kernel path.  A split off a multiple of 4, or one leaving a single
+      row (numpy then calls ddot), changes the last bits.  An A with
+      m < 8 keeps the one product, and so does one with m * n at or
+      above 460800, where OpenBLAS deals the rows to several threads
+      and a split would regroup them.
+
+    On the shipped lasso instances (seeds 0-4, one BLAS thread, an
+    Intel Xeon with 2 MiB of L2 per core) a forward evaluation took a
+    median 103 us with the plain formula on numpy's allocation, 94 us
+    with the split alone, 73 us placed alone and 64 us with both.
+    """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a 2-d array, got shape {A.shape}")
     if y.shape != A.shape[:1]:
         raise ValueError(f"y must have shape {A.shape[:1]}, got {y.shape}")
-    return ForwardOperator(lambda x: A.T @ (A @ x - y),
+    _check_finite(y, "y")
+    A = _snapshot(A)
+    return ForwardOperator(_least_squares_gradient(A, y.copy()),
                            lipschitz_hint=_top_gram_eigenvalue(A))
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from monosplit import rng
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
                                    gen_composite, gen_example1, gen_example2,
                                    gen_lasso, generate, load_config, resolve,
@@ -94,6 +95,14 @@ def test_gen_lasso_structure():
     # Column scale ~ 1/sqrt(m).
     assert abs(np.std(A) - 1.0 / np.sqrt(60)) <= 0.1 / np.sqrt(60)
     assert inst.x_star is None
+
+
+def test_gen_lasso_scales_its_normals_in_place_bitwise():
+    # gen_lasso divides its draw by sqrt(m) in place, saving one m x n
+    # array per build; the quotient is the out-of-place one bit for bit.
+    A = gen_lasso(m=30, n=50, k=5, seed=9).data["A"]
+    ref = rng.standard_normal(rng.substream(9, 0), (30, 50)) / np.sqrt(30)
+    assert A.tobytes() == ref.tobytes()
 
 
 def test_gen_lasso_bitwise_deterministic():

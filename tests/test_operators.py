@@ -1,4 +1,9 @@
+import mmap
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from monosplit import operators
 from monosplit.operators import (ForwardOperator, LinearMap,
-                                 diagonal_resolvent, l1_resolvent,
-                                 make_affine_forward,
+                                 _top_gram_eigenvalue, diagonal_resolvent,
+                                 l1_resolvent, make_affine_forward,
                                  make_lasso_forward, power_norm,
                                  soft_threshold, symmetric_affine_resolvent,
                                  zero_resolvent)
@@ -261,6 +267,163 @@ def test_make_lasso_forward_matches_normal_equations():
     x = gen.standard_normal(9)
     np.testing.assert_allclose(op(x), A.T @ (A @ x - y), rtol=1e-13)
     assert op.lipschitz_hint == pytest.approx(np.linalg.norm(A, 2) ** 2)
+
+
+def _lasso_layouts(gen, m, n):
+    """An m x n design C-ordered, F-ordered, as a view of every other
+    row, which numpy hands to BLAS, and as a view of the rows reversed
+    and every other column, which it multiplies with its own loop."""
+    rows = gen.standard_normal((2 * m, n))
+    return {"C": rows[:m].copy(), "F": np.asfortranarray(rows[:m]),
+            "strided rows": rows[::2],
+            "strided columns": gen.standard_normal((m, 2 * n))[::-1, ::2]}
+
+
+def _lasso_parity_failures(sizes):
+    """(m, n, layout, x) cases where make_lasso_forward differs from
+    A^T (A x - y) in any bit, or its hint from the caller's A's."""
+    gen = np.random.default_rng(31)
+    failures = []
+    for m, n in sizes:
+        for layout, A in _lasso_layouts(gen, m, n).items():
+            y = gen.standard_normal(m)
+            op = make_lasso_forward(A, y)
+            dense = gen.standard_normal(n)
+            sparse = np.where(gen.random(n) < 0.9, 0.0, dense)
+            for kind, x in (("dense", dense), ("sparse", sparse)):
+                if op(x).tobytes() != (A.T @ (A @ x - y)).tobytes():
+                    failures.append((m, n, layout, kind))
+            if op.lipschitz_hint != _top_gram_eigenvalue(A):
+                failures.append((m, n, layout, "hint"))
+    return failures
+
+
+# m = 0-40 covers the one-product rule below m = 8 and every split
+# remainder; 255-257 x 1024 are at least 1 MiB, so the C and F ones are
+# placed on a huge page.
+_PARITY_SIZES = ([(m, 1 + (37 * m) % 61) for m in range(41)]
+                 + [(m, 1024) for m in (255, 256, 257)])
+
+
+def test_lasso_forward_parity_with_plain_formula():
+    # The row blocks and the placed copy change where A is read, never
+    # a bit of the value; see make_lasso_forward.
+    assert _lasso_parity_failures(_PARITY_SIZES) == []
+
+
+def test_lasso_forward_parity_with_one_blas_thread():
+    # The benchmark pins one BLAS thread and the suite does not; OpenBLAS
+    # reads its thread count at load, so the check runs in a fresh process.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_lasso_forward_parity_with_plain_formula"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout, proc.stdout
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (12, 20), (256, 1024)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lasso_forward_snapshots_A_and_y(shape, order):
+    # Small and placed A alike: the operator keeps what it was built with.
+    gen = np.random.default_rng(12)
+    A = np.asarray(gen.standard_normal(shape), order=order)
+    y = gen.standard_normal(shape[0])
+    x = gen.standard_normal(shape[1])
+    op = make_lasso_forward(A, y)
+    before, hint = op(x), op.lipschitz_hint
+    A *= 2.0
+    y += 1.0
+    assert op(x).tobytes() == before.tobytes()
+    assert op.lipschitz_hint == hint
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"),
+                    reason="no MADV_HUGEPAGE on this platform")
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_large_contiguous_A_is_placed_on_an_aligned_copy(order):
+    A = np.asarray(np.random.default_rng(4).standard_normal((128, 1024)),
+                   order=order)
+    snap = operators._snapshot(A)
+    assert snap.ctypes.data % (2 << 20) == 0
+    assert snap.flags[f"{order}_CONTIGUOUS"]
+    assert not np.shares_memory(snap, A)
+    assert snap.tobytes(order="A") == A.tobytes(order="A")
+
+
+def test_small_or_strided_A_is_copied_with_its_strides():
+    rows = np.random.default_rng(5).standard_normal((256, 1024))
+    for A in (rows[:100], np.asfortranarray(rows[:100]), rows[::2],
+              rows[::-1, ::2]):
+        snap = operators._snapshot(A)
+        assert not np.shares_memory(snap, A)
+        assert snap.strides == A.strides
+        np.testing.assert_array_equal(snap, A)
+
+
+class _RefusedAdvice(mmap.mmap):
+    def madvise(self, *args):
+        raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("fallback", ["no advice", "advice fails"])
+def test_lasso_forward_falls_back_to_a_plain_copy(monkeypatch, fallback):
+    if fallback == "no advice":
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    else:
+        monkeypatch.setattr(mmap, "mmap", _RefusedAdvice)
+    gen = np.random.default_rng(6)
+    A = gen.standard_normal((256, 1024))
+    y = gen.standard_normal(256)
+    x = gen.standard_normal(1024)
+    snap = operators._snapshot(A)
+    assert snap.base is None and snap.flags.c_contiguous
+    op = make_lasso_forward(A, y)
+    assert op(x).tobytes() == (A.T @ (A @ x - y)).tobytes()
+    assert op.lipschitz_hint == _top_gram_eigenvalue(A)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (1, 1), (256, 1024)])
+def test_make_lasso_forward_rejects_non_finite_A(shape, value):
+    # eigvalsh failed on such a Gram with LinAlgError, or returned NaN,
+    # which the clamp at 0 turned into a hint of 0.
+    A = np.ones(shape)
+    A[-1, 0] = value
+    with pytest.raises(ValueError, match="^A must hold finite values"):
+        make_lasso_forward(A, np.zeros(shape[0]))
+
+
+def test_make_lasso_forward_rejects_an_overflowing_gram():
+    with pytest.raises(ValueError, match="^A must hold finite values whose "
+                                         "Gram matrix does not overflow$"):
+        make_lasso_forward(np.full((2, 3), 1e200), np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_make_lasso_forward_rejects_non_finite_y(value):
+    y = np.zeros(4)
+    y[2] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"y must hold finite values, got y[2] = {value!r}")):
+        make_lasso_forward(np.ones((4, 3)), y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("dim", [1, 3, 40])
+def test_make_affine_forward_rejects_non_finite_input(dim, value):
+    M = np.eye(dim)
+    M[0, -1] = value
+    with pytest.raises(ValueError, match="^M must hold finite values"):
+        make_affine_forward(M, np.zeros(dim))
+    b = np.zeros(dim)
+    b[-1] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"b must hold finite values, got b[{dim - 1}] = {value!r}")):
+        make_affine_forward(np.eye(dim), b)
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
