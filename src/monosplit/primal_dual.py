@@ -3,8 +3,11 @@
 The solver interleaves a resolvent step on A (with the multi-step
 reflected combination of B values) and a resolvent step on C^{-1} fed by
 reflected K images, with the reflection weight b generalizing the
-two-term scheme recovered at b = 0.  Admissibility of the step pair is
-2*tau*(1+|b|)*L + tau*sigma*||K||^2 < 1.
+two-term scheme recovered at b = 0.  The primal step's combination is
+splitting's reflected kernel (``_reflected_target``) at step tau and
+delta = b, the one the splitting solvers run, minus tau*K*y.
+Admissibility of the step pair is 2*tau*(1+|b|)*L + tau*sigma*||K||^2
+< 1.
 
 The same iteration is a multi-step reflected splitting on the product
 space in the metric
@@ -25,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import power_norm
-from .splitting import StepSizeWarning, _drive, _forward, _norm
+from .splitting import (StepSizeWarning, _drive, _forward, _norm,
+                        _reflected_target)
 
 
 @dataclass
@@ -174,21 +178,19 @@ def resolvent_of_inverse(resolvent_c, sigma, y):
 def epdtr_step(state, cfg, resolvent_a, forward_b, linmap_k, resolvent_c_inv):
     """One primal-dual pass; returns the advanced state.
 
-    Primal: resolvent of A at x_k - tau*K*y_k minus the reflected B
-    combination (b+2, -(2b+1), b) over the last three B values.
+    Primal: resolvent of A at splitting's reflected combination of the
+    last three B values at step tau and weight b, minus tau*K*y_k:
+
+        x_k - tau*Bx_k - (tau*(1+b))*D + (tau*b)*D_p - tau*K*y_k,
+
+    with D = Bx_k - Bx_{k-1} and D_p = Bx_{k-1} - Bx_{k-2}.
     Dual: resolvent of sigma*C^{-1} at y_k + sigma*K(2 x_{k+1} - x_k).
     Exactly one evaluation each of B, K and K* per call.
     """
     tau, sigma, b = cfg.tau, cfg.sigma, cfg.b
-    # The formula's grouping, term by term, in place on the fresh drive
-    # and dual arrays (see splitting's notes on bitwise step kernels).
-    drive = state.x - tau * linmap_k.apply_adjoint(state.y)
-    work = ((b + 2.0) * tau) * state.Bx
-    drive -= work
-    np.multiply((2.0 * b + 1.0) * tau, state.Bx_prev, out=work)
-    drive += work
-    np.multiply(b * tau, state.Bx_prev2, out=work)
-    drive -= work
+    drive = _reflected_target(state.x, state.Bx, state.Bx - state.Bx_prev,
+                              state.Bx_prev - state.Bx_prev2, tau, tau, tau, b)
+    drive -= tau * linmap_k.apply_adjoint(state.y)
     x_new = np.asarray(resolvent_a(drive, tau), dtype=float)
     Kx_new = np.asarray(linmap_k.apply(x_new), dtype=float)
     dual = 2.0 * Kx_new
@@ -217,13 +219,19 @@ def epdtr_solve(problem, cfg=None, stop=None):
     ``step_pair`` checks b and fills an unset pair (storing its ||K||
     estimate on the map), and a step pair it finds inadmissible warns
     and iterates anyway.  Histories are seeded x_{-1} = x_{-2} = x_0.
+    Before any of that, an x0 or y0 whose shape is not (n,) or (m,) for
+    K of shape (m, n) raises ValueError naming it.
     """
     K = problem.linmap_k
     m, n = K.shape
     x0 = np.zeros(n) if problem.x0 is None else \
-        np.asarray(problem.x0, dtype=float).copy()
+        np.array(problem.x0, dtype=float)
     y0 = np.zeros(m) if problem.y0 is None else \
-        np.asarray(problem.y0, dtype=float).copy()
+        np.array(problem.y0, dtype=float)
+    for name, seed, size in (("x0", x0, n), ("y0", y0, m)):
+        if seed.shape != (size,):
+            raise ValueError(f"{name} has shape {seed.shape}; K has shape "
+                             f"{K.shape}, so it must have shape ({size},)")
     cfg, slack = step_pair(problem, cfg or EPDTRConfig())
     if slack is not None and slack <= 0.0:
         warnings.warn(

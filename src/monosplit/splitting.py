@@ -5,14 +5,19 @@ set-valued part A, called as ``A(z, lam)`` (see the operators module),
 a point evaluation for the single-valued part B (which must return an
 array of the iterate's shape), seed iterates, and a StopRule.  They
 return the final iterate together with an IterationTrace whose rows are
-(k, err, lambda, elapsed_s) with err_k = ||x_{k+1} - x_k||.
+(k, err, lambda, elapsed_s) with err_k = ||x_{k+1} - x_k||.  x0 must be
+0-d or 1-d and each history seed (x_minus1, x_minus2) of x0's shape,
+else a ValueError names the seed before B is evaluated.
 
 Every solver, and the primal-dual epdtr_solve, is setup code plus a step
 function run by one driver, ``_drive``, which owns the trace, the clock,
 the divergence test and the stop test.  The three reflected multi-step
 methods (frb, gfrb_fixed, gfrb_adaptive) share one runner and one update
-kernel so that their analytic reductions (delta = 0, constant step) hold
-bitwise, not just to rounding.
+kernel, ``_reflected_target``, so that their analytic reductions
+(delta = 0, constant step) hold bitwise, not just to rounding.  The same
+kernel forms primal_dual.epdtr_step's primal drive at lam = tau and
+delta = b, the combination the product-space metric derivation says
+the two solvers share.
 
 The step kernels are written to cost few numpy calls per iteration (the
 m = 200 problems are bound by per-call overhead) while producing the
@@ -125,10 +130,21 @@ class IterationTrace:
                 fh.write(f"{k},{err:.17g},{lam:.17g},{el:.17g}\n")
 
 
-def _seed(v):
-    """A fresh 1-d float copy of a seed iterate; a scalar becomes shape (1,),
-    so the in-place kernels always have an array to write into."""
-    return np.array(v, dtype=float, ndmin=1)
+def _seed(v, name="x0", x0=None):
+    """A fresh 1-d float copy of the seed iterate ``name``; a scalar becomes
+    shape (1,), so the in-place kernels always have an array to write into.
+
+    ValueError naming the seed unless it is 0-d or 1-d and, given the
+    seeded x0, has x0's shape (so a history point cannot broadcast).
+    """
+    x = np.array(v, dtype=float, ndmin=1)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be 0-d or 1-d, got shape "
+                         f"{np.shape(v)}")
+    if x0 is not None and x.shape != x0.shape:
+        raise ValueError(f"{name} has shape {np.shape(v)}; it must have "
+                         f"x0's shape {x0.shape}")
+    return x
 
 
 def _forward(B, x):
@@ -241,6 +257,25 @@ def _drive(step, x0, stop, method):
     return x, trace
 
 
+def _reflected_target(x, Bx, D, D_p, lam, lam_p, lam_pp, delta):
+    """The reflected combination, in a fresh array:
+
+        x - lam*Bx - (lam_p*(1+delta))*D + (lam_pp*delta)*D_p,
+
+    with D = B x_k - B x_{k-1} and D_p = B x_{k-1} - B x_{k-2}, grouped
+    exactly so.  It is the resolvent target of every reflected pass, and
+    epdtr_step's primal drive (before its -tau*K*y term) at
+    lam = lam_p = lam_pp = tau and delta = b.
+    """
+    target = lam * Bx
+    np.subtract(x, target, out=target)
+    work = (lam_p * (1.0 + delta)) * D
+    target -= work
+    np.multiply(lam_pp * delta, D_p, out=work)
+    target += work
+    return target
+
+
 def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
                state=None, dx=None):
     """Run the three-term reflected recursion from B(x_0) = Bx0,
@@ -254,8 +289,9 @@ def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
         x_{k+1} = J_{lam A}(x - lam*Bx - lam_p*(1+delta)*(Bx - B_p)
                             + lam_pp*delta*(B_p - B_pp))
 
-    grouped exactly so.  At delta = 0 the last term is an exact zero
-    multiple, which is what makes the frb reduction bitwise.
+    grouped exactly so (``_reflected_target``).  At delta = 0 the last
+    term is an exact zero multiple, which is what makes the frb reduction
+    bitwise.
 
     With a controller ``state`` each step comes from next_step, fed the
     previous displacement (dx, the seed displacement on the first pass)
@@ -263,7 +299,6 @@ def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
     lam.  A non-finite dB is returned as the row's err, so the driver
     reports it as divergence.
     """
-    reflect = 1.0 + delta
     # D_p = B_p - B_pp; each pass's D = Bx - B_p becomes the next D_p.
     # gfrb_adaptive passes B_pp = B_p, so D_p is +0.0 and (lam_pp*delta)*D_p
     # adds the same zero for any lam_pp > 0: lambda_{-1} = lambda_0 is exact.
@@ -285,12 +320,8 @@ def _reflected(A, B, x0, Bx0, B_p, B_pp, delta, stop, method, lam=None,
             if not math.isfinite(dB):
                 return x, dB, lam_p
             lam_k = next_step(state, dx, dB)
-        target = lam_k * Bx
-        np.subtract(x, target, out=target)
-        work = (lam_p * reflect) * D
-        target -= work
-        np.multiply(lam_pp * delta, D_p, out=work)
-        target += work
+        target = _reflected_target(x, Bx, D, D_p, lam_k, lam_p, lam_pp,
+                                   delta)
         x_new = np.asarray(A(target, lam_k), dtype=float)
         # ||x_{k+1} - x_k|| is also the controller's next dx, bitwise.
         dx = _norm(x_new - x)
@@ -352,7 +383,7 @@ def gfrb_adaptive(A, B, x0, x_minus1, delta, lambda0, stop=None):
         x_p = x - (PROBE_STEP / size) * Bx if 0.0 < size < math.inf else x
         B_p = Bx if _same_point(x_p, x) else _forward(B, x_p)
     else:
-        x_p = _seed(x_minus1)
+        x_p = _seed(x_minus1, "x_minus1", x)
         Bx, (B_p,) = _seed_forwards(B, x, x_p)
     return _reflected(A, B, x, Bx, B_p, B_p, delta, stop, "gfrb_adaptive",
                       state=state, dx=_norm(x_p - x))
@@ -370,7 +401,8 @@ def gfrb_fixed(A, B, x0, x_minus1, x_minus2, lam, delta, stop=None):
     """
     lam = _fixed_step(lam, B, "gfrb_fixed", delta)
     x = _seed(x0)
-    Bx, (B_pp, B_p) = _seed_forwards(B, x, _seed(x_minus2), _seed(x_minus1))
+    Bx, (B_pp, B_p) = _seed_forwards(B, x, _seed(x_minus2, "x_minus2", x),
+                                     _seed(x_minus1, "x_minus1", x))
     return _reflected(A, B, x, Bx, B_p, B_pp, delta, stop, "gfrb_fixed",
                       lam=lam)
 
@@ -384,7 +416,7 @@ def frb(A, B, x0, x_minus1, lam, stop=None):
     """
     lam = _fixed_step(lam, B, "frb")
     x = _seed(x0)
-    Bx, (B_p,) = _seed_forwards(B, x, _seed(x_minus1))
+    Bx, (B_p,) = _seed_forwards(B, x, _seed(x_minus1, "x_minus1", x))
     return _reflected(A, B, x, Bx, B_p, B_p, 0.0, stop, "frb", lam=lam)
 
 
@@ -415,7 +447,8 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
     needs lam < (sqrt(2) - 1) / L, and lam None runs 90% of that.
     """
     lam = _fixed_step(lam, B, "rfb")
-    x_p = _seed(x_minus1)
+    x = _seed(x0)
+    x_p = _seed(x_minus1, "x_minus1", x)
 
     def step(x):
         nonlocal x_p
@@ -427,7 +460,7 @@ def rfb(A, B, x0, x_minus1, lam, stop=None):
         x_p = x
         return x_new, _norm(x_new - x), lam
 
-    return _drive(step, _seed(x0), stop, "rfb")
+    return _drive(step, x, stop, "rfb")
 
 
 def fb(A, B, x0, lam, stop=None):

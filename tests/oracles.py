@@ -7,7 +7,9 @@ package cannot break an oracle together with the code it checks.
 fixed-step rates on example2, whose resolvent is a diagonal scaling;
 ``metric_matrix``, ``coupling_matrix`` and ``gfrb_in_metric`` check
 ``primal_dual.epdtr_step`` as a multi-step reflected splitting on the
-product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]].
+product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]];
+``expanded_epdtr_drive`` is epdtr_step's primal drive in the
+hand-expanded form it had before it shared splitting's reflected kernel.
 """
 
 import numpy as np
@@ -92,3 +94,19 @@ def gfrb_in_metric(M_mat, G_mat, F_mat, f_vec, z0, z_minus1, z_minus2, b,
         out[k] = z_new
         z_pp, z_p, z = z_p, z, z_new
     return out
+
+
+def expanded_epdtr_drive(x, Kty, Bx, Bx_prev, Bx_prev2, tau, b):
+    """x - tau*K*y - ((b+2)*tau)*Bx + ((2b+1)*tau)*Bx_prev - (b*tau)*Bx_prev2,
+    grouped so, with Kty = K*y: the composite solver's primal drive with
+    the reflected combination's coefficients expanded by hand, a frozen
+    copy that the shared kernel's form must match to rounding.
+    """
+    drive = x - tau * Kty
+    work = ((b + 2.0) * tau) * Bx
+    drive -= work
+    np.multiply((2.0 * b + 1.0) * tau, Bx_prev, out=work)
+    drive += work
+    np.multiply(b * tau, Bx_prev2, out=work)
+    drive -= work
+    return drive

@@ -1,9 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import CallCounter, counting_forward
-from oracles import coupling_matrix, gfrb_in_metric, metric_matrix
+from oracles import (coupling_matrix, expanded_epdtr_drive, gfrb_in_metric,
+                     metric_matrix)
 
 from monosplit import primal_dual
 from monosplit.experiments import gen_composite
@@ -170,6 +172,53 @@ def test_epdtr_b_zero_matches_two_term_recursion():
     assert np.max(np.abs(traj - np.array(ref))) <= 1e-14
 
 
+def _epdtr_step_expanded(state, cfg, resolvent_a, forward_b, linmap_k,
+                         resolvent_c_inv):
+    """epdtr_step with the oracle's hand-expanded primal drive."""
+    drive = expanded_epdtr_drive(state.x, linmap_k.apply_adjoint(state.y),
+                                 state.Bx, state.Bx_prev, state.Bx_prev2,
+                                 cfg.tau, cfg.b)
+    x_new = np.asarray(resolvent_a(drive, cfg.tau), dtype=float)
+    Kx_new = np.asarray(linmap_k.apply(x_new), dtype=float)
+    y_new = np.asarray(resolvent_c_inv(
+        state.y + cfg.sigma * (2.0 * Kx_new - state.Kx), cfg.sigma),
+        dtype=float)
+    return PrimalDualState(x=x_new, x_prev=state.x, x_prev2=state.x_prev,
+                           y=y_new, Bx=np.asarray(forward_b(x_new)),
+                           Bx_prev=state.Bx, Bx_prev2=state.Bx_prev,
+                           Kx=Kx_new)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_kernel_drive_matches_the_expanded_drive(monkeypatch, seed,
+                                                        b):
+    # The primal drive formed with splitting's reflected kernel differs
+    # from the hand-expanded coefficients (b+2, -(2b+1), b) only by
+    # rounding: the same iteration count, the returned x within 1e-15
+    # (at most 6.7e-16 on these 18 runs) and every iterate, dual
+    # included, within 4e-15 (at most 2.2e-15; |x|, |y| <= 2.3).
+    paths, xs = [], []
+    for step in (epdtr_step, _epdtr_step_expanded):
+        path = []
+
+        def recording(*args, step=step, path=path):
+            new = step(*args)
+            path.append(np.concatenate([new.x, new.y]))
+            return new
+
+        monkeypatch.setattr(primal_dual, "epdtr_step", recording)
+        problem, _ = gen_composite(40, 30, seed)
+        x, _, _ = epdtr_solve(problem, EPDTRConfig(b=b),
+                              StopRule(tol=1e-8, max_iter=20000))
+        paths.append(np.array(path))
+        xs.append(x)
+    shared, expanded = paths
+    assert shared.shape == expanded.shape
+    assert np.max(np.abs(xs[0] - xs[1])) <= 1e-15
+    assert np.max(np.abs(shared - expanded)) <= 4e-15
+
+
 def test_metric_matrix_positive_definite_inside_region():
     gen = np.random.default_rng(8)
     K = gen.standard_normal((3, 5)) / 3.0
@@ -314,6 +363,26 @@ def test_bad_reflection_weight_is_rejected_by_name(b, steps):
             epdtr_solve(problem, EPDTRConfig(b=b, **steps),
                         StopRule(max_iter=5))
     assert [c.count for c in counters] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("x0", np.zeros(7)), ("x0", np.zeros((40, 1))), ("x0", 0.0),
+    ("y0", np.zeros(40)), ("y0", np.zeros((1, 30)))],
+    ids=["x0-short", "x0-column", "x0-scalar", "y0-long", "y0-row"])
+def test_misshapen_seed_is_rejected_by_name(monkeypatch, name, bad):
+    # K is 30x40, so x0 must be (40,) and y0 (30,); anything else fails,
+    # naming the seed, before step_pair, B, K, K* or a resolvent runs.
+    monkeypatch.setattr(primal_dual, "step_pair", None)
+    (problem, _), counters = counted_composite()
+    res_a, res_c = (CallCounter(problem.resolvent_a),
+                    CallCounter(problem.resolvent_c))
+    problem = replace(problem, resolvent_a=res_a, resolvent_c=res_c,
+                      **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} has shape "
+                                         f"{re.escape(str(np.shape(bad)))}"):
+        epdtr_solve(problem, EPDTRConfig(tau=0.1, sigma=0.5),
+                    StopRule(max_iter=5))
+    assert [c.count for c in (*counters, res_a, res_c)] == [0] * 5
 
 
 def test_epdtr_solve_reads_terminal_residuals_off_its_last_step():

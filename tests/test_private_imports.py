@@ -11,6 +11,7 @@ ALLOWED = {
     ("primal_dual", "splitting", "_drive"),
     ("primal_dual", "splitting", "_forward"),
     ("primal_dual", "splitting", "_norm"),
+    ("primal_dual", "splitting", "_reflected_target"),
 }
 
 

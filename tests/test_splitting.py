@@ -205,8 +205,8 @@ def test_eval_counts_from_seeds_at_x0():
     assert c.count == T + 1
 
 
-def _run_from_ones(solver, A, B):
-    x0 = np.ones(3)
+def _run_from(solver, A, B, x0):
+    """``solver`` from x0, with every history seed at x0."""
     stop = StopRule(tol=1e-12, max_iter=200)
     if solver == "gfrb_adaptive":
         return gfrb_adaptive(A, B, x0, x0, 0.2, 0.1, stop)
@@ -240,7 +240,7 @@ def test_divergence_raises_with_trace(solver):
                  (zero_resolvent(), nan_forward)):
         with pytest.raises(DivergenceError, match=f"^{solver} diverged") \
                 as info:
-            _run_from_ones(solver, A, B)
+            _run_from(solver, A, B, np.ones(3))
         assert info.value.method == solver
         trace = info.value.trace
         assert len(trace) > 0
@@ -284,6 +284,42 @@ def test_forward_value_must_have_iterate_shape(solver):
     B = ForwardOperator(lambda x: float(x[0]) - 2.0, lipschitz_hint=1.0)
     with pytest.raises(ValueError, match=r"shape \(\); .* shape \(1,\)"):
         _run_scalar_seed(solver, B)
+
+
+_HISTORY_SEEDS = {
+    ("gfrb_fixed", "x_minus1"):
+        lambda A, B, x0, bad: gfrb_fixed(A, B, x0, bad, x0, 0.1, 0.1),
+    ("gfrb_fixed", "x_minus2"):
+        lambda A, B, x0, bad: gfrb_fixed(A, B, x0, x0, bad, 0.1, 0.1),
+    ("frb", "x_minus1"): lambda A, B, x0, bad: frb(A, B, x0, bad, 0.1),
+    ("rfb", "x_minus1"): lambda A, B, x0, bad: rfb(A, B, x0, bad, 0.1),
+    ("gfrb_adaptive", "x_minus1"):
+        lambda A, B, x0, bad: gfrb_adaptive(A, B, x0, bad, 0.1, 0.1)}
+
+
+@pytest.mark.parametrize("solver, name", sorted(_HISTORY_SEEDS))
+@pytest.mark.parametrize("bad", [np.ones(4), np.ones((5, 1))],
+                         ids=["short", "column"])
+def test_misshapen_history_seed_is_rejected_by_name(solver, name, bad):
+    # A history seed must have x0's shape; one that does not would only
+    # broadcast-fail inside the first step (rfb) or at the first seed
+    # difference.  It is named before B is evaluated once.
+    B, calls = counting_forward(lambda x: 2.0 * x, lipschitz_hint=2.0)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        _HISTORY_SEEDS[solver, name](zero_resolvent(), B, np.ones(5), bad)
+    assert calls.count == 0
+
+
+@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
+                                    "gfrb_adaptive"])
+def test_two_dimensional_x0_is_rejected_by_name(solver):
+    # A 2-d x0 used to die in the first norm with "only 0-dimensional
+    # arrays can be converted to Python scalars".
+    B, calls = counting_forward(lambda x: 2.0 * x)
+    with pytest.raises(ValueError,
+                       match=r"^x0 must be 0-d or 1-d, got shape \(2, 3\)"):
+        _run_from(solver, zero_resolvent(), B, np.ones((2, 3)))
+    assert calls.count == 0
 
 
 def test_step_bound_warnings():
