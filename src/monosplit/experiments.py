@@ -52,11 +52,13 @@ _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
 
 @dataclass
 class InclusionInstance:
-    """A generated problem 0 in (A + B)(x) with optional known solution.
+    """A generated problem 0 in (A + B)(x) with its start point and an
+    optional known solution.
 
-    The operators, x_star and the solvers' iterates share the instance's
-    coordinates u.  An orthogonal ``basis`` (None means the identity)
-    maps them to the problem's own coordinates as x = basis @ u.
+    The operators, the start x0, x_star and the solvers' iterates share
+    the instance's coordinates u.  An orthogonal ``basis`` (None means
+    the identity) maps them to the problem's own coordinates as
+    x = basis @ u.
     """
 
     name: str
@@ -64,6 +66,7 @@ class InclusionInstance:
     forward_b: object
     dim: int
     seed: int
+    x0: np.ndarray
     x_star: np.ndarray = None
     data: dict = field(default_factory=dict)
     basis: np.ndarray = None
@@ -74,13 +77,14 @@ def gen_example1(m, seed=0):
 
     Streams: 0 -> b (m standard normals).  The solution is known in
     closed form, x*_i = -soft(b_i, 1) / 2, and is attached as x_star.
+    The start is x0 = ones.
     """
     b = rng.standard_normal(rng.substream(seed, 0), m)
     forward = ForwardOperator(lambda x: 2.0 * x + b, lipschitz_hint=2.0)
     x_star = -soft_threshold(b, 1.0) / 2.0
     return InclusionInstance(name="example1", resolvent_a=l1_resolvent(),
                              forward_b=forward, dim=m, seed=seed,
-                             x_star=x_star, data={"b": b})
+                             x0=np.ones(m), x_star=x_star, data={"b": b})
 
 
 def gen_example2(m, seed=10):
@@ -98,9 +102,10 @@ def gen_example2(m, seed=10):
     u = P^T x, where A's resolvent is the elementwise scaling
     ``diagonal_resolvent(eigs + beta)`` and B(u) = (P^T M P) u + P^T b
     is one product: resolvent_a, forward_b and x_star = P^T x* are in
-    u, and basis = P.  P is orthogonal, so ||B||, every displacement
-    and every step-controller input equal their x-coordinate values up
-    to rounding.  data keeps E, M, b and beta in x-coordinates.
+    u, and basis = P.  The start is ones in x, attached in u as
+    x0 = P^T @ ones.  P is orthogonal, so ||B||, every displacement and
+    every step-controller input equal their x-coordinate values up to
+    rounding.  data keeps E, M, b and beta in x-coordinates.
     """
     R = rng.standard_normal(rng.substream(seed, 0), (m, m))
     Rbar = rng.standard_normal(rng.substream(seed, 1), (m, m))
@@ -120,7 +125,8 @@ def gen_example2(m, seed=10):
                              resolvent_a=diagonal_resolvent(eigs + beta),
                              forward_b=make_affine_forward(P_t @ M @ P,
                                                            P_t @ b),
-                             dim=m, seed=seed, x_star=P_t @ x_star,
+                             dim=m, seed=seed, x0=P_t @ np.ones(m),
+                             x_star=P_t @ x_star,
                              data={"E": E, "M": M, "b": b, "beta": beta},
                              basis=P)
 
@@ -135,7 +141,7 @@ def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
     noise (m normals, scaled noise_sigma).  The true signal keeps the
     stream-1 normals on the support and is attached in
     data['x_true']; x_star stays None because the minimizer has no
-    closed form.
+    closed form.  The start is x0 = zeros.
     """
     A = rng.standard_normal(rng.substream(seed, 0), (m, n))
     A /= np.sqrt(m)
@@ -149,6 +155,7 @@ def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
     forward = make_lasso_forward(A, y)
     return InclusionInstance(name="lasso", resolvent_a=l1_resolvent(reg_lambda),
                              forward_b=forward, dim=n, seed=seed,
+                             x0=np.zeros(n),
                              data={"A": A, "y": y, "x_true": x_true,
                                    "support": support,
                                    "reg_lambda": reg_lambda})
@@ -162,7 +169,8 @@ def gen_composite(n=40, m_rows=30, seed=0):
     1/sqrt(m_rows)), 1 -> anchor p (n normals).  A = 0 (identity
     resolvent), B(x) = x - p with L = 1, C is the l1 subdifferential
     acting on K x.  B is strongly monotone, so the solution is unique:
-    x* = p - K^T y* with y* the box-constrained dual minimizer.
+    x* = p - K^T y* with y* the box-constrained dual minimizer.  The
+    problem starts from x0 = zeros, y0 = zeros.
     """
     K = rng.standard_normal(rng.substream(seed, 0), (m_rows, n)) \
         / np.sqrt(m_rows)
@@ -197,7 +205,9 @@ class ExperimentConfig:
 
     ``delta`` is one number for both solvers that read it, gfrb_adaptive
     and gfrb_fixed, or an object keyed by solver name that gives each of
-    them that is listed in ``solvers`` its own.
+    them that is listed in ``solvers`` its own.  The start point is no
+    field: each problem's generator attaches its own as
+    InclusionInstance.x0.
     """
 
     problem: str = "example1"
@@ -211,7 +221,6 @@ class ExperimentConfig:
     lambda0: float = 0.1
     tol: float = 1e-6
     max_iter: int = 5000
-    x0_kind: str = "ones"
     noise_sigma: float = 0.01
     reg_lambda: float = 0.01
     # epdtr's reflection weight; epdtr_solve derives the step pair from it.
@@ -308,8 +317,6 @@ def _check(cfg):
                              "and no other problem")
     if not cfg.solvers:
         raise ValueError("config field 'solvers': must not be empty")
-    if cfg.x0_kind not in ("ones", "zeros"):
-        raise ValueError("config field 'x0_kind': must be 'ones' or 'zeros'")
     for key in ("m", "n", "k", "max_iter"):
         if getattr(cfg, key) <= 0:
             raise ValueError(f"config field '{key}': must be positive")
@@ -385,7 +392,7 @@ def generate(cfg):
         return InclusionInstance(
             name="composite", resolvent_a=problem.resolvent_a,
             forward_b=problem.forward_b, dim=cfg.n, seed=cfg.seed,
-            data=dict(data, problem=problem))
+            x0=problem.x0, data=dict(data, problem=problem))
     raise ValueError(f"unknown problem {cfg.problem!r}")
 
 
@@ -431,23 +438,20 @@ def _run_result(instance, solver, cfg, x, trace, **extra):
 
 
 def run_solver(instance, solver, cfg):
-    """Run one solver from the configured seeds and wrap the outcome.
+    """Run one solver from the instance's start and wrap the outcome.
 
-    A null cfg.lam is filled by the fixed-step solver that runs it;
-    epdtr_solve derives its step pair at b_reflect.  gfrb_adaptive and
-    gfrb_fixed run at their ``_solver_delta``; gfrb_adaptive starts from
-    cfg.lambda0, x0 and its probe seed (x_minus1=None).
-    The configured x0 (ones or zeros) is a point of the problem's own
-    coordinates, mapped in as basis^T @ x0 when the instance has a
-    basis; RunResult.x is in the instance's coordinates, as x_star is.
+    Every solver, epdtr included, starts from instance.x0, and every
+    history seed of a fixed-step solver is that point.  A null cfg.lam
+    is filled by the fixed-step solver that runs it; epdtr_solve derives
+    its step pair at b_reflect.  gfrb_adaptive and gfrb_fixed run at
+    their ``_solver_delta``; gfrb_adaptive starts from cfg.lambda0, x0
+    and its probe seed (x_minus1=None).  RunResult.x is in the
+    instance's coordinates, as x0 and x_star are.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     stop = StopRule(tol=cfg.tol, max_iter=cfg.max_iter)
-    x0 = np.ones(instance.dim) if cfg.x0_kind == "ones" \
-        else np.zeros(instance.dim)
-    if instance.basis is not None:
-        x0 = instance.basis.T @ x0
+    x0 = instance.x0
     A, B = instance.resolvent_a, instance.forward_b
     delta = _solver_delta(cfg, solver)
     if solver == "gfrb_adaptive":

@@ -28,18 +28,18 @@ class ForwardOperator:
     lipschitz_hint : float or None
         Known Lipschitz constant of ``evaluate``, used by solvers to
         check step-size ranges: None, which disables those checks, or a
-        finite real >= 0 (0 is the hint of a zero matrix), else
-        ValueError.
+        finite real >= 0 that is not a bool (0 is the hint of a zero
+        matrix), else ValueError.
     """
 
     def __init__(self, evaluate, lipschitz_hint=None):
-        if lipschitz_hint is not None and not (
-                isinstance(lipschitz_hint, numbers.Real)
-                and 0.0 <= lipschitz_hint < math.inf):
+        hint = lipschitz_hint
+        if hint is not None and (isinstance(hint, bool) or not (
+                isinstance(hint, numbers.Real) and 0.0 <= hint < math.inf)):
             raise ValueError("lipschitz_hint must be None or a finite "
-                             f"real >= 0, got {lipschitz_hint!r}")
+                             f"real >= 0, got {hint!r}")
         self._evaluate = evaluate
-        self.lipschitz_hint = lipschitz_hint
+        self.lipschitz_hint = hint
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -81,8 +81,10 @@ def soft_threshold(z, lam):
 
 def l1_resolvent(weight=1.0):
     """Resolvent ``J(z, lam)`` of the scaled l1 subdifferential, i.e. soft
-    thresholding at lam * weight, for a finite real weight >= 0."""
-    if not (isinstance(weight, numbers.Real) and 0.0 <= weight < math.inf):
+    thresholding at lam * weight, for a finite real weight >= 0 that is
+    not a bool."""
+    if isinstance(weight, bool) or not (isinstance(weight, numbers.Real)
+                                        and 0.0 <= weight < math.inf):
         raise ValueError(f"weight must be a finite real >= 0, got {weight!r}")
     return lambda z, lam: soft_threshold(z, lam * weight)
 

@@ -200,8 +200,12 @@ def _fixed_step(lam, B, method, delta=0.0):
     """The float step ``method`` runs: lam None is 90% of its bound at B's
     lipschitz_hint (ValueError without a positive hint, or when that
     default is not positive and finite); a given lam must be positive and
-    finite, and one at or beyond the bound warns.  A non-finite delta is
-    a ValueError naming it."""
+    finite, and one at or beyond the bound warns.  A bool lam or delta
+    and a non-finite delta are a ValueError naming it."""
+    for name, value in (("lam", lam), ("delta", delta)):
+        if isinstance(value, bool):
+            raise ValueError(f"{method}: {name} must be a real number, got "
+                             f"{value!r}")
     if not math.isfinite(delta):
         raise ValueError(f"{method}: delta must be finite, got {delta!r}")
     L = getattr(B, "lipschitz_hint", None)

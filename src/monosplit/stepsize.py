@@ -53,9 +53,13 @@ def make_stepsize_state(delta, lambda0):
     """Controller for reflection weight delta, starting from step lambda0.
 
     c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.  A
-    delta that leaves this box empty (non-finite, or 2|delta| + 2
-    overflows) and a lambda0 not positive and finite raise ValueError.
+    bool delta or lambda0, a delta that leaves this box empty
+    (non-finite, or 2|delta| + 2 overflows) and a lambda0 not positive
+    and finite raise ValueError naming it.
     """
+    for name, value in (("delta", delta), ("lambda0", lambda0)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     bound = coefficient_bound(delta)
     c2 = 0.99 * bound
     c1 = 0.9 * c2

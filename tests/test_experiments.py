@@ -151,8 +151,6 @@ def test_config_from_dict_defaults_and_errors():
         config_from_dict({"problem": "nope"})
     with pytest.raises(ValueError, match="solvers"):
         config_from_dict({"solvers": ["nope"]})
-    with pytest.raises(ValueError, match="x0_kind"):
-        config_from_dict({"x0_kind": "spiral"})
     with pytest.raises(ValueError, match="'m'"):
         config_from_dict({"m": True})
     for key, value in (("tol", float("nan")), ("tol", float("inf")),
@@ -187,7 +185,8 @@ def test_config_with_lambda_minus1_is_rejected(name):
     for key, value in (("lambda_minus1", 0.1), ("epsilon", 1e-4),
                        ("c1", 0.4049595), ("c2", 0.44995499999999994),
                        ("gamma_kind", "geometric"), ("gamma_ratio", 0.5),
-                       ("gamma_scale", 1.0), ("tau", 0.1), ("sigma", 0.5)):
+                       ("gamma_scale", 1.0), ("tau", 0.1), ("sigma", 0.5),
+                       ("x0_kind", "ones")):
         d = json.loads((CONFIGS / f"{name}.json").read_text())
         d[key] = value
         with pytest.raises(ValueError, match=f"^config field '{key}': "
@@ -378,8 +377,7 @@ def test_config_from_dict_rejects_bad_epdtr_fields(payload, field):
 def test_composite_runs_epdtr_with_its_default_steps():
     cfg = config_from_dict({"problem": "composite", "solvers": ["epdtr"],
                             "n": 12, "m": 8, "seed": 3, "b_reflect": 0.5,
-                            "tol": 1e-9, "max_iter": 20000,
-                            "x0_kind": "zeros"})
+                            "tol": 1e-9, "max_iter": 20000})
     inst = generate(cfg)
     problem, data = gen_composite(n=12, m_rows=8, seed=3)
     np.testing.assert_array_equal(inst.data["K"], data["K"])
@@ -439,7 +437,7 @@ def test_example2_eigenbasis_run_matches_the_dense_run(m, seed):
     inst = generate(cfg)
     E, M, b, beta = (inst.data[k] for k in ("E", "M", "b", "beta"))
     dense = replace(inst, resolvent_a=symmetric_affine_resolvent(E, beta),
-                    forward_b=make_affine_forward(M, b),
+                    forward_b=make_affine_forward(M, b), x0=np.ones(m),
                     x_star=inst.basis @ inst.x_star, basis=None)
     for solver in cfg.solvers:
         in_u = run_solver(inst, solver, cfg)
@@ -450,24 +448,42 @@ def test_example2_eigenbasis_run_matches_the_dense_run(m, seed):
         assert gap <= 1e-12 * max(1.0, np.linalg.norm(in_x.x)), solver
 
 
-@pytest.mark.parametrize("x0_kind", ["ones", "zeros"])
-def test_run_solver_maps_x0_into_the_instance_basis(x0_kind):
-    inst = gen_example2(20, seed=3)
+@pytest.mark.parametrize("problem, start", [
+    ("example1", np.ones), ("example2", np.ones), ("lasso", np.zeros),
+    ("composite", np.zeros)], ids=["example1", "example2", "lasso",
+                                   "composite"])
+def test_run_solver_starts_from_the_instance_x0(monkeypatch, problem,
+                                                start):
+    # The first point run_solver hands on, to B or (on composite) to
+    # epdtr_solve, is the x0 the generator attached, bit for bit; the
+    # start is ones or zeros in the problem's own coordinates.
+    solver = "epdtr" if problem == "composite" else "gfrb_adaptive"
+    cfg = ExperimentConfig(problem=problem, solvers=(solver,), m=20, n=30,
+                           k=3, max_iter=1)
+    inst = generate(cfg)
+    assert inst.x0.shape == (inst.dim,)
     points = []
+    if problem == "composite":
+        solve = epdtr_solve
 
-    def recording(u, B=inst.forward_b):
-        points.append(np.array(u))
-        return B(u)
-    inst.forward_b = ForwardOperator(recording,
-                                     inst.forward_b.lipschitz_hint)
-    cfg = ExperimentConfig(problem="example2", m=20, x0_kind=x0_kind,
-                           max_iter=1)
+        def recording(composite, *args):
+            points.append(np.array(composite.x0))
+            return solve(composite, *args)
+        monkeypatch.setattr("monosplit.experiments.epdtr_solve", recording)
+    else:
+        B = inst.forward_b
+
+        def recording(u):
+            points.append(np.array(u))
+            return B(u)
+        inst.forward_b = ForwardOperator(recording, B.lipschitz_hint)
     # gfrb_adaptive first evaluates B at x0, to build its probe seed.
-    run_solver(inst, "gfrb_adaptive", cfg)
-    x0 = np.ones(20) if x0_kind == "ones" else np.zeros(20)
-    assert points[0].tobytes() == (inst.basis.T @ x0).tobytes()
-    if x0_kind == "zeros":
-        assert np.all(points[0] == 0.0)
+    run_solver(inst, solver, cfg)
+    assert points[0].tobytes() == inst.x0.tobytes()
+    ones_or_zeros = start(inst.dim)
+    if inst.basis is not None:
+        ones_or_zeros = inst.basis.T @ ones_or_zeros
+    assert points[0].tobytes() == ones_or_zeros.tobytes()
 
 
 @pytest.mark.parametrize("name, iters", [("example1", 45), ("example2", 44)])
@@ -602,7 +618,6 @@ def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
 
 @pytest.mark.parametrize("cfg, field", [
     (ExperimentConfig(tol=float("nan"), m=10), "'tol'"),
-    (ExperimentConfig(x0_kind="spiral", m=10), "'x0_kind'"),
     # The default solvers do not solve composite.
     (ExperimentConfig(problem="composite", m=5, n=4), "'solvers'"),
     (ExperimentConfig(m=-5), "'m'"),
@@ -611,7 +626,7 @@ def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
     (ExperimentConfig(solvers="frb"), "'solvers'"),
     (ExperimentConfig(seed=1.5), "'seed'"),
     (ExperimentConfig(m=True), "'m'"),
-], ids=["tol", "x0_kind", "solvers", "m", "m-str", "tol-str", "solvers-str",
+], ids=["tol", "solvers", "m", "m-str", "tol-str", "solvers-str",
         "seed-float", "m-bool"])
 def test_run_benchmark_checks_a_hand_built_config(monkeypatch, cfg, field):
     calls = []

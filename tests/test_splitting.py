@@ -247,8 +247,6 @@ def test_divergence_raises_with_trace(solver):
         assert trace.errs[-1] > 1e12 or not np.isfinite(trace.errs[-1])
 
 
-@pytest.mark.parametrize("solver", ["fb", "fbf", "rfb", "frb", "gfrb_fixed",
-                                    "gfrb_adaptive"])
 def _run_scalar_seed(solver, B):
     A = l1_resolvent()
     stop = StopRule(tol=1e-10, max_iter=500)
@@ -284,6 +282,26 @@ def test_forward_value_must_have_iterate_shape(solver):
     B = ForwardOperator(lambda x: float(x[0]) - 2.0, lipschitz_hint=1.0)
     with pytest.raises(ValueError, match=r"shape \(\); .* shape \(1,\)"):
         _run_scalar_seed(solver, B)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ForwardOperator(lambda x: x, lipschitz_hint=True),
+     "lipschitz_hint"),
+    (lambda: l1_resolvent(True), "weight"),
+    (lambda: make_stepsize_state(True, 0.1), "delta"),
+    (lambda: make_stepsize_state(0.1, True), "lambda0"),
+    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                        np.ones(2), np.ones(2), None, True), "delta"),
+    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                        np.ones(2), np.ones(2), True, 0.1), "lam"),
+], ids=["ForwardOperator-lipschitz_hint", "l1_resolvent-weight",
+        "make_stepsize_state-delta", "make_stepsize_state-lambda0",
+        "gfrb_fixed-delta", "gfrb_fixed-lam"])
+def test_bool_is_not_taken_as_the_number_one(build, name):
+    # A bool is a numbers.Real, so without its own test True would run as
+    # 1; each input fails by name instead, as StopRule's do.
+    with pytest.raises(ValueError, match=f"\\b{name} must be"):
+        build()
 
 
 _HISTORY_SEEDS = {
