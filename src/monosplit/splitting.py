@@ -200,10 +200,13 @@ def _fixed_step(lam, B, method, delta=0.0):
     """The float step ``method`` runs: lam None is 90% of its bound at B's
     lipschitz_hint (ValueError without a positive hint, or when that
     default is not positive and finite); a given lam must be positive and
-    finite, and one at or beyond the bound warns.  A bool lam or delta
+    finite, and one at or beyond the bound warns.  A lam or delta that
+    is not a real number (a bool, a string, a complex; None for delta)
     and a non-finite delta are a ValueError naming it."""
     for name, value in (("lam", lam), ("delta", delta)):
-        if isinstance(value, bool):
+        if value is None and name == "lam":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{method}: {name} must be a real number, got "
                              f"{value!r}")
     if not math.isfinite(delta):

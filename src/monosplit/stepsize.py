@@ -21,6 +21,7 @@ horizon.  After it the step can only shrink.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -53,12 +54,13 @@ def make_stepsize_state(delta, lambda0):
     """Controller for reflection weight delta, starting from step lambda0.
 
     c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.  A
-    bool delta or lambda0, a delta that leaves this box empty
-    (non-finite, or 2|delta| + 2 overflows) and a lambda0 not positive
-    and finite raise ValueError naming it.
+    delta or lambda0 that is not a real number (a bool, a string, None,
+    a complex), a delta that leaves this box empty (non-finite, or
+    2|delta| + 2 overflows) and a lambda0 not positive and finite raise
+    ValueError naming it.
     """
     for name, value in (("delta", delta), ("lambda0", lambda0)):
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
     bound = coefficient_bound(delta)
     c2 = 0.99 * bound

@@ -2,8 +2,11 @@ import mmap
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monosplit import operators
+from monosplit import _partner, operators
 from monosplit.operators import (ForwardOperator, LinearMap,
                                  _top_gram_eigenvalue, diagonal_resolvent,
                                  l1_resolvent, make_affine_forward,
@@ -279,11 +282,27 @@ def _lasso_layouts(gen, m, n):
             "strided columns": gen.standard_normal((m, 2 * n))[::-1, ::2]}
 
 
+def _ready_partner():
+    """The process's partner once it is ready, or None on a host where
+    none runs."""
+    partner = _partner._shared() if _partner.available() else None
+    if partner is None:
+        return None
+    deadline = time.monotonic() + 60.0
+    while not partner.ready():
+        assert partner.proc.poll() is None, "the partner exited at start"
+        assert time.monotonic() < deadline, "the partner never got ready"
+        time.sleep(0.01)
+    return partner
+
+
 def _lasso_parity_failures(sizes):
     """(m, n, layout, x) cases where make_lasso_forward differs from
-    A^T (A x - y) in any bit, or its hint from the caller's A's."""
+    A^T (A x - y) in any bit, or its hint from the caller's A's, and the
+    set of (m, n, layout) whose evaluations the partner took half of."""
     gen = np.random.default_rng(31)
-    failures = []
+    partner = _ready_partner()
+    failures, partnered = [], set()
     for m, n in sizes:
         for layout, A in _lasso_layouts(gen, m, n).items():
             y = gen.standard_normal(m)
@@ -291,24 +310,67 @@ def _lasso_parity_failures(sizes):
             dense = gen.standard_normal(n)
             sparse = np.where(gen.random(n) < 0.9, 0.0, dense)
             for kind, x in (("dense", dense), ("sparse", sparse)):
+                before = partner and partner.requests
                 if op(x).tobytes() != (A.T @ (A @ x - y)).tobytes():
                     failures.append((m, n, layout, kind))
+                if partner and partner.requests > before:
+                    partnered.add((m, n, layout))
             if op.lipschitz_hint != _top_gram_eigenvalue(A):
                 failures.append((m, n, layout, "hint"))
-    return failures
+    return failures, partnered
 
 
 # m = 0-40 covers the one-product rule below m = 8 and every split
 # remainder; 255-257 x 1024 are at least 1 MiB, so the C and F ones are
-# placed on a huge page.
+# placed on a huge page, and the C ones are shared with the partner.
 _PARITY_SIZES = ([(m, 1 + (37 * m) % 61) for m in range(41)]
                  + [(m, 1024) for m in (255, 256, 257)])
 
 
 def test_lasso_forward_parity_with_plain_formula():
-    # The row blocks and the placed copy change where A is read, never
-    # a bit of the value; see make_lasso_forward.
-    assert _lasso_parity_failures(_PARITY_SIZES) == []
+    # The row blocks, the placed copy and the partner change where A is
+    # read, never a bit of the value; see make_lasso_forward.
+    failures, partnered = _lasso_parity_failures(_PARITY_SIZES)
+    assert failures == []
+    if _partner.available():
+        assert partnered == {(m, 1024, "C") for m in (255, 256, 257)}
+
+
+# n = 512 + 37 k for k = 0-15 takes every remainder mod 16 once, since 37
+# is odd; with 1100 the sweep spans 512-1100, every one of them eligible.
+_SWEEP_COLUMNS = [512 + 37 * k for k in range(16)] + [1100]
+
+
+def test_lasso_forward_column_split_sweep():
+    # The partner takes A[:, c:]^T r with c = 8 floor(n / 16); each n mod 16
+    # leaves a different tail of columns, which gemv forms apart.  x comes
+    # contiguous, off its 8-byte alignment by one element, and strided.
+    gen = np.random.default_rng(32)
+    partner = _ready_partner()
+    failures = []
+    for n in _SWEEP_COLUMNS:
+        A = gen.standard_normal((256, n))
+        y = gen.standard_normal(256)
+        op = make_lasso_forward(A, y)
+        shifted = np.empty(n + 1)[1:]
+        shifted[...] = gen.standard_normal(n)
+        for x in (gen.standard_normal(n), shifted,
+                  gen.standard_normal(2 * n)[::2]):
+            before = partner and partner.requests
+            if op(x).tobytes() != (A.T @ (A @ x - y)).tobytes():
+                failures.append((n, x.strides, x.ctypes.data % 16))
+            if partner:
+                assert partner.requests == before + 1
+    assert failures == []
+
+
+def _rerun(tests, *flags, env=None):
+    """Run ``tests`` of this file in a fresh interpreter with ``flags``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "pytest", "-q", "-p",
+         "no:cacheprovider", *(f"{__file__}::{t}" for t in tests)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_lasso_forward_parity_with_one_blas_thread():
@@ -316,13 +378,215 @@ def test_lasso_forward_parity_with_one_blas_thread():
     # reads its thread count at load, so the check runs in a fresh process.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_lasso_forward_parity_with_plain_formula"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    proc = _rerun(["test_lasso_forward_parity_with_plain_formula",
+                   "test_lasso_forward_column_split_sweep"], env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout, proc.stdout
+    assert "2 passed" in proc.stdout, proc.stdout
+
+
+_partner_host = pytest.mark.skipif(not _partner.available(),
+                                   reason="no partner runs on this host")
+
+
+def _child(code, **kwargs):
+    """A fresh ``-X dev -W error`` interpreter running ``code`` with this
+    checkout's package first on its path."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+# A child that evaluates one eligible operator on the partner and prints
+# the partner's pid, then runs ``{tail}``.  A hook registered before the
+# partner's own exit hook runs after it and reports whether the partner
+# was waited for, with which status, and whether the child's descriptors
+# are back to those it had before the partner started.
+_EVALUATE_AND_PRINT_PID = """
+import atexit, os, time
+import numpy as np
+from monosplit import _partner
+from monosplit.operators import make_lasso_forward
+gen = np.random.default_rng(0)
+op = make_lasso_forward(gen.standard_normal((256, 1024)),
+                        gen.standard_normal(256))
+fds = sorted(os.listdir("/proc/self/fd"))
+
+def report():
+    print("closed", partner.proc.returncode,
+          sorted(os.listdir("/proc/self/fd")) == fds, flush=True)
+
+atexit.register(report)
+partner = _partner._shared()
+while not partner.ready():
+    time.sleep(0.01)
+op(np.ones(1024))
+assert partner.requests == 1
+print(partner.proc.pid, flush=True)
+{tail}
+"""
+
+
+def _gone(pid):
+    """Whether no process ``pid`` runs: none exists, or only a zombie
+    that its new parent has not reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@_partner_host
+@pytest.mark.parametrize("end", ["exit", "SIGKILL"])
+def test_partner_ends_with_its_parent(end):
+    # At a normal exit the hook closes the pipe, the partner exits at EOF
+    # with status 0 and is waited for; killed, the parent leaves the pipe
+    # to the kernel, which closes it, and the partner exits all the same.
+    tail = "" if end == "exit" else "time.sleep(60)"
+    with _child(_EVALUATE_AND_PRINT_PID.format(tail=tail)) as child:
+        pid = int(child.stdout.readline())
+        if end == "SIGKILL":
+            child.kill()
+        # Not communicate(): it reads the pipes past the line buffered above.
+        out, err = child.stdout.read(), child.stderr.read()
+        child.wait(timeout=30)
+    if end == "exit":
+        assert (child.returncode, out, err) == (0, "closed 0 True\n", "")
+    else:
+        assert child.returncode == -signal.SIGKILL
+    deadline = time.monotonic() + 2.0
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _gone(pid)
+
+
+_KILLED_MID_SOLVE = """
+import os, signal, threading, time
+import numpy as np
+from monosplit import _partner
+from monosplit.experiments import gen_lasso
+from monosplit.operators import ForwardOperator, l1_resolvent
+from monosplit.splitting import StopRule, gfrb_adaptive
+instance = gen_lasso(256, 1024, 20, seed=0)
+A, y = instance.data["A"], instance.data["y"]
+op = instance.forward_b
+partner = _partner._shared()
+while not partner.ready():
+    time.sleep(0.01)
+calls = 0
+
+def B(x):
+    global calls
+    calls += 1
+    if calls == 100:
+        threading.Timer(0.005, os.kill,
+                        (partner.proc.pid, signal.SIGKILL)).start()
+    return op(x)
+
+def solve(forward):
+    return gfrb_adaptive(instance.resolvent_a, ForwardOperator(forward),
+                         instance.x0, None, -0.4, 0.1,
+                         StopRule(tol=0.0, max_iter=3000))
+
+x, trace = solve(B)
+served = partner.requests
+plain, plain_trace = solve(lambda x: A.T @ (A @ x - y))
+assert not partner.alive and partner.proc.returncode == -signal.SIGKILL
+assert 100 <= served < calls, (served, calls)
+assert x.tobytes() == plain.tobytes()
+assert trace.errs == plain_trace.errs
+assert trace.lambdas == plain_trace.lambdas
+print("same bits")
+"""
+
+
+@_partner_host
+def test_partner_killed_mid_solve_changes_no_bit():
+    # The parent finds the partner dead while it waits, forms the missing
+    # half itself and goes serial; the solve neither hangs nor moves.
+    with _child(_KILLED_MID_SOLVE) as child:
+        out, err = child.communicate(timeout=120)
+    assert (child.returncode, out, err) == (0, "same bits\n", ""), err
+
+
+@_partner_host
+def test_partner_serves_threads_one_at_a_time():
+    # More threads than cores, on operators of different shapes, so the
+    # partner switches matrices between nearly every pair of requests.
+    partner = _ready_partner()
+    gen = np.random.default_rng(33)
+    work = []
+    for m, n in [(256, 1024), (200, 1100), (300, 900)]:
+        A, y = gen.standard_normal((m, n)), gen.standard_normal(m)
+        work.append((A, y, make_lasso_forward(A, y),
+                     gen.standard_normal((30, n))))
+    failures, before = [], partner.requests
+
+    def evaluate(A, y, op, xs):
+        for x in xs:
+            if op(x).tobytes() != (A.T @ (A @ x - y)).tobytes():
+                failures.append(A.shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=evaluate, args=w) for w in work]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert partner.requests == before + 90
+
+
+@_partner_host
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_takes_the_serial_path():
+    partner = _ready_partner()
+    gen = np.random.default_rng(34)
+    A, y, x = (gen.standard_normal((256, 1024)), gen.standard_normal(256),
+               gen.standard_normal(1024))
+    op = make_lasso_forward(A, y)
+    expected = (A.T @ (A @ x - y)).tobytes()
+    assert op(x).tobytes() == expected
+    served = partner.requests
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            serial = (_partner._shared() is None
+                      and op(x).tobytes() == expected
+                      and partner.requests == served)
+            code = 0 if serial else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert op(x).tobytes() == expected
+    assert partner.requests == served + 1
+
+
+def test_partner_tests_pass_in_dev_mode():
+    # -X dev warns of a pipe, file or process never closed or waited for,
+    # and -W error makes each warning fatal, also at interpreter exit.
+    proc = _rerun(["test_lasso_forward_parity_with_plain_formula",
+                   "test_lasso_forward_column_split_sweep",
+                   "test_partner_ends_with_its_parent",
+                   "test_partner_killed_mid_solve_changes_no_bit",
+                   "test_partner_serves_threads_one_at_a_time",
+                   "test_forked_child_takes_the_serial_path"],
+                  "-X", "dev", "-W", "error")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "failed" not in proc.stdout and "error" not in proc.stdout, \
+        proc.stdout
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert "Exception ignored" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (12, 20), (256, 1024)])

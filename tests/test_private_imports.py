@@ -8,6 +8,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monosplit"
 
 ALLOWED = {
+    ("_partner", "operators", "_placed_copy"),
     ("primal_dual", "splitting", "_drive"),
     ("primal_dual", "splitting", "_forward"),
     ("primal_dual", "splitting", "_norm"),

@@ -294,12 +294,28 @@ def test_forward_value_must_have_iterate_shape(solver):
                         np.ones(2), np.ones(2), None, True), "delta"),
     (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
                         np.ones(2), np.ones(2), True, 0.1), "lam"),
+    (lambda: frb(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                 np.ones(2), "0.1"), "lam"),
+    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                        np.ones(2), np.ones(2), None, "0.1"), "delta"),
+    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                        np.ones(2), np.ones(2), None, None), "delta"),
+    (lambda: make_stepsize_state("0.1", 0.1), "delta"),
+    (lambda: gfrb_adaptive(l1_resolvent(), shifted_identity(0.0),
+                           np.ones(2), None, 0.1, None), "lambda0"),
+    (lambda: fbf(l1_resolvent(), shifted_identity(0.0), np.ones(2),
+                 0.1 + 0j), "lam"),
 ], ids=["ForwardOperator-lipschitz_hint", "l1_resolvent-weight",
         "make_stepsize_state-delta", "make_stepsize_state-lambda0",
-        "gfrb_fixed-delta", "gfrb_fixed-lam"])
+        "gfrb_fixed-delta", "gfrb_fixed-lam", "frb-lam-str",
+        "gfrb_fixed-delta-str", "gfrb_fixed-delta-None",
+        "make_stepsize_state-delta-str", "gfrb_adaptive-lambda0-None",
+        "fbf-lam-complex"])
 def test_bool_is_not_taken_as_the_number_one(build, name):
     # A bool is a numbers.Real, so without its own test True would run as
-    # 1; each input fails by name instead, as StopRule's do.
+    # 1; each input fails by name instead, as StopRule's do.  So does any
+    # other value that is not a real number, which failed deep inside
+    # (a TypeError from isfinite, abs or float) before.
     with pytest.raises(ValueError, match=f"\\b{name} must be"):
         build()
 
