@@ -1,4 +1,5 @@
-"""Command-line front door for solves, sweeps and experiments.
+"""Command-line front door: solves, experiments, config checks, the rate
+analysis and the primal-dual step region.
 
 Commands
 --------

@@ -214,19 +214,42 @@ def make_affine_forward(M, b):
 # A design matrix this large is placed on its own transparent huge page(s).
 _PLACE_MIN_BYTES = 1 << 20
 _HUGE_PAGE = 2 << 20
+# A placed C-order row is followed by one 64-byte cache line of padding.
+# At the 256 x 1024 lasso's 8 KiB pitch, the column-half products
+# A[:, :c]^T r read 4 KiB half-rows that all fall into the same cache
+# sets.  On a 2-CPU Xeon with 2 MiB of L2 per core, padded by 8 doubles
+# they took 11 us against 18-19 us in a tight loop, and the benchmark's
+# lasso solves 15-22 % less time.  A pad of 64 doubles was slower than
+# none in solves, though no slower in the tight loop, so the pad is set
+# by solve-level runs; see the README's Determinism section.
+_ROW_PAD = 8
 
 
 def _placed_copy(A):
-    """Copy of a C- or F-contiguous A, in its order, that starts a
-    2 MiB-aligned private anonymous mapping advised MADV_HUGEPAGE; None
-    where the platform lacks that advice or the mapping or advice fails.
+    """Copy of a C- or F-contiguous A that starts a 2 MiB-aligned private
+    anonymous mapping advised MADV_HUGEPAGE; None where the platform
+    lacks that advice or the mapping or advice fails.
+
+    An F-order A is copied contiguously in its order.  A C-order A is
+    copied with a row pitch of n + _ROW_PAD doubles, so that the
+    half-rows the column-half products A[:, :c]^T r read do not all
+    fall into the same cache sets (see _ROW_PAD), and returned as the
+    [:, :n] view of that block, which is not C-contiguous.  numpy hands
+    such a view to BLAS with lda = n + _ROW_PAD, and gemv and gemm do
+    the same arithmetic at any lda, so every product keeps its bits.
 
     The mapping is private: a shared anonymous one is shmem, which
     transparent huge pages in "madvise" mode do not back.
     """
     if not hasattr(mmap, "MADV_HUGEPAGE"):
         return None
-    span = -(-A.nbytes // _HUGE_PAGE) * _HUGE_PAGE + _HUGE_PAGE
+    m, n = A.shape
+    order = "C" if A.flags.c_contiguous else "F"
+    # Only a C-only A gets padded rows: a single row or column is both C-
+    # and F-contiguous, and a pad there would only waste memory.
+    width = n if A.flags.f_contiguous else n + _ROW_PAD
+    nbytes = m * width * A.itemsize
+    span = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE + _HUGE_PAGE
     try:
         buf = mmap.mmap(-1, span, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError:
@@ -238,9 +261,9 @@ def _placed_copy(A):
         return None
     raw = np.frombuffer(buf, dtype=np.uint8)
     start = -raw.ctypes.data % _HUGE_PAGE
-    order = "C" if A.flags.c_contiguous else "F"
-    placed = raw[start:start + A.nbytes].view(A.dtype).reshape(A.shape,
-                                                                order=order)
+    block = raw[start:start + nbytes].view(A.dtype).reshape((m, width),
+                                                            order=order)
+    placed = block[:, :n]
     placed[...] = A
     return placed
 
@@ -249,7 +272,10 @@ def _snapshot(A):
     """Private copy of A that numpy multiplies as it does A: placed by
     _placed_copy when A is C- or F-contiguous and at least 1 MiB, else
     a plain copy in A's order, and for a view, one with A's strides,
-    since whether numpy hands a view to BLAS depends on those."""
+    since whether numpy hands a view to BLAS depends on those.  The
+    placed C-order copy has a wider row pitch than A, but its rows are
+    still unit-stride, so numpy hands it to the same BLAS kernels, only
+    with a larger leading dimension, which changes no arithmetic."""
     if A.flags.c_contiguous or A.flags.f_contiguous:
         placed = _placed_copy(A) if A.nbytes >= _PLACE_MIN_BYTES else None
         return A.copy(order="K") if placed is None else placed
@@ -268,14 +294,16 @@ def _snapshot(A):
 _SPLIT_MAX_ENTRIES = 460_800
 
 
-def _least_squares_gradient(A, y):
+def _least_squares_gradient(A, y, shareable):
     """x -> A^T (A x - y), with A x formed bottom row block first.
 
-    A C-order A of at least 1 MiB that takes the row split shares each
-    evaluation with the partner process where the host can run one
-    (_partner.available).  On the shipped lasso iterates (seeds 0-4, one
-    BLAS thread) a shared evaluation took a median 59 us in a tight loop
-    against 68 us for the serial one below.
+    An A that takes the row split shares each evaluation with the
+    partner process where ``shareable`` and the host can run one
+    (_partner.available).  ``shareable`` says the caller's A was C-order
+    and at least 1 MiB; it cannot be read off A, whose placed copy has
+    padded rows and so is not C-contiguous.  On the shipped lasso
+    iterates (seeds 0-4, one BLAS thread) a shared evaluation took a
+    median 59 us in a tight loop against 68 us for the serial one below.
     """
     m = A.shape[0]
     if m < 8 or A.size >= _SPLIT_MAX_ENTRIES:
@@ -290,7 +318,7 @@ def _least_squares_gradient(A, y):
         r -= y
         return A.T @ r
 
-    if A.flags.c_contiguous and A.nbytes >= _PLACE_MIN_BYTES and available():
+    if shareable and available():
         return SplitForward(A, y, h, evaluate)
     return evaluate
 
@@ -305,18 +333,23 @@ def make_lasso_forward(A, y):
     The operator snapshots A and y when it is built, at every size, so
     later writes to the caller's arrays do not reach it.  Its values
     and hint equal those of the plain formula on the caller's A bit for
-    bit, in any layout.  Two things keep the 256 x 1024 (2 MiB) lasso
+    bit, in any layout.  Three things keep the 256 x 1024 (2 MiB) lasso
     design in a core's L2 cache:
 
-    * An A of at least 1 MiB, C- or F-contiguous, is copied in its
-      order to the start of a 2 MiB-aligned private anonymous mapping
-      advised MADV_HUGEPAGE, so it fills whole huge pages instead of
-      4 KiB pages that map unevenly onto L2's sets.  Linux backs it
-      with huge pages when transparent huge pages are in "always" or
-      "madvise" mode.  Without the advice, or when mapping or advice
-      fails, A is copied plainly, as every other A is; a view keeps its
-      strides, because numpy hands a view to BLAS or to its own loop by
-      them.
+    * An A of at least 1 MiB, C- or F-contiguous, is copied to the
+      start of a 2 MiB-aligned private anonymous mapping advised
+      MADV_HUGEPAGE, so it fills whole huge pages instead of 4 KiB
+      pages that map unevenly onto L2's sets.  Linux backs it with huge
+      pages when transparent huge pages are in "always" or "madvise"
+      mode.  A C-order copy's rows are n + 8 doubles apart, one 64-byte
+      cache line more than a row, so that the 4 KiB half-rows the
+      column-half products A[:, :c]^T r read at a 1024-double pitch no
+      longer fall into the same cache sets; the operator keeps the
+      [:, :n] view, which numpy hands to the same BLAS kernels with a
+      larger leading dimension.  An F-order copy stays contiguous.
+      Without the advice, or when mapping or advice fails, A is copied
+      plainly, as every other A is; a view keeps its strides, because
+      numpy hands a view to BLAS or to its own loop by them.
     * A x is formed as two row blocks, the bottom one first, split at
       h = 4 * floor(m / 8), so A^T r starts on rows still in cache.
       OpenBLAS's gemv, for C and F order alike, takes rows in groups
@@ -328,10 +361,11 @@ def make_lasso_forward(A, y):
       above 460800, where OpenBLAS deals the rows to several threads
       and a split would regroup them.
     * On Linux x86-64 with at least two CPUs in the process's affinity
-      mask, a C-order A of at least 1 MiB that is split by rows is
-      shared with a partner process (monosplit._partner), which keeps
-      its own placed copy: the parent forms A[:h] x and A[:, :c]^T r,
-      the partner A[h:] x and A[:, c:]^T r, with c = 8 * floor(n / 16).
+      mask, an A of at least 1 MiB that the caller passed in C order
+      and that is split by rows is shared with a partner process
+      (monosplit._partner), which keeps its own placed copy, padded
+      alike: the parent forms A[:h] x and A[:, :c]^T r, the partner
+      A[h:] x and A[:, c:]^T r, with c = 8 * floor(n / 16).
       Each column block of A^T r starts at a multiple of 4 columns, so
       each output element keeps its kernel path, as each row does.  The
       partner starts at the first such evaluation, not here; until it is
@@ -346,7 +380,12 @@ def make_lasso_forward(A, y):
     serial, in a tight loop; inside the benchmark's lasso solves, where
     the rest of each iteration evicts part of A from the calling core's
     L2 while the partner's part stays in its own, each solver ran 15-22 %
-    faster.
+    faster.  Padding the placed rows by 8 doubles then cut the
+    column-half products from 18-19 us to 11 us in a tight loop; the row
+    blocks and the serial path's full A^T r got no faster.  In two runs
+    of the benchmark's lasso workload the pad took 19-22 % off the solve
+    time against none, while a pad of 64 doubles changed it by +15 % and
+    -2 %; on one CPU, where no partner runs, solves moved by -3 and +7 %.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -355,8 +394,9 @@ def make_lasso_forward(A, y):
     if y.shape != A.shape[:1]:
         raise ValueError(f"y must have shape {A.shape[:1]}, got {y.shape}")
     _check_finite(y, "y")
+    shareable = A.flags.c_contiguous and A.nbytes >= _PLACE_MIN_BYTES
     A = _snapshot(A)
-    return ForwardOperator(_least_squares_gradient(A, y.copy()),
+    return ForwardOperator(_least_squares_gradient(A, y.copy(), shareable),
                            lipschitz_hint=_top_gram_eigenvalue(A))
 
 

@@ -599,6 +599,8 @@ def test_lasso_forward_snapshots_A_and_y(shape, order):
     x = gen.standard_normal(shape[1])
     op = make_lasso_forward(A, y)
     before, hint = op(x), op.lipschitz_hint
+    # The placed copy's padded rows leave the hint's bits as they are.
+    assert hint == _top_gram_eigenvalue(A)
     A *= 2.0
     y += 1.0
     assert op(x).tobytes() == before.tobytes()
@@ -609,11 +611,17 @@ def test_lasso_forward_snapshots_A_and_y(shape, order):
                     reason="no MADV_HUGEPAGE on this platform")
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_large_contiguous_A_is_placed_on_an_aligned_copy(order):
-    A = np.asarray(np.random.default_rng(4).standard_normal((128, 1024)),
+    # A C-order copy's rows are one cache line (8 doubles) apart beyond
+    # their length; an F-order copy stays contiguous.
+    m, n = 128, 1024
+    A = np.asarray(np.random.default_rng(4).standard_normal((m, n)),
                    order=order)
     snap = operators._snapshot(A)
     assert snap.ctypes.data % (2 << 20) == 0
-    assert snap.flags[f"{order}_CONTIGUOUS"]
+    if order == "C":
+        assert snap.strides == (8 * (n + 8), 8)
+    else:
+        assert snap.flags.f_contiguous
     assert not np.shares_memory(snap, A)
     assert snap.tobytes(order="A") == A.tobytes(order="A")
 
