@@ -61,8 +61,11 @@ _TOP = 8                                  # parent: A[:h] x is in
 _BOTTOM, _DONE, _ASLEEP, _READY = range(16, 20)
 _HEADER = 4096
 _ALIGN = 64
-# A has fewer than 460800 entries, and m + n <= m n + 1, so A, y, x, r and
-# the partner's A^T r fit in three such spans of float64 plus alignment.
+# The row split, and so the partner, takes only an A with fewer entries
+# than this: OpenBLAS deals a gemv's rows to several threads from
+# m * n = 460800 on (115200 * GEMM_MULTITHREAD_THRESHOLD, which defaults
+# to 4).  As m + n <= m n + 1, A, y, x, r and the partner's A^T r then fit
+# in three such spans of float64 plus alignment.
 _MAX_ENTRIES = 460_800
 _BLOCK_BYTES = _HEADER + 3 * 8 * _MAX_ENTRIES + 5 * _ALIGN
 # Idle time after which the partner sleeps, and wait time without

@@ -21,8 +21,7 @@ from . import rng
 from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
                         l1_resolvent, make_affine_forward, make_lasso_forward,
                         soft_threshold, zero_resolvent)
-from .primal_dual import (CompositeProblem, EPDTRConfig, epdtr_solve,
-                          finite_reflection)
+from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
 from .stepsize import make_stepsize_state
@@ -38,12 +37,12 @@ _FIXED_STEP_RUNS = {
 }
 # epdtr solves the composite problem and no other; the rest never solve it.
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
-# The solvers that read delta, the keys a per-solver delta object takes.
-_DELTA_READERS = ("gfrb_adaptive", "gfrb_fixed")
+# The solvers that read delta, the keys a per-solver delta object takes;
+# epdtr reads it as its reflection weight b.
+_DELTA_READERS = ("gfrb_adaptive", "gfrb_fixed", "epdtr")
 PROBLEMS = ("example1", "example2", "lasso", "composite")
-# Config fields only epdtr reads, and those only the splitting solvers read.
-_EPDTR_FIELDS = ("b_reflect",)
-_SPLITTING_FIELDS = ("delta", "lam", "lambda0")
+# Config fields only the splitting solvers read.
+_SPLITTING_FIELDS = ("lam", "lambda0")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
 _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
@@ -203,9 +202,10 @@ def snr(x_star, x):
 class ExperimentConfig:
     """Flat, JSON-mappable description of one benchmark run.
 
-    ``delta`` is one number for both solvers that read it, gfrb_adaptive
-    and gfrb_fixed, or an object keyed by solver name that gives each of
-    them that is listed in ``solvers`` its own.  The start point is no
+    ``delta`` is one number for every solver that reads it,
+    gfrb_adaptive, gfrb_fixed and epdtr (as its reflection weight b), or
+    an object keyed by solver name that gives each of them that is
+    listed in ``solvers`` its own.  The start point is no
     field: each problem's generator attaches its own as
     InclusionInstance.x0.
     """
@@ -223,8 +223,6 @@ class ExperimentConfig:
     max_iter: int = 5000
     noise_sigma: float = 0.01
     reg_lambda: float = 0.01
-    # epdtr's reflection weight; epdtr_solve derives the step pair from it.
-    b_reflect: float = 0.0
 
 
 def _accepted_types(f):
@@ -251,15 +249,10 @@ def config_from_dict(d):
     cfg = ExperimentConfig(**d)
     _check(cfg)
     cfg.solvers = tuple(cfg.solvers)
-    if cfg.problem == "composite":
-        unread, why = _SPLITTING_FIELDS, \
-            "epdtr, the solver of 'composite', does not read it"
-    else:
-        unread, why = _EPDTR_FIELDS, \
-            f"only epdtr reads it, and epdtr does not solve {cfg.problem!r}"
     for key in d:
-        if key in unread:
-            raise ValueError(f"config field '{key}': {why}")
+        if cfg.problem == "composite" and key in _SPLITTING_FIELDS:
+            raise ValueError(f"config field '{key}': epdtr, the solver of "
+                             "'composite', does not read it")
         if key in _INSTANCE_FIELDS and key not in _READS[cfg.problem]:
             raise ValueError(f"config field '{key}': {cfg.problem!r} does "
                              "not read it")
@@ -296,7 +289,9 @@ def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
     ValueError naming the first field of cfg with a bad type or value,
     a delta whose derived adaptive box 0 < c1 < c2 <
-    coefficient_bound(delta) is empty included.  Each entry of a
+    coefficient_bound(delta) is empty included.  That box is empty
+    exactly when 2*(1+|delta|) overflows, primal_dual.finite_reflection's
+    rule, so the check also covers epdtr's delta.  Each entry of a
     per-solver delta is checked as a scalar delta is, named
     'delta.<solver>'."""
     for key, expected in _CONFIG_TYPES.items():
@@ -334,9 +329,6 @@ def _check(cfg):
     for name, delta in deltas.items():
         if not math.isfinite(delta):
             raise ValueError(f"config field '{name}': must be finite")
-    if not finite_reflection(cfg.b_reflect):
-        raise ValueError("config field 'b_reflect': 2*(1+|b_reflect|) "
-                         "must be finite")
     for key in ("noise_sigma", "reg_lambda"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value >= 0):
@@ -442,11 +434,11 @@ def run_solver(instance, solver, cfg):
 
     Every solver, epdtr included, starts from instance.x0, and every
     history seed of a fixed-step solver is that point.  A null cfg.lam
-    is filled by the fixed-step solver that runs it; epdtr_solve derives
-    its step pair at b_reflect.  gfrb_adaptive and gfrb_fixed run at
-    their ``_solver_delta``; gfrb_adaptive starts from cfg.lambda0, x0
-    and its probe seed (x_minus1=None).  RunResult.x is in the
-    instance's coordinates, as x0 and x_star are.
+    is filled by the fixed-step solver that runs it.  gfrb_adaptive,
+    gfrb_fixed and epdtr run at their ``_solver_delta``, epdtr as its b,
+    from which epdtr_solve derives its step pair; gfrb_adaptive starts
+    from cfg.lambda0, x0 and its probe seed (x_minus1=None).
+    RunResult.x is in the instance's coordinates, as x0 and x_star are.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -459,8 +451,7 @@ def run_solver(instance, solver, cfg):
     elif solver == "epdtr":
         problem = replace(instance.data["problem"], resolvent_a=A,
                           forward_b=B, x0=x0)
-        x, _y, trace = epdtr_solve(problem, EPDTRConfig(b=cfg.b_reflect),
-                                   stop)
+        x, _y, trace = epdtr_solve(problem, EPDTRConfig(b=delta), stop)
     else:
         x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, delta, stop)
     return _run_result(instance, solver, cfg, x, trace)

@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from ._partner import SplitForward, available
+from ._partner import _MAX_ENTRIES, SplitForward, available
 
 
 class ForwardOperator:
@@ -227,8 +227,11 @@ _ROW_PAD = 8
 
 def _placed_copy(A):
     """Copy of a C- or F-contiguous A that starts a 2 MiB-aligned private
-    anonymous mapping advised MADV_HUGEPAGE; None where the platform
-    lacks that advice or the mapping or advice fails.
+    anonymous mapping; None where the platform lacks MADV_HUGEPAGE or the
+    mapping or advice fails.  The advice covers only the huge pages the
+    copy mostly fills, round(nbytes / 2 MiB) of them and at least one,
+    from its start: the padded 256 x 1024 lasso design (2.02 MiB) gets
+    one, where advising its 16 KiB tail too backed it with a second.
 
     An F-order A is copied contiguously in its order.  A C-order A is
     copied with a row pitch of n + _ROW_PAD doubles, so that the
@@ -254,13 +257,15 @@ def _placed_copy(A):
         buf = mmap.mmap(-1, span, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError:
         return None
-    try:
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    except OSError:
-        buf.close()
-        return None
     raw = np.frombuffer(buf, dtype=np.uint8)
     start = -raw.ctypes.data % _HUGE_PAGE
+    try:
+        buf.madvise(mmap.MADV_HUGEPAGE, start,
+                    max(1, round(nbytes / _HUGE_PAGE)) * _HUGE_PAGE)
+    except OSError:
+        del raw    # an exported buffer would make close() raise
+        buf.close()
+        return None
     block = raw[start:start + nbytes].view(A.dtype).reshape((m, width),
                                                             order=order)
     placed = block[:, :n]
@@ -289,11 +294,6 @@ def _snapshot(A):
     return copy
 
 
-# OpenBLAS deals a gemv's rows to several threads from m * n = 460800 on
-# (115200 * GEMM_MULTITHREAD_THRESHOLD, which defaults to 4).
-_SPLIT_MAX_ENTRIES = 460_800
-
-
 def _least_squares_gradient(A, y, shareable):
     """x -> A^T (A x - y), with A x formed bottom row block first.
 
@@ -306,7 +306,7 @@ def _least_squares_gradient(A, y, shareable):
     median 59 us in a tight loop against 68 us for the serial one below.
     """
     m = A.shape[0]
-    if m < 8 or A.size >= _SPLIT_MAX_ENTRIES:
+    if m < 8 or A.size >= _MAX_ENTRIES:
         return lambda x: A.T @ (A @ x - y)
     h = 4 * (m // 8)
     top, bottom = A[:h], A[h:]

@@ -9,7 +9,9 @@ fixed-step rates on example2, whose resolvent is a diagonal scaling;
 ``primal_dual.epdtr_step`` as a multi-step reflected splitting on the
 product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]];
 ``expanded_epdtr_drive`` is epdtr_step's primal drive in the
-hand-expanded form it had before it shared splitting's reflected kernel.
+hand-expanded form it had before it shared splitting's reflected kernel;
+``planted_instance`` is a random inclusion built around a planted
+solution, so it is known exactly without a reference solve.
 """
 
 import numpy as np
@@ -110,3 +112,45 @@ def expanded_epdtr_drive(x, Kty, Bx, Bx_prev, Bx_prev2, tau, b):
     np.multiply(b * tau, Bx_prev2, out=work)
     drive -= work
     return drive
+
+
+class AffineForward:
+    """x -> M x + b, with the exact Lipschitz constant ||M||_2 as its
+    lipschitz_hint, which the fixed-step solvers' default steps read."""
+
+    def __init__(self, M, b):
+        self.M, self.b = M, b
+        self.lipschitz_hint = float(np.linalg.norm(M, 2))
+
+    def __call__(self, x):
+        return self.M @ x + self.b
+
+
+def planted_instance(n, s, w, seed):
+    """0 in (A + B)(x) with a planted solution x*; returns
+    (resolvent of A, B, x*).
+
+    A = d(w ||.||_1), whose resolvent is soft thresholding at lam * w.
+    B(x) = M x + b with M = G G^T / n + s (R - R^T) / 2: G is n x 2n, so
+    the symmetric part is positive definite (for large n its spectrum
+    lies near [0.17, 5.8]) and B is strongly monotone, with skew weight
+    s.  x* is sparse, with max(1, n // 4) normal entries, and
+    v = w sign(x*) on its support and w u off it, |u| <= 0.9, lies in
+    A(x*), strictly inside w [-1, 1] off the support.  Then
+    b = -(M x* + v) gives -B(x*) = v, so x* is the unique solution.
+    All draws come from numpy's default_rng(seed).
+    """
+    gen = np.random.default_rng(seed)
+    G = gen.standard_normal((n, 2 * n))
+    R = gen.standard_normal((n, n))
+    M = G @ G.T / n + s * 0.5 * (R - R.T)
+    x_star = np.zeros(n)
+    support = gen.permutation(n)[:max(1, n // 4)]
+    x_star[support] = gen.standard_normal(support.size)
+    v = w * gen.uniform(-0.9, 0.9, n)
+    v[support] = w * np.sign(x_star[support])
+
+    def resolvent(z, lam):
+        return np.sign(z) * np.maximum(np.abs(z) - lam * w, 0.0)
+
+    return resolvent, AffineForward(M, -(M @ x_star + v)), x_star

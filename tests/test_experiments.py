@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from monosplit import rng
+from monosplit import experiments, rng
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
                                    gen_composite, gen_example1, gen_example2,
                                    gen_lasso, generate, load_config, resolve,
@@ -303,10 +303,14 @@ _BOTH = ["gfrb_adaptive", "gfrb_fixed"]
 
 
 @pytest.mark.parametrize("payload, name, reason", [
-    *[({"solvers": _BOTH + ([s] if s != "epdtr" else []),
+    *[({"solvers": _BOTH + [s],
         "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 0.1, s: 0.1}},
        f"delta.{s}", "does not read delta")
-      for s in ("frb", "fbf", "rfb", "fb", "epdtr")],
+      for s in ("frb", "fbf", "rfb", "fb")],
+    # epdtr reads delta, but does not solve example1, so it is not listed.
+    ({"solvers": _BOTH,
+      "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 0.1, "epdtr": 0.1}},
+     "delta.epdtr", "is not listed in 'solvers'"),
     ({"solvers": ["gfrb_adaptive"],
       "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 0.1}},
      "delta.gfrb_fixed", "is not listed in 'solvers'"),
@@ -325,8 +329,8 @@ _BOTH = ["gfrb_adaptive", "gfrb_fixed"]
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": "-0.4",
                                   "gfrb_fixed": 0.1}},
      "delta.gfrb_adaptive", "bad type str"),
-    # composite's epdtr reads no delta, so no entry can name a listed
-    # solver.
+    # composite lists only epdtr, so an entry for a GFRB solver names a
+    # solver that is not listed.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "delta": {"gfrb_adaptive": -0.4}},
      "delta.gfrb_adaptive", "is not listed in 'solvers'"),
@@ -365,7 +369,7 @@ def test_validate_config_boxes():
     ({"sigma": -1.0}, "'sigma'"),
     ({"tau": 0.1, "sigma": 0.5}, "'tau'"),
     ({"sigma": 0.1}, "'sigma'"),
-    # 2*(1+|b|) overflows, so default_stepsizes would return (0, inf).
+    # So does the removed reflection weight; delta is epdtr's b.
     ({"problem": "composite", "solvers": ["epdtr"], "b_reflect": 1e308},
      "'b_reflect'"),
 ])
@@ -376,7 +380,7 @@ def test_config_from_dict_rejects_bad_epdtr_fields(payload, field):
 
 def test_composite_runs_epdtr_with_its_default_steps():
     cfg = config_from_dict({"problem": "composite", "solvers": ["epdtr"],
-                            "n": 12, "m": 8, "seed": 3, "b_reflect": 0.5,
+                            "n": 12, "m": 8, "seed": 3, "delta": 0.5,
                             "tol": 1e-9, "max_iter": 20000})
     inst = generate(cfg)
     problem, data = gen_composite(n=12, m_rows=8, seed=3)
@@ -392,6 +396,72 @@ def test_composite_runs_epdtr_with_its_default_steps():
     assert result.trace.errs == trace.errs
     assert result.trace.lambdas == trace.lambdas
     assert result.trace.primal_residual == trace.primal_residual
+
+
+_COMPOSITE = {"problem": "composite", "solvers": ["epdtr"], "n": 12, "m": 8,
+              "seed": 3}
+
+
+def _shipped_composite(**changes):
+    """configs/composite.json as a dict, with ``changes`` applied."""
+    return dict(json.loads((CONFIGS / "composite.json").read_text()),
+                **changes)
+
+
+@pytest.mark.parametrize("payload, b", [
+    ({"delta": 0.5}, 0.5),
+    ({"delta": {"epdtr": 0.5}}, 0.5),
+    # A composite config without delta runs at the shared default.
+    ({}, 0.1),
+])
+def test_composite_delta_reaches_epdtr_as_its_b(monkeypatch, payload, b):
+    configs = []
+    solve = experiments.epdtr_solve
+
+    def spy(problem, cfg, stop):
+        configs.append(cfg)
+        return solve(problem, cfg, stop)
+
+    monkeypatch.setattr(experiments, "epdtr_solve", spy)
+    (result,) = run_benchmark(config_from_dict(dict(_COMPOSITE, **payload)))
+    assert [cfg.b for cfg in configs] == [b]
+    assert result.converged and result.delta == b
+
+
+@pytest.mark.parametrize("delta, cell", [(0, "0"), ({"epdtr": 0.5}, "0.5")])
+def test_epdtr_summary_row_ends_in_its_delta(tmp_path, delta, cell):
+    run_benchmark(config_from_dict(dict(_COMPOSITE, delta=delta)), tmp_path)
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("composite,epdtr,8,12,3,")
+    assert rows[1].split(",")[-1] == cell
+
+
+@pytest.mark.parametrize("value", [0, 0.5, 1e308])
+def test_composite_config_with_b_reflect_is_rejected(value):
+    # delta is epdtr's reflection weight; the old key fails by name.
+    with pytest.raises(ValueError, match="^config field 'b_reflect': "
+                                         "unknown field$"):
+        config_from_dict(_shipped_composite(b_reflect=value))
+
+
+@pytest.mark.parametrize("key, value", [("lam", 0.5), ("lambda0", 0.1)])
+def test_composite_rejects_the_step_fields_epdtr_never_reads(key, value):
+    with pytest.raises(ValueError, match=f"^config field '{key}': epdtr, "
+                                         "the solver of 'composite', does "
+                                         "not read it$"):
+        config_from_dict(_shipped_composite(**{key: value}))
+
+
+@pytest.mark.parametrize("delta, name, reason", [
+    # 2*(1+|b|) overflows, so default_stepsizes would return (0, inf).
+    (1e308, "delta", "need 0 < c1 < c2"),
+    ({"epdtr": -1e308}, "delta.epdtr", "need 0 < c1 < c2"),
+    (float("inf"), "delta", "must be finite"),
+])
+def test_composite_delta_out_of_range_is_named(delta, name, reason):
+    with pytest.raises(ValueError, match=f"^config field '{name}': "
+                                         f"{reason}"):
+        config_from_dict(_shipped_composite(delta=delta))
 
 
 @pytest.mark.parametrize("solver, L, delta, bound", [

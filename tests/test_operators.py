@@ -641,6 +641,33 @@ class _RefusedAdvice(mmap.mmap):
         raise OSError(22, "Invalid argument")
 
 
+class _RecordedAdvice(mmap.mmap):
+    advised = []
+
+    def madvise(self, option, start, length):
+        self.advised.append((option, start, length))
+        return super().madvise(option, start, length)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"),
+                    reason="no MADV_HUGEPAGE on this platform")
+@pytest.mark.parametrize("shape, pages", [((256, 1024), 1), ((128, 1024), 1),
+                                          ((640, 1024), 3)])
+def test_placed_copy_advises_only_the_huge_pages_it_mostly_fills(
+        monkeypatch, shape, pages):
+    # The padded 256 x 1024 copy spans 2.02 MiB; its 16 KiB tail gets no
+    # huge page of its own.  A 1 MiB copy still gets one.
+    monkeypatch.setattr(mmap, "mmap", _RecordedAdvice)
+    monkeypatch.setattr(_RecordedAdvice, "advised", [])
+    A = np.random.default_rng(7).standard_normal(shape)
+    snap = operators._placed_copy(A)
+    (option, start, length), = _RecordedAdvice.advised
+    assert option == mmap.MADV_HUGEPAGE
+    assert snap.ctypes.data % (2 << 20) == 0
+    assert start % mmap.PAGESIZE == 0 and length == pages * (2 << 20)
+    np.testing.assert_array_equal(snap, A)
+
+
 @pytest.mark.parametrize("fallback", ["no advice", "advice fails"])
 def test_lasso_forward_falls_back_to_a_plain_copy(monkeypatch, fallback):
     if fallback == "no advice":

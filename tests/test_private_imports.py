@@ -9,6 +9,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monosplit"
 
 ALLOWED = {
     ("_partner", "operators", "_placed_copy"),
+    ("operators", "_partner", "_MAX_ENTRIES"),
     ("primal_dual", "splitting", "_drive"),
     ("primal_dual", "splitting", "_forward"),
     ("primal_dual", "splitting", "_norm"),
