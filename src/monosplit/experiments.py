@@ -10,9 +10,9 @@ its docstring.
 
 import contextlib
 import json
-import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -24,16 +24,17 @@ from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
 from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
-from .stepsize import make_stepsize_state
+from .stepsize import reflection_scale
 
-# Fixed-step solvers as run from a config: every seed iterate is x0.
+# Fixed-step solvers as run from a config: every seed iterate is x0, and
+# each fills its own default step from delta and B's lipschitz_hint.
 _FIXED_STEP_RUNS = {
-    "gfrb_fixed": lambda A, B, x0, lam, delta, stop:
-        gfrb_fixed(A, B, x0, x0, x0, lam, delta, stop),
-    "frb": lambda A, B, x0, lam, delta, stop: frb(A, B, x0, x0, lam, stop),
-    "fbf": lambda A, B, x0, lam, delta, stop: fbf(A, B, x0, lam, stop),
-    "rfb": lambda A, B, x0, lam, delta, stop: rfb(A, B, x0, x0, lam, stop),
-    "fb": lambda A, B, x0, lam, delta, stop: fb(A, B, x0, lam, stop),
+    "gfrb_fixed": lambda A, B, x0, delta, stop:
+        gfrb_fixed(A, B, x0, x0, x0, None, delta, stop),
+    "frb": lambda A, B, x0, delta, stop: frb(A, B, x0, x0, None, stop),
+    "fbf": lambda A, B, x0, delta, stop: fbf(A, B, x0, None, stop),
+    "rfb": lambda A, B, x0, delta, stop: rfb(A, B, x0, x0, None, stop),
+    "fb": lambda A, B, x0, delta, stop: fb(A, B, x0, None, stop),
 }
 # epdtr solves the composite problem and no other; the rest never solve it.
 SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
@@ -41,8 +42,6 @@ SOLVERS = ("gfrb_adaptive",) + tuple(_FIXED_STEP_RUNS) + ("epdtr",)
 # epdtr reads it as its reflection weight b.
 _DELTA_READERS = ("gfrb_adaptive", "gfrb_fixed", "epdtr")
 PROBLEMS = ("example1", "example2", "lasso", "composite")
-# Config fields only the splitting solvers read.
-_SPLITTING_FIELDS = ("lam", "lambda0")
 # Instance fields, and those each problem's generator reads.
 _INSTANCE_FIELDS = ("n", "k", "noise_sigma", "reg_lambda")
 _READS = {"example1": (), "example2": (), "lasso": _INSTANCE_FIELDS,
@@ -140,8 +139,11 @@ def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
     noise (m normals, scaled noise_sigma).  The true signal keeps the
     stream-1 normals on the support and is attached in
     data['x_true']; x_star stays None because the minimizer has no
-    closed form.  The start is x0 = zeros.
+    closed form.  The start is x0 = zeros.  ValueError naming k unless
+    0 < k <= n.
     """
+    if not 0 < k <= n:
+        raise ValueError(f"k must satisfy 0 < k <= n = {n}, got {k!r}")
     A = rng.standard_normal(rng.substream(seed, 0), (m, n))
     A /= np.sqrt(m)
     values = rng.standard_normal(rng.substream(seed, 1), n)
@@ -217,7 +219,6 @@ class ExperimentConfig:
     k: int = 20
     seed: int = 0
     delta: float | dict = 0.1
-    lam: float = None
     lambda0: float = 0.1
     tol: float = 1e-6
     max_iter: int = 5000
@@ -226,12 +227,11 @@ class ExperimentConfig:
 
 
 def _accepted_types(f):
-    # Numeric fields take numpy scalars too (_check rejects bool), tuple
-    # fields take lists, and a None default admits None.
-    types = {int: (numbers.Integral,), float: (numbers.Real,),
-             float | dict: (numbers.Real, dict),
-             tuple: (list, tuple)}.get(f.type, (f.type,))
-    return types + (type(None),) if f.default is None else types
+    # Numeric fields take numpy scalars too (_check rejects bool), and
+    # tuple fields take lists.
+    return {int: (numbers.Integral,), float: (numbers.Real,),
+            float | dict: (numbers.Real, dict),
+            tuple: (list, tuple)}.get(f.type, (f.type,))
 
 
 _CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
@@ -250,7 +250,7 @@ def config_from_dict(d):
     _check(cfg)
     cfg.solvers = tuple(cfg.solvers)
     for key in d:
-        if cfg.problem == "composite" and key in _SPLITTING_FIELDS:
+        if cfg.problem == "composite" and key == "lambda0":
             raise ValueError(f"config field '{key}': epdtr, the solver of "
                              "'composite', does not read it")
         if key in _INSTANCE_FIELDS and key not in _READS[cfg.problem]:
@@ -287,13 +287,10 @@ def _named_deltas(cfg):
 
 def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
-    ValueError naming the first field of cfg with a bad type or value,
-    a delta whose derived adaptive box 0 < c1 < c2 <
-    coefficient_bound(delta) is empty included.  That box is empty
-    exactly when 2*(1+|delta|) overflows, primal_dual.finite_reflection's
-    rule, so the check also covers epdtr's delta.  Each entry of a
-    per-solver delta is checked as a scalar delta is, named
-    'delta.<solver>'."""
+    ValueError naming the first field of cfg with a bad type or value.
+    A delta must pass stepsize.reflection_scale, the one rule every
+    solver that reads it applies; each entry of a per-solver delta is
+    checked as a scalar delta is, named 'delta.<solver>'."""
     for key, expected in _CONFIG_TYPES.items():
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, expected):
@@ -320,25 +317,23 @@ def _check(cfg):
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
-    for key in ("lambda0", "tol", "lam"):
+    # abs(value) <= float max: finite as a float, which NaN and an integer
+    # too large for one (on which math.isfinite raises) are not.
+    for key in ("lambda0", "tol"):
         value = getattr(cfg, key)
-        if value is not None and not (math.isfinite(value) and value > 0):
+        if not (abs(value) <= sys.float_info.max and value > 0):
             raise ValueError(f"config field '{key}': must be positive and "
                              "finite")
-    deltas = _named_deltas(cfg)
-    for name, delta in deltas.items():
-        if not math.isfinite(delta):
-            raise ValueError(f"config field '{name}': must be finite")
-    for key in ("noise_sigma", "reg_lambda"):
-        value = getattr(cfg, key)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"config field '{key}': must be nonnegative and "
-                             "finite")
-    for name, delta in deltas.items():
+    for name, delta in _named_deltas(cfg).items():
         try:
-            make_stepsize_state(delta, cfg.lambda0)
+            reflection_scale(delta)
         except ValueError as exc:
             raise ValueError(f"config field '{name}': {exc}") from exc
+    for key in ("noise_sigma", "reg_lambda"):
+        value = getattr(cfg, key)
+        if not (abs(value) <= sys.float_info.max and value >= 0):
+            raise ValueError(f"config field '{key}': must be nonnegative and "
+                             "finite")
 
 
 def load_config(path, **overrides):
@@ -433,8 +428,8 @@ def run_solver(instance, solver, cfg):
     """Run one solver from the instance's start and wrap the outcome.
 
     Every solver, epdtr included, starts from instance.x0, and every
-    history seed of a fixed-step solver is that point.  A null cfg.lam
-    is filled by the fixed-step solver that runs it.  gfrb_adaptive,
+    history seed of a fixed-step solver is that point, and each
+    fixed-step solver runs its own default step.  gfrb_adaptive,
     gfrb_fixed and epdtr run at their ``_solver_delta``, epdtr as its b,
     from which epdtr_solve derives its step pair; gfrb_adaptive starts
     from cfg.lambda0, x0 and its probe seed (x_minus1=None).
@@ -453,7 +448,7 @@ def run_solver(instance, solver, cfg):
                           forward_b=B, x0=x0)
         x, _y, trace = epdtr_solve(problem, EPDTRConfig(b=delta), stop)
     else:
-        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, cfg.lam, delta, stop)
+        x, trace = _FIXED_STEP_RUNS[solver](A, B, x0, delta, stop)
     return _run_result(instance, solver, cfg, x, trace)
 
 

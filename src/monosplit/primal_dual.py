@@ -30,6 +30,7 @@ import numpy as np
 from .operators import power_norm
 from .splitting import (StepSizeWarning, _drive, _forward, _norm,
                         _reflected_target)
+from .stepsize import reflection_scale
 
 
 @dataclass
@@ -77,9 +78,9 @@ class PrimalDualState:
 
 
 def _slack(tau, sigma, b, L, norm_k):
-    """1 - 2*tau*(1+|b|)*L - tau*sigma*norm_k**2, elementwise on arrays;
+    """1 - tau*reflection_scale(b)*L - tau*sigma*norm_k**2, on arrays too;
     check_stepsizes and region_grid share this grouping bit for bit."""
-    return 1.0 - 2.0 * tau * (1.0 + abs(b)) * L - tau * sigma * norm_k ** 2
+    return 1.0 - tau * reflection_scale(b) * L - tau * sigma * norm_k ** 2
 
 
 def _check_steps(tau, sigma):
@@ -101,11 +102,6 @@ def check_stepsizes(tau, sigma, b, L, norm_k):
     return slack > 0.0, slack
 
 
-def finite_reflection(b):
-    """Whether 2*(1+|b|), which every step rule at b scales by, is finite."""
-    return math.isfinite(2.0 * (1.0 + abs(b)))
-
-
 def default_stepsizes(b, L, norm_k):
     """Step pair spending 95% of the admissibility bound.
 
@@ -114,7 +110,7 @@ def default_stepsizes(b, L, norm_k):
     surviving term.
     """
     budget = 0.95
-    scale = 2.0 * (1.0 + abs(b)) * L
+    scale = reflection_scale(b) * L
     if L > 0.0 and norm_k > 0.0:
         tau = (budget / 2.0) / scale
         sigma = scale / norm_k ** 2
@@ -139,11 +135,11 @@ def step_pair(problem, cfg):
     each map is estimated once.  Both uses of ||K|| need L: without a
     hint the slack is None, no power iteration runs, and an unset pair
     raises ValueError, as does, with or without L, a step that is not
-    positive and finite; before any of that, so do a cfg.b that fails
-    ``finite_reflection`` and a pair with one step set.
+    positive and finite; before any of that, so do a cfg.b that the GFRB
+    delta rule ``stepsize.reflection_scale`` rejects and a pair with one
+    step set.
     """
-    if not finite_reflection(cfg.b):
-        raise ValueError(f"b must keep 2*(1+|b|) finite, got {cfg.b!r}")
+    reflection_scale(cfg.b)
     unset = [name for name in ("tau", "sigma") if getattr(cfg, name) is None]
     if len(unset) == 1:
         raise ValueError(f"step {unset[0]} is unset; set both or neither")
@@ -270,23 +266,23 @@ def region_grid(b, L, norm_k, n=200):
 
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
-    Raises ValueError naming the argument unless n >= 1, 2*(1+|b|) is
-    finite, L and norm_k are finite and nonnegative, and the slack's
-    coefficients 2*(1+|b|)*L and norm_k*norm_k, and their sum, are
-    finite too.
+    Raises ValueError naming the argument unless n >= 1, reflection_scale
+    accepts b, L and norm_k are finite and nonnegative, and the slack's
+    coefficients scale*L, norm_k*norm_k and their sum are finite too.
     """
     if not n >= 1:
         raise ValueError(f"region argument 'n' (--grid): must be at least 1, "
                          f"got {n!r}")
-    if not finite_reflection(b):
-        raise ValueError(f"region argument 'b' (--b): must keep 2*(1+|b|) "
-                         f"finite, got {b!r}")
+    try:
+        scale = reflection_scale(b)
+    except ValueError as exc:
+        raise ValueError(f"region argument 'b' (--b): {exc}") from exc
     for name, flag, value in (("L", "--L", L), ("norm_k", "--normK", norm_k)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"region argument '{name}' ({flag}): must be "
                              f"nonnegative and finite, got {value!r}")
     # Past these the slack would be -inf, or norm_k ** 2 would raise.
-    forward_term, coupling_term = 2.0 * (1.0 + abs(b)) * L, norm_k * norm_k
+    forward_term, coupling_term = scale * L, norm_k * norm_k
     if not math.isfinite(forward_term):
         raise ValueError(f"region argument 'L' (--L): must keep "
                          f"2*(1+|b|)*L finite, got {L!r}")

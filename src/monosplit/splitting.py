@@ -7,7 +7,9 @@ array of the iterate's shape), seed iterates, and a StopRule.  They
 return the final iterate together with an IterationTrace whose rows are
 (k, err, lambda, elapsed_s) with err_k = ||x_{k+1} - x_k||.  x0 must be
 0-d or 1-d and each history seed (x_minus1, x_minus2) of x0's shape,
-else a ValueError names the seed before B is evaluated.
+else a ValueError names the seed before B is evaluated.  lam=None runs
+90% of the method's bound at B's lipschitz_hint, for the reflected ones
+1 / (L * stepsize.reflection_scale(delta)), the one rule for delta.
 
 Every solver, and the primal-dual epdtr_solve, is setup code plus a step
 function run by one driver, ``_drive``, which owns the trace, the clock,
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepsize import make_stepsize_state, next_step
+from .stepsize import make_stepsize_state, next_step, reflection_scale
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -186,13 +188,14 @@ def _seed_forwards(B, x, *seeds):
 
 
 # Convergence-theory step bound of each fixed-step method for an
-# L-Lipschitz B; _fixed_step fills a null step and warns from it.
+# L-Lipschitz B, given reflection_scale(delta) (2 for frb, which runs at
+# delta = 0); _fixed_step fills a null step and warns from it.
 _STEP_BOUNDS = {
-    "gfrb_fixed": lambda L, delta: 1.0 / (2.0 * L * (1.0 + abs(delta))),
-    "frb": lambda L, delta: 1.0 / (2.0 * L),
-    "fbf": lambda L, delta: 1.0 / L,
-    "rfb": lambda L, delta: (np.sqrt(2.0) - 1.0) / L,
-    "fb": lambda L, delta: 1.0 / L,
+    "gfrb_fixed": lambda L, scale: 1.0 / (L * scale),
+    "frb": lambda L, scale: 1.0 / (L * scale),
+    "fbf": lambda L, scale: 1.0 / L,
+    "rfb": lambda L, scale: (np.sqrt(2.0) - 1.0) / L,
+    "fb": lambda L, scale: 1.0 / L,
 }
 
 
@@ -200,24 +203,20 @@ def _fixed_step(lam, B, method, delta=0.0):
     """The float step ``method`` runs: lam None is 90% of its bound at B's
     lipschitz_hint (ValueError without a positive hint, or when that
     default is not positive and finite); a given lam must be positive and
-    finite, and one at or beyond the bound warns.  A lam or delta that
-    is not a real number (a bool, a string, a complex; None for delta)
-    and a non-finite delta are a ValueError naming it."""
-    for name, value in (("lam", lam), ("delta", delta)):
-        if value is None and name == "lam":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{method}: {name} must be a real number, got "
-                             f"{value!r}")
-    if not math.isfinite(delta):
-        raise ValueError(f"{method}: delta must be finite, got {delta!r}")
+    finite, and one at or beyond the bound warns.  A lam that is not a
+    real number (a bool, a string, a complex) is a ValueError naming it,
+    and so is a delta that reflection_scale rejects."""
+    scale = reflection_scale(delta)
+    if lam is not None and (isinstance(lam, bool)
+                            or not isinstance(lam, numbers.Real)):
+        raise ValueError(f"{method}: lam must be a real number, got {lam!r}")
     L = getattr(B, "lipschitz_hint", None)
     if lam is None:
         if L is None or L <= 0.0:
             raise ValueError(f"{method} needs an explicit step: the forward "
                              "operator has no usable Lipschitz constant")
-        lam = float(0.9 * _STEP_BOUNDS[method](L, delta))
-        # 2*L*(1+|delta|) can overflow to inf, which makes the step 0.0.
+        lam = float(0.9 * _STEP_BOUNDS[method](L, scale))
+        # L * scale can overflow to inf, which makes the step 0.0.
         if not (math.isfinite(lam) and lam > 0.0):
             raise ValueError(f"{method}: the default step at L={L:g} and "
                              f"delta={delta!r} is {lam!r}; it must be "
@@ -226,7 +225,7 @@ def _fixed_step(lam, B, method, delta=0.0):
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError(f"step lambda must be positive and finite, got {lam!r}")
     if L:
-        bound = _STEP_BOUNDS[method](L, delta)
+        bound = _STEP_BOUNDS[method](L, scale)
         if lam >= bound:
             warnings.warn(
                 f"{method}: step {lam:g} is at or beyond the convergence "

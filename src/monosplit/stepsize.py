@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 
-# Margin that keeps c2 strictly below the open edge 1 / (2|delta| + 2).
+# Margin that keeps c2 strictly below the open edge 1 / reflection_scale.
 EPSILON = 1e-4
 # Last update that may grow the step, by 1 + 1/k; later ones only hold it.
 GROWTH_HORIZON = 1000
@@ -45,30 +45,39 @@ class StepSizeState:
     k: int = 0
 
 
+def reflection_scale(delta):
+    """2(1 + |delta|), the factor every step rule at reflection weight
+    delta scales by; ValueError naming delta unless it is a real number,
+    not a bool, whose factor is finite (an integer too large for a float
+    has none)."""
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a real number, got {delta!r}")
+    try:
+        scale = 2.0 * (1.0 + abs(float(delta)))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"delta must keep 2*(1+|delta|) finite, got "
+                         f"{delta!r}")
+    return scale
+
+
 def coefficient_bound(delta):
-    """Upper edge (1 - EPSILON) / (2|delta| + 2) of the admissible c-box."""
-    return (1.0 - EPSILON) / (2.0 * abs(delta) + 2.0)
+    """Upper edge (1 - EPSILON) / reflection_scale(delta) of the c-box."""
+    return (1.0 - EPSILON) / reflection_scale(delta)
 
 
 def make_stepsize_state(delta, lambda0):
     """Controller for reflection weight delta, starting from step lambda0.
 
     c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.  A
-    delta or lambda0 that is not a real number (a bool, a string, None,
-    a complex), a delta that leaves this box empty (non-finite, or
-    2|delta| + 2 overflows) and a lambda0 not positive and finite raise
-    ValueError naming it.
+    delta reflection_scale rejects, and a lambda0 that is not a real
+    number (not a bool) or not positive and finite, raise ValueError.
     """
-    for name, value in (("delta", delta), ("lambda0", lambda0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-    bound = coefficient_bound(delta)
-    c2 = 0.99 * bound
+    c2 = 0.99 * coefficient_bound(delta)
     c1 = 0.9 * c2
-    if not 0.0 < c1 < c2 < bound:
-        raise ValueError(
-            f"need 0 < c1 < c2 < {bound:.6g} for delta={delta:g}, "
-            f"got c1={c1:g}, c2={c2:g}")
+    if isinstance(lambda0, bool) or not isinstance(lambda0, numbers.Real):
+        raise ValueError(f"lambda0 must be a real number, got {lambda0!r}")
     if not (math.isfinite(lambda0) and lambda0 > 0.0):
         raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
     return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from monosplit import experiments
 from monosplit.operators import ForwardOperator
 
 
@@ -46,3 +48,19 @@ def random_monotone_affine(gen, dim, scale=1.0):
     b = gen.standard_normal(dim)
     L = float(np.linalg.norm(M, 2))
     return ForwardOperator(lambda x: M @ x + b, lipschitz_hint=L), M, b
+
+
+@pytest.fixture
+def understated_example2(monkeypatch):
+    """Make experiments build example2 with its forward's Lipschitz hint
+    divided by 4, so each default fixed step is 4 times too long.  On
+    m = 30, seed 10, frb then diverges at iteration 69 and fbf at 21,
+    while gfrb_adaptive, which reads no hint, converges in 55."""
+    build = experiments.gen_example2
+
+    def understated(m, seed=10):
+        instance = build(m, seed)
+        instance.forward_b.lipschitz_hint /= 4.0
+        return instance
+
+    monkeypatch.setattr(experiments, "gen_example2", understated)

@@ -116,13 +116,24 @@ def test_validate_config_ok(tmp_path, capsys):
 
 
 def test_validate_config_bad_coefficients(tmp_path, capsys):
-    # The c-box derives from delta and is empty once 2|delta| + 2
-    # overflows.
+    # Every step rule at delta scales by 2(1 + |delta|), which overflows.
     path = write_config(tmp_path, "bad.json", {"delta": 1e308})
     assert main(["validate-config", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "'delta'" in err and "c1" in err
+    assert "'delta'" in err and "must keep 2*(1+|delta|) finite" in err
+
+
+def test_validate_config_names_an_integer_too_large_for_a_float(tmp_path,
+                                                                capsys):
+    # JSON reads a long digit string as an int, on which math.isfinite
+    # raises OverflowError; it fails as a bad value instead.
+    path = tmp_path / "huge.json"
+    path.write_text('{"problem": "example1", "m": 20, "tol": 1' + "0" * 400
+                    + "}")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'tol':")
 
 
 def test_validate_config_bad_gamma_box(tmp_path, capsys):
@@ -172,44 +183,43 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert len(trace) >= 2
 
 
-@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
-def test_solve_divergence_exit_code(tmp_path, capsys):
+def test_solve_divergence_exit_code(tmp_path, capsys, understated_example2):
     cfg = write_config(tmp_path, "div.json",
                        {"problem": "example2", "m": 30, "seed": 10,
-                        "solvers": ["fb"], "lam": 1.0, "max_iter": 2000})
+                        "solvers": ["frb"], "max_iter": 2000})
     out = tmp_path / "div"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     stdout = capsys.readouterr().out
     assert "divergence" in stdout
-    trace = (out / "fb_trace.csv").read_text().strip().splitlines()
+    trace = (out / "frb_trace.csv").read_text().strip().splitlines()
     assert trace[0] == "k,err,lambda,elapsed_s"
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
-@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
-def test_experiment_divergence_trace_named_after_solver(tmp_path, capsys):
-    # gfrb_adaptive converges on this instance; fb with lam = 1 diverges.
+def test_experiment_divergence_trace_named_after_solver(
+        tmp_path, capsys, understated_example2):
+    # gfrb_adaptive converges on this instance; frb diverges.
     cfg = write_config(tmp_path, "div.json",
                        {"problem": "example2", "m": 30, "seed": 10,
-                        "solvers": ["gfrb_adaptive", "fb"], "lam": 1.0})
+                        "solvers": ["gfrb_adaptive", "frb"]})
     out = tmp_path / "div"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
-    assert str(out / "fb_trace.csv") in capsys.readouterr().out
+    assert str(out / "frb_trace.csv") in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == [
-        "fb_trace.csv", "gfrb_adaptive_trace.csv", "summary.csv"]
-    trace = (out / "fb_trace.csv").read_text().strip().splitlines()
+        "frb_trace.csv", "gfrb_adaptive_trace.csv", "summary.csv"]
+    trace = (out / "frb_trace.csv").read_text().strip().splitlines()
     assert float(trace[-1].split(",")[1]) > 1e12
 
 
-@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
-def test_experiment_prints_a_divergence_once(tmp_path, capsys):
+def test_experiment_prints_a_divergence_once(tmp_path, capsys,
+                                             understated_example2):
     cfg = write_config(tmp_path, "div.json",
                        {"problem": "example2", "m": 30, "seed": 10,
-                        "solvers": ["gfrb_adaptive", "fb"], "lam": 1.0})
+                        "solvers": ["gfrb_adaptive", "frb"]})
     out = tmp_path / "div"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
     stdout = capsys.readouterr().out
-    assert stdout.count("fb diverged at iteration 18") == 1
+    assert stdout.count("frb diverged at iteration 69") == 1
     assert "trace attached" not in stdout
     assert "gfrb_adaptive: distance to oracle" in stdout
 
@@ -255,24 +265,23 @@ def test_experiment_rerun_removes_stale_traces(tmp_path, capsys):
     assert [row.split(",")[1] for row in summary[1:]] == ["frb"]
 
 
-@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
-def test_diverged_rerun_rewrites_summary(tmp_path, capsys):
-    # The second run diverges in both solvers; it must still run fb and
+def test_diverged_rerun_rewrites_summary(tmp_path, capsys,
+                                         understated_example2):
+    # The second run diverges in both solvers; it must still run fbf and
     # replace the first run's summary and traces, not sit beside them.
     out = tmp_path / "rerun"
-    for solvers, lam, code in ((["frb", "fbf"], 0.01, 0),
-                               (["frb", "fb"], 1.0, 3)):
+    for solvers, code in ((["gfrb_adaptive", "fb"], 0), (["frb", "fbf"], 3)):
         cfg = write_config(tmp_path, "rerun.json",
                            {"problem": "example2", "m": 30, "seed": 10,
-                            "solvers": solvers, "lam": lam})
+                            "solvers": solvers})
         assert main(["experiment", "--config", cfg,
                      "--out", str(out)]) == code
     assert sorted(p.name for p in out.iterdir()) == [
-        "fb_trace.csv", "frb_trace.csv", "summary.csv"]
+        "fbf_trace.csv", "frb_trace.csv", "summary.csv"]
     summary = (out / "summary.csv").read_text().strip().splitlines()
     rows = [row.split(",") for row in summary[1:]]
-    assert [(row[1], int(row[5])) for row in rows] == [("frb", 12),
-                                                       ("fb", 19)]
+    assert [(row[1], int(row[5])) for row in rows] == [("frb", 70),
+                                                       ("fbf", 22)]
     for row in rows:
         trace = (out / f"{row[1]}_trace.csv").read_text().strip()
         assert len(trace.splitlines()) - 1 == int(row[5])
@@ -345,7 +354,7 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
     # Of the removed keys, the file's first, 'tau', is named.
     ({"problem": "example1", "m": 20, "tau": 0.1, "sigma": 50.0,
       "b_reflect": 3}, "'tau'"),
-    # epdtr reads delta, but not lam.
+    # lam is removed: each fixed-step solver derives its own step.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
       "delta": 0.3, "lam": 0.5}, "'lam'"),
     ({"problem": "example1", "m": 20, "reg_lambda": 0.5, "solvers": ["frb"]},

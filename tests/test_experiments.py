@@ -18,6 +18,8 @@ from monosplit.primal_dual import EPDTRConfig, default_stepsizes, epdtr_solve
 from monosplit.splitting import StopRule
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+# stepsize.reflection_scale's reason for a delta it rejects, as a pattern.
+_SCALE_REASON = r"must keep 2\*\(1\+\|delta\|\) finite"
 EXAMPLE2_CONFIG = CONFIGS / "example2.json"
 
 
@@ -113,6 +115,15 @@ def test_gen_lasso_bitwise_deterministic():
     np.testing.assert_array_equal(a.data["x_true"], b.data["x_true"])
 
 
+@pytest.mark.parametrize("k", [7, 0, -1])
+def test_gen_lasso_rejects_a_support_size_outside_1_to_n(k):
+    # k = 7 > n = 5 used to build a 5-sparse signal, and k = -1 one with
+    # n - 1 nonzeros (argsort's [:k]), without an error.
+    with pytest.raises(ValueError, match=r"^k must satisfy 0 < k <= n = 5, "
+                                         f"got {k}$"):
+        gen_lasso(m=10, n=5, k=k)
+
+
 def test_gen_composite_parts():
     problem, data = gen_composite(n=12, m_rows=8, seed=3)
     K, p = data["K"], data["p"]
@@ -162,10 +173,9 @@ def test_config_from_dict_defaults_and_errors():
                        ("b_reflect", float("inf")), ("epsilon", 2.0)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict({key: value})
-    # The box derives from delta; it is empty only when 2|delta| + 2
-    # overflows.
-    with pytest.raises(ValueError, match="^config field 'delta': need 0 < "
-                                         "c1 < c2"):
+    # Every step rule at delta scales by 2(1 + |delta|), which overflows.
+    with pytest.raises(ValueError, match="^config field 'delta': delta "
+                                         f"{_SCALE_REASON}"):
         config_from_dict({"delta": 1e308})
     with pytest.raises(ValueError, match="'k'"):
         config_from_dict({"problem": "lasso", "k": 30, "n": 10})
@@ -186,7 +196,7 @@ def test_config_with_lambda_minus1_is_rejected(name):
                        ("c1", 0.4049595), ("c2", 0.44995499999999994),
                        ("gamma_kind", "geometric"), ("gamma_ratio", 0.5),
                        ("gamma_scale", 1.0), ("tau", 0.1), ("sigma", 0.5),
-                       ("x0_kind", "ones")):
+                       ("x0_kind", "ones"), ("lam", 0.5)):
         d = json.loads((CONFIGS / f"{name}.json").read_text())
         d[key] = value
         with pytest.raises(ValueError, match=f"^config field '{key}': "
@@ -318,12 +328,12 @@ _BOTH = ["gfrb_adaptive", "gfrb_fixed"]
      "delta.gfrb_fixed", "missing"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": float("nan"),
                                   "gfrb_fixed": 0.1}},
-     "delta.gfrb_adaptive", "must be finite"),
+     "delta.gfrb_adaptive", _SCALE_REASON),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1,
                                   "gfrb_fixed": float("-inf")}},
-     "delta.gfrb_fixed", "must be finite"),
+     "delta.gfrb_fixed", _SCALE_REASON),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 1e308}},
-     "delta.gfrb_fixed", "need 0 < c1 < c2"),
+     "delta.gfrb_fixed", _SCALE_REASON),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": True, "gfrb_fixed": 0.1}},
      "delta.gfrb_adaptive", "bad type bool"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": "-0.4",
@@ -341,19 +351,40 @@ def test_per_solver_delta_rejects_a_bad_entry_by_name(payload, name, reason):
         config_from_dict(dict({"problem": "example1", "m": 20}, **payload))
 
 
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("payload, name", [
+    ({"delta": _HUGE}, "delta"),
+    ({"delta": -_HUGE}, "delta"),
+    ({"lambda0": _HUGE}, "lambda0"),
+    ({"tol": _HUGE}, "tol"),
+    ({"problem": "lasso", "noise_sigma": _HUGE}, "noise_sigma"),
+    ({"problem": "lasso", "reg_lambda": _HUGE}, "reg_lambda"),
+    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": _HUGE}},
+     "delta.gfrb_fixed"),
+], ids=["delta", "delta-negative", "lambda0", "tol", "noise_sigma",
+        "reg_lambda", "delta.gfrb_fixed"])
+def test_an_integer_too_large_for_a_float_is_named(payload, name):
+    # JSON reads a long digit string as an int, and math.isfinite raises
+    # OverflowError on one past the float range; it is a bad value.
+    with pytest.raises(ValueError, match=f"^config field '{name}': "):
+        config_from_dict(dict({"problem": "example1", "m": 20}, **payload))
+
+
 def test_per_solver_delta_is_checked_on_a_hand_built_config():
     cfg = ExperimentConfig(solvers=("gfrb_adaptive", "frb"),
                            delta={"gfrb_adaptive": 1e308})
     with pytest.raises(ValueError, match="^config field 'delta.gfrb_adaptive'"
-                                         ": need 0 < c1 < c2"):
+                                         f": delta {_SCALE_REASON}"):
         run_benchmark(cfg)
 
 
 def test_validate_config_boxes():
     cfg = config_from_dict({"problem": "example1"})
     resolve(cfg)
-    with pytest.raises(ValueError, match="^config field 'delta': need 0 < "
-                                         "c1 < c2"):
+    with pytest.raises(ValueError, match="^config field 'delta': delta "
+                                         f"{_SCALE_REASON}"):
         resolve(config_from_dict({"delta": 1e308}))
 
 
@@ -444,7 +475,7 @@ def test_composite_config_with_b_reflect_is_rejected(value):
         config_from_dict(_shipped_composite(b_reflect=value))
 
 
-@pytest.mark.parametrize("key, value", [("lam", 0.5), ("lambda0", 0.1)])
+@pytest.mark.parametrize("key, value", [("lambda0", 0.1)])
 def test_composite_rejects_the_step_fields_epdtr_never_reads(key, value):
     with pytest.raises(ValueError, match=f"^config field '{key}': epdtr, "
                                          "the solver of 'composite', does "
@@ -452,15 +483,15 @@ def test_composite_rejects_the_step_fields_epdtr_never_reads(key, value):
         config_from_dict(_shipped_composite(**{key: value}))
 
 
-@pytest.mark.parametrize("delta, name, reason", [
+@pytest.mark.parametrize("delta, name", [
     # 2*(1+|b|) overflows, so default_stepsizes would return (0, inf).
-    (1e308, "delta", "need 0 < c1 < c2"),
-    ({"epdtr": -1e308}, "delta.epdtr", "need 0 < c1 < c2"),
-    (float("inf"), "delta", "must be finite"),
+    (1e308, "delta"),
+    ({"epdtr": -1e308}, "delta.epdtr"),
+    (float("inf"), "delta"),
 ])
-def test_composite_delta_out_of_range_is_named(delta, name, reason):
-    with pytest.raises(ValueError, match=f"^config field '{name}': "
-                                         f"{reason}"):
+def test_composite_delta_out_of_range_is_named(delta, name):
+    with pytest.raises(ValueError, match=f"^config field '{name}': delta "
+                                         f"{_SCALE_REASON}"):
         config_from_dict(_shipped_composite(delta=delta))
 
 
@@ -481,7 +512,6 @@ def test_run_solver_fills_the_default_fixed_step(solver, L, delta, bound):
         with pytest.raises(ValueError, match="frb needs an explicit step"):
             run_solver(inst, solver, cfg)
         return
-    assert cfg.lam is None
     assert run_solver(inst, solver, cfg).trace.lambdas[0] == 0.9 * bound
 
 
@@ -641,22 +671,23 @@ def test_run_benchmark_writes_outputs(tmp_path):
         assert (tmp_path / f"{solver}_trace.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::monosplit.splitting.StepSizeWarning")
-def test_run_benchmark_keeps_running_past_a_divergence(tmp_path):
-    # fb with lam = 1 diverges on this instance; gfrb_adaptive converges.
+def test_run_benchmark_keeps_running_past_a_divergence(tmp_path,
+                                                      understated_example2):
+    # frb diverges on this instance at 4 times its bound; gfrb_adaptive,
+    # which reads no hint, converges.
     cfg = config_from_dict({"problem": "example2", "m": 30, "seed": 10,
-                            "solvers": ["fb", "gfrb_adaptive"], "lam": 1.0})
-    fb, adaptive = run_benchmark(cfg, out_dir=str(tmp_path))
-    assert (fb.solver, adaptive.solver) == ("fb", "gfrb_adaptive")
-    assert fb.diverged and not fb.converged and fb.x is None
-    assert fb.known_answer.startswith("fb diverged")
-    assert fb.trace.errs[-1] > 1e12
+                            "solvers": ["frb", "gfrb_adaptive"]})
+    frb, adaptive = run_benchmark(cfg, out_dir=str(tmp_path))
+    assert (frb.solver, adaptive.solver) == ("frb", "gfrb_adaptive")
+    assert frb.diverged and not frb.converged and frb.x is None
+    assert frb.known_answer.startswith("frb diverged")
+    assert frb.trace.errs[-1] > 1e12
     assert adaptive.converged and not adaptive.diverged
     summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert summary[0] == summary_header()
-    assert [row.split(",")[1] for row in summary[1:]] == ["fb",
+    assert [row.split(",")[1] for row in summary[1:]] == ["frb",
                                                           "gfrb_adaptive"]
-    for solver in ("fb", "gfrb_adaptive"):
+    for solver in ("frb", "gfrb_adaptive"):
         assert (tmp_path / f"{solver}_trace.csv").exists()
 
 
@@ -739,3 +770,12 @@ def test_readme_config_table_names_every_field():
             break
         named += re.findall(r"`(\w+)`", row.split("|")[1])
     assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_every_config_field_is_set_by_a_shipped_config():
+    # A field no file in configs/ sets runs at one value everywhere, so it
+    # should be a constant, not a knob.
+    keys = set()
+    for path in CONFIGS.glob("*.json"):
+        keys.update(json.loads(path.read_text()))
+    assert sorted({f.name for f in fields(ExperimentConfig)} - keys) == []

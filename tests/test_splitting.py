@@ -391,16 +391,15 @@ def test_nonpositive_step_rejected():
                                    float("-inf")])
 def test_fixed_step_rejects_delta_without_a_usable_step(delta):
     # At 1e308 the default 1/(2L(1+|delta|)) overflows to a zero step,
-    # which stops after one pass as if converged, 4.52 from x*; a
-    # non-finite delta would only surface as divergence at iteration 0.
+    # which stopped after one pass as if converged, 4.52 from x*, and a
+    # given step diverged at iteration 1; a non-finite delta would only
+    # surface as divergence at iteration 0.  One rule rejects them all.
     inst = gen_example1(20, 0)
     x0 = np.ones(20)
-    with pytest.raises(ValueError, match="^gfrb_fixed: .*delta"):
-        gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, None, delta)
-    if not np.isfinite(delta):
-        with pytest.raises(ValueError, match="^gfrb_fixed: delta must be "
-                                             "finite"):
-            gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, 0.1,
+    for lam in (None, 0.1):
+        with pytest.raises(ValueError, match=r"^delta must keep "
+                                             r"2\*\(1\+\|delta\|\) finite"):
+            gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, lam,
                        delta)
 
 
@@ -783,3 +782,16 @@ def test_fb_finds_the_planted_solution_of_a_symmetric_instance(n, w, seed):
     error, _lam, _mu = _planted_error(
         lambda A, B, x0, stop: fb(A, B, x0, None, stop), n, 0.0, w, seed)
     assert error <= PLANTED_MULTIPLE * PLANTED_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_converged_adaptive_run_nearly_solves_the_inclusion():
+    # From lambda0 = 1e-9 the first step is tiny, so the displacement
+    # falls below tol at once and the run stops after 1 iteration at a
+    # natural residual ||x - J_A(x - Bx)|| of 21.8.  Once converged
+    # certifies a solution, that residual must be small.
+    inst = gen_example1(200, 0)
+    A, B = inst.resolvent_a, inst.forward_b
+    x, trace = gfrb_adaptive(A, B, inst.x0, None, 0.1, 1e-9, StopRule())
+    residual = np.linalg.norm(x - A(x - B(x), 1.0))
+    assert not trace.converged or residual <= 1e-3

@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from conftest import counting_forward
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monosplit.stepsize import (GROWTH_HORIZON, OperatorConsistencyError,
-                                StepSizeState, coefficient_bound,
-                                make_stepsize_state, next_step)
+from monosplit.experiments import config_from_dict, gen_composite
+from monosplit.operators import zero_resolvent
+from monosplit.primal_dual import EPDTRConfig, epdtr_solve, region_grid
+from monosplit.splitting import gfrb_adaptive, gfrb_fixed
+from monosplit.stepsize import (EPSILON, GROWTH_HORIZON,
+                                OperatorConsistencyError, StepSizeState,
+                                coefficient_bound, make_stepsize_state,
+                                next_step, reflection_scale)
+
+# reflection_scale's reason for a delta whose factor is not finite.
+_SCALE_REASON = r"must keep 2\*\(1\+\|delta\|\) finite"
+# Every kind of delta at which 2(1 + |delta|) is not a finite float.
+_UNSCALED = [1e308, -1e308, float("inf"), float("-inf"), float("nan"),
+             10 ** 400]
+_UNSCALED_IDS = ["1e308", "-1e308", "inf", "-inf", "nan", "10**400"]
 
 
 def fresh_state(lam=0.1, c1=0.2, c2=0.4, k=0):
@@ -122,10 +135,9 @@ def test_make_stepsize_state_defaults():
 
 def test_make_stepsize_state_rejects_bad_box():
     # The derived box is empty only when delta is not finite or
-    # 2|delta| + 2 overflows.
+    # 2|delta| + 2 overflows, which reflection_scale rejects.
     for delta in (1e308, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="^need 0 < c1 < c2 < .* for "
-                                             "delta="):
+        with pytest.raises(ValueError, match=f"^delta {_SCALE_REASON}"):
             make_stepsize_state(delta, 0.1)
     with pytest.raises(ValueError):
         make_stepsize_state(0.1, -0.5)
@@ -186,3 +198,46 @@ def test_lower_bound_on_affine_problem():
     # The sequence settles: eventually nondecreasing.
     tail = lams[len(lams) // 2:]
     assert np.all(np.diff(tail) >= -1e-15)
+
+
+@pytest.mark.parametrize("delta, scale", [
+    (0.0, 2.0), (-0.0, 2.0), (0.1, 2.2), (-0.4, 2.8), (3, 8.0),
+    (np.float64(-0.5), 3.0), (8e307, 2.0 * (1.0 + 8e307))])
+def test_reflection_scale_is_twice_one_plus_abs_delta(delta, scale):
+    assert reflection_scale(delta) == scale
+    assert type(reflection_scale(delta)) is float
+
+
+@given(st.floats(1e-6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+def test_the_shared_factor_keeps_every_regrouped_product_bitwise(L, delta,
+                                                                 tau):
+    # Doubling is exact, so reading 2(1 + |delta|) from one place moves
+    # no bit of the step bound, the c-box or the primal-dual slack.
+    scale = reflection_scale(delta)
+    assert 1.0 / (L * scale) == 1.0 / (2.0 * L * (1.0 + abs(delta)))
+    assert coefficient_bound(delta) == \
+        (1.0 - EPSILON) / (2.0 * abs(delta) + 2.0)
+    assert tau * scale * L == 2.0 * tau * (1.0 + abs(delta)) * L
+
+
+@pytest.mark.parametrize("delta", _UNSCALED, ids=_UNSCALED_IDS)
+def test_every_step_rule_rejects_delta_by_one_reason(delta):
+    # gfrb_fixed with or without a step, gfrb_adaptive, epdtr_solve (as
+    # its b), region --b and the config check all apply reflection_scale,
+    # each before B is evaluated.  10**400 is an int that no float holds.
+    B, calls = counting_forward(lambda x: 2.0 * x, lipschitz_hint=2.0)
+    x0 = np.ones(3)
+    problem, _ = gen_composite(6, 4, 0)
+    problem.forward_b = B
+    runs = [
+        lambda: reflection_scale(delta),
+        lambda: gfrb_fixed(zero_resolvent(), B, x0, x0, x0, None, delta),
+        lambda: gfrb_fixed(zero_resolvent(), B, x0, x0, x0, 0.1, delta),
+        lambda: gfrb_adaptive(zero_resolvent(), B, x0, None, delta, 0.1),
+        lambda: epdtr_solve(problem, EPDTRConfig(b=delta)),
+        lambda: region_grid(delta, 1.0, 1.0, n=3),
+        lambda: config_from_dict({"delta": delta})]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"delta {_SCALE_REASON}, "):
+            run()
+    assert calls.count == 0
