@@ -12,7 +12,6 @@ import contextlib
 import json
 import numbers
 import os
-import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from .operators import (ForwardOperator, LinearMap, diagonal_resolvent,
 from .primal_dual import CompositeProblem, EPDTRConfig, epdtr_solve
 from .splitting import (DivergenceError, StopRule, fb, fbf, frb,
                         gfrb_adaptive, gfrb_fixed, rfb)
-from .stepsize import reflection_scale
+from .stepsize import int_arg, real_arg, reflection_scale
 
 # Fixed-step solvers as run from a config: every seed iterate is x0, and
 # each fills its own default step from delta and B's lipschitz_hint.
@@ -140,9 +139,9 @@ def gen_lasso(m=256, n=1024, k=20, noise_sigma=0.01, reg_lambda=0.01,
     stream-1 normals on the support and is attached in
     data['x_true']; x_star stays None because the minimizer has no
     closed form.  The start is x0 = zeros.  ValueError naming k unless
-    0 < k <= n.
+    it is an integer >= 1 and <= n.
     """
-    if not 0 < k <= n:
+    if int_arg(k, "k", 1) > n:
         raise ValueError(f"k must satisfy 0 < k <= n = {n}, got {k!r}")
     A = rng.standard_normal(rng.substream(seed, 0), (m, n))
     A /= np.sqrt(m)
@@ -235,6 +234,13 @@ def _accepted_types(f):
 
 
 _CONFIG_TYPES = {f.name: _accepted_types(f) for f in fields(ExperimentConfig)}
+# Each numeric field's stepsize rule and bound, in the order _check
+# applies them.  tol > 0 is stricter than StopRule's tol >= 0.
+_SCALAR_RULES = {
+    "m": (int_arg, 1), "n": (int_arg, 1), "k": (int_arg, 1),
+    "max_iter": (int_arg, 1), "seed": (int_arg, 0),
+    "lambda0": (real_arg, "> 0"), "tol": (real_arg, "> 0"),
+    "noise_sigma": (real_arg, ">= 0"), "reg_lambda": (real_arg, ">= 0")}
 
 
 def config_from_dict(d):
@@ -262,7 +268,7 @@ def config_from_dict(d):
 def _named_deltas(cfg):
     """{field name: value} of cfg's deltas: {'delta': cfg.delta}, or one
     'delta.<solver>' per entry of a per-solver object, which must name
-    exactly the listed solvers that read delta, each with a number."""
+    exactly the listed solvers that read delta."""
     if not isinstance(cfg.delta, dict):
         return {"delta": cfg.delta}
     named = {}
@@ -274,9 +280,6 @@ def _named_deltas(cfg):
         if solver not in cfg.solvers:
             raise ValueError(f"config field '{name}': {solver!r} is not "
                              "listed in 'solvers'")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"config field '{name}': bad type "
-                             f"{type(value).__name__}")
         named[name] = value
     for solver in cfg.solvers:
         if solver in _DELTA_READERS and solver not in cfg.delta:
@@ -288,9 +291,10 @@ def _named_deltas(cfg):
 def _check(cfg):
     """The one definition of a valid config, loaded or hand-built: raise
     ValueError naming the first field of cfg with a bad type or value.
-    A delta must pass stepsize.reflection_scale, the one rule every
-    solver that reads it applies; each entry of a per-solver delta is
-    checked as a scalar delta is, named 'delta.<solver>'."""
+    Each number passes its _SCALAR_RULES rule, and a delta passes
+    stepsize.reflection_scale, the one rule every solver that reads it
+    applies; each entry of a per-solver delta is checked as a scalar
+    delta is, named 'delta.<solver>'."""
     for key, expected in _CONFIG_TYPES.items():
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, expected):
@@ -309,31 +313,16 @@ def _check(cfg):
                              "and no other problem")
     if not cfg.solvers:
         raise ValueError("config field 'solvers': must not be empty")
-    for key in ("m", "n", "k", "max_iter"):
-        if getattr(cfg, key) <= 0:
-            raise ValueError(f"config field '{key}': must be positive")
-    if cfg.seed < 0:
-        raise ValueError("config field 'seed': must be nonnegative")
+    for key, (check, bound) in _SCALAR_RULES.items():
+        check(getattr(cfg, key), f"config field '{key}': {key}", bound)
     if cfg.problem == "lasso" and cfg.k > cfg.n:
         raise ValueError(f"config field 'k': the lasso support size k={cfg.k}"
                          f" exceeds the signal length n={cfg.n}")
-    # abs(value) <= float max: finite as a float, which NaN and an integer
-    # too large for one (on which math.isfinite raises) are not.
-    for key in ("lambda0", "tol"):
-        value = getattr(cfg, key)
-        if not (abs(value) <= sys.float_info.max and value > 0):
-            raise ValueError(f"config field '{key}': must be positive and "
-                             "finite")
     for name, delta in _named_deltas(cfg).items():
         try:
             reflection_scale(delta)
         except ValueError as exc:
             raise ValueError(f"config field '{name}': {exc}") from exc
-    for key in ("noise_sigma", "reg_lambda"):
-        value = getattr(cfg, key)
-        if not (abs(value) <= sys.float_info.max and value >= 0):
-            raise ValueError(f"config field '{key}': must be nonnegative and "
-                             "finite")
 
 
 def load_config(path, **overrides):

@@ -10,11 +10,11 @@ LinearMap carries a coupling map's shape, adjoint and norm hint.
 
 import math
 import mmap
-import numbers
 
 import numpy as np
 
 from ._partner import _MAX_ENTRIES, SplitForward, available
+from .stepsize import real_arg
 
 
 class ForwardOperator:
@@ -30,18 +30,14 @@ class ForwardOperator:
     lipschitz_hint : float or None
         Known Lipschitz constant of ``evaluate``, used by solvers to
         check step-size ranges: None, which disables those checks, or a
-        finite real >= 0 that is not a bool (0 is the hint of a zero
-        matrix), else ValueError.
+        finite real >= 0 (0 is the hint of a zero matrix), else
+        ValueError naming lipschitz_hint.
     """
 
     def __init__(self, evaluate, lipschitz_hint=None):
-        hint = lipschitz_hint
-        if hint is not None and (isinstance(hint, bool) or not (
-                isinstance(hint, numbers.Real) and 0.0 <= hint < math.inf)):
-            raise ValueError("lipschitz_hint must be None or a finite "
-                             f"real >= 0, got {hint!r}")
         self._evaluate = evaluate
-        self.lipschitz_hint = hint
+        self.lipschitz_hint = None if lipschitz_hint is None else \
+            real_arg(lipschitz_hint, "lipschitz_hint", ">= 0")
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -83,11 +79,9 @@ def soft_threshold(z, lam):
 
 def l1_resolvent(weight=1.0):
     """Resolvent ``J(z, lam)`` of the scaled l1 subdifferential, i.e. soft
-    thresholding at lam * weight, for a finite real weight >= 0 that is
-    not a bool."""
-    if isinstance(weight, bool) or not (isinstance(weight, numbers.Real)
-                                        and 0.0 <= weight < math.inf):
-        raise ValueError(f"weight must be a finite real >= 0, got {weight!r}")
+    thresholding at lam * weight; ValueError naming weight (a finite
+    real >= 0)."""
+    weight = real_arg(weight, "weight", ">= 0")
     return lambda z, lam: soft_threshold(z, lam * weight)
 
 

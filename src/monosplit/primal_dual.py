@@ -30,7 +30,7 @@ import numpy as np
 from .operators import power_norm
 from .splitting import (StepSizeWarning, _drive, _forward, _norm,
                         _reflected_target)
-from .stepsize import reflection_scale
+from .stepsize import int_arg, real_arg, reflection_scale
 
 
 @dataclass
@@ -84,20 +84,20 @@ def _slack(tau, sigma, b, L, norm_k):
 
 
 def _check_steps(tau, sigma):
-    """Raise ValueError naming a step that is not positive and finite."""
-    for name, step in (("tau", tau), ("sigma", sigma)):
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError(f"step {name} must be positive and finite, "
-                             f"got {step!r}")
+    """(tau, sigma) as floats; ValueError naming a step that is not a
+    finite real > 0."""
+    return real_arg(tau, "tau", "> 0"), real_arg(sigma, "sigma", "> 0")
 
 
 def check_stepsizes(tau, sigma, b, L, norm_k):
     """Admissibility test; returns (admissible, slack).
 
-    slack is ``_slack``'s; admissible means slack > 0.  A step that is
-    not positive and finite raises ValueError naming it.
+    slack is ``_slack``'s; admissible means slack > 0.  ValueError naming
+    tau or sigma (a finite real > 0), L or norm_k (a finite real >= 0),
+    or b.
     """
-    _check_steps(tau, sigma)
+    tau, sigma = _check_steps(tau, sigma)
+    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
     slack = float(_slack(tau, sigma, b, L, norm_k))
     return slack > 0.0, slack
 
@@ -107,8 +107,10 @@ def default_stepsizes(b, L, norm_k):
 
     Splits that budget evenly between the forward term and the coupling
     term; degenerate problems (L = 0 or norm_k = 0) spend it all on the
-    surviving term.
+    surviving term.  ValueError naming L or norm_k (a finite real >= 0)
+    or b.
     """
+    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
     budget = 0.95
     scale = reflection_scale(b) * L
     if L > 0.0 and norm_k > 0.0:
@@ -134,22 +136,23 @@ def step_pair(problem, cfg):
     else a 1%-inflated power-iteration estimate stored as that hint, so
     each map is estimated once.  Both uses of ||K|| need L: without a
     hint the slack is None, no power iteration runs, and an unset pair
-    raises ValueError, as does, with or without L, a step that is not
-    positive and finite; before any of that, so do a cfg.b that the GFRB
-    delta rule ``stepsize.reflection_scale`` rejects and a pair with one
-    step set.
+    raises ValueError.  Before any of that, ValueError names a cfg.b that
+    the GFRB delta rule ``stepsize.reflection_scale`` rejects, a pair
+    with one step set, and a set step that ``_check_steps`` rejects.
     """
     reflection_scale(cfg.b)
     unset = [name for name in ("tau", "sigma") if getattr(cfg, name) is None]
     if len(unset) == 1:
         raise ValueError(f"step {unset[0]} is unset; set both or neither")
+    if not unset:
+        tau, sigma = _check_steps(cfg.tau, cfg.sigma)
+        cfg = replace(cfg, tau=tau, sigma=sigma)
     L = getattr(problem.forward_b, "lipschitz_hint", None)
     if L is None:
         if unset:
             raise ValueError("default step sizes need a lipschitz_hint on "
                              "the forward operator; pass both steps in "
                              "the EPDTRConfig")
-        _check_steps(cfg.tau, cfg.sigma)
         return cfg, None
     K = problem.linmap_k
     if K.norm_hint is None:
@@ -266,21 +269,19 @@ def region_grid(b, L, norm_k, n=200):
 
     Returns (tau_values, sigma_values, slack) with
     slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
-    Raises ValueError naming the argument unless n >= 1, reflection_scale
-    accepts b, L and norm_k are finite and nonnegative, and the slack's
-    coefficients scale*L, norm_k*norm_k and their sum are finite too.
+    ValueError naming the argument and its CLI flag unless n is an
+    integer >= 1, reflection_scale accepts b, L and norm_k are finite
+    reals >= 0, and the slack's coefficients scale*L, norm_k*norm_k and
+    their sum are finite too.
     """
-    if not n >= 1:
-        raise ValueError(f"region argument 'n' (--grid): must be at least 1, "
-                         f"got {n!r}")
+    n = int_arg(n, "region argument 'n' (--grid): n", 1)
     try:
         scale = reflection_scale(b)
     except ValueError as exc:
         raise ValueError(f"region argument 'b' (--b): {exc}") from exc
-    for name, flag, value in (("L", "--L", L), ("norm_k", "--normK", norm_k)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"region argument '{name}' ({flag}): must be "
-                             f"nonnegative and finite, got {value!r}")
+    L = real_arg(L, "region argument 'L' (--L): L", ">= 0")
+    norm_k = real_arg(norm_k, "region argument 'norm_k' (--normK): norm_k",
+                      ">= 0")
     # Past these the slack would be -inf, or norm_k ** 2 would raise.
     forward_term, coupling_term = scale * L, norm_k * norm_k
     if not math.isfinite(forward_term):

@@ -12,10 +12,11 @@ companion-block matrix and its spectral radius live in the tests'
 ``oracles`` module.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .stepsize import real_arg
 
 # 90-degree rotation: monotone, 1-Lipschitz, not cocoercive.
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -118,15 +119,12 @@ def design_rate(r):
     Raises
     ------
     ValueError
-        For a non-finite r or one whose cube overflows (|r| above
-        about 5.6e102), for r in the excluded set
+        Naming r unless it is a finite real whose cube is finite too
+        (|r| below about 5.6e102); for r in the excluded set
         {1, (-1+sqrt(13))/2, (1+sqrt(13))/2}, and for the degenerate r
         where the defining fraction or delta + 1 vanishes.
     """
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"design-rate argument 'r': must be finite, "
-                         f"got {r!r}")
+    r = real_arg(r, "design-rate argument 'r': r")
     for bad in EXCLUDED_RATES:
         if abs(r - bad) <= _EXCLUDED_TOL:
             raise ValueError(

@@ -50,14 +50,14 @@ ever written to.
 """
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stepsize import make_stepsize_state, next_step, reflection_scale
+from .stepsize import (int_arg, make_stepsize_state, next_step, real_arg,
+                       reflection_scale)
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -87,22 +87,16 @@ class DivergenceError(RuntimeError):
 class StopRule:
     """Stop when ||x_{k+1} - x_k|| <= tol, or after max_iter iterations.
 
-    tol must be finite and >= 0 and max_iter an integer >= 1, else
-    ValueError naming the field.
+    ValueError naming tol (a finite real >= 0) or max_iter (an integer
+    >= 1).
     """
 
     tol: float = 1e-6
     max_iter: int = 5000
 
     def __post_init__(self):
-        tol, max_iter = self.tol, self.max_iter
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
-                or not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-        if isinstance(max_iter, bool) \
-                or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got "
-                             f"{max_iter!r}")
+        self.tol = real_arg(self.tol, "tol", ">= 0")
+        self.max_iter = int_arg(self.max_iter, "max_iter", 1)
 
 
 class IterationTrace:
@@ -202,14 +196,9 @@ _STEP_BOUNDS = {
 def _fixed_step(lam, B, method, delta=0.0):
     """The float step ``method`` runs: lam None is 90% of its bound at B's
     lipschitz_hint (ValueError without a positive hint, or when that
-    default is not positive and finite); a given lam must be positive and
-    finite, and one at or beyond the bound warns.  A lam that is not a
-    real number (a bool, a string, a complex) is a ValueError naming it,
-    and so is a delta that reflection_scale rejects."""
+    default is not positive and finite); a given lam at or beyond the
+    bound warns.  ValueError naming lam (a finite real > 0) or delta."""
     scale = reflection_scale(delta)
-    if lam is not None and (isinstance(lam, bool)
-                            or not isinstance(lam, numbers.Real)):
-        raise ValueError(f"{method}: lam must be a real number, got {lam!r}")
     L = getattr(B, "lipschitz_hint", None)
     if lam is None:
         if L is None or L <= 0.0:
@@ -222,8 +211,7 @@ def _fixed_step(lam, B, method, delta=0.0):
                              f"delta={delta!r} is {lam!r}; it must be "
                              "positive and finite")
         return lam
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"step lambda must be positive and finite, got {lam!r}")
+    lam = real_arg(lam, "lam", "> 0")
     if L:
         bound = _STEP_BOUNDS[method](L, scale)
         if lam >= bound:
@@ -231,7 +219,7 @@ def _fixed_step(lam, B, method, delta=0.0):
                 f"{method}: step {lam:g} is at or beyond the convergence "
                 f"bound {bound:g}; iterating anyway", StepSizeWarning,
                 stacklevel=3)
-    return float(lam)
+    return lam
 
 
 def _drive(step, x0, stop, method):

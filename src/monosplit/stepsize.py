@@ -18,10 +18,14 @@ GROWTH_HORIZON times too small recovers.  Unlike a geometric gamma_k,
 whose budget is spent on the first few updates, the harmonic one keeps
 growing the step toward the local estimate c1 * dx / dB for the whole
 horizon.  After it the step can only shrink.
+
+The module imports nothing from the package, so it also holds the one
+rule every scalar argument of the package passes, real_arg and int_arg.
 """
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -45,17 +49,38 @@ class StepSizeState:
     k: int = 0
 
 
+# real_arg's bounds, each written as its message states it.
+_BOUNDS = {None: lambda v: True, ">= 0": lambda v: v >= 0,
+           "> 0": lambda v: v > 0}
+
+
+def real_arg(value, name, bound=None):
+    """float(value) for a real number, not a bool, finite as a float
+    (NaN, +-inf and an integer such as 10**400 are not) and within
+    ``bound``, None, ">= 0" or "> 0"; else ValueError
+    "<name> must be a finite real[ <bound>], got <value!r>".  ``name``
+    may carry a caller's prefix, as "config field 'tol': tol" does."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and _BOUNDS[bound](value)):
+        return float(value)
+    rule = "a finite real" if bound is None else f"a finite real {bound}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def int_arg(value, name, low):
+    """int(value) for an integer, not a bool, >= low; else ValueError
+    "<name> must be an integer >= <low>, got <value!r>"."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def reflection_scale(delta):
     """2(1 + |delta|), the factor every step rule at reflection weight
-    delta scales by; ValueError naming delta unless it is a real number,
-    not a bool, whose factor is finite (an integer too large for a float
-    has none)."""
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
-        raise ValueError(f"delta must be a real number, got {delta!r}")
-    try:
-        scale = 2.0 * (1.0 + abs(float(delta)))
-    except OverflowError:
-        scale = math.inf
+    delta scales by; ValueError naming delta unless real_arg accepts it
+    and the factor is finite."""
+    scale = 2.0 * (1.0 + abs(real_arg(delta, "delta")))
     if not math.isfinite(scale):
         raise ValueError(f"delta must keep 2*(1+|delta|) finite, got "
                          f"{delta!r}")
@@ -70,18 +95,12 @@ def coefficient_bound(delta):
 def make_stepsize_state(delta, lambda0):
     """Controller for reflection weight delta, starting from step lambda0.
 
-    c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.  A
-    delta reflection_scale rejects, and a lambda0 that is not a real
-    number (not a bool) or not positive and finite, raise ValueError.
+    c2 sits at 99% of coefficient_bound(delta) and c1 at 90% of c2.
+    ValueError naming delta or lambda0 (a finite real > 0).
     """
     c2 = 0.99 * coefficient_bound(delta)
-    c1 = 0.9 * c2
-    if isinstance(lambda0, bool) or not isinstance(lambda0, numbers.Real):
-        raise ValueError(f"lambda0 must be a real number, got {lambda0!r}")
-    if not (math.isfinite(lambda0) and lambda0 > 0.0):
-        raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
-    return StepSizeState(lambda_curr=float(lambda0), c1=float(c1),
-                         c2=float(c2))
+    return StepSizeState(lambda_curr=real_arg(lambda0, "lambda0", "> 0"),
+                         c1=0.9 * c2, c2=c2)
 
 
 def next_step(state, dx, dB):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,15 @@ class CallCounter:
     def __call__(self, *args):
         self.count += 1
         return self.fn(*args)
+
+
+def delta_reason(delta):
+    """reflection_scale's reason, as a pattern, for rejecting a real
+    delta: one that is not finite as a float fails as real_arg fails it,
+    and a finite one at which 2(1 + |delta|) overflows on the factor."""
+    if abs(delta) <= sys.float_info.max:
+        return r"must keep 2\*\(1\+\|delta\|\) finite"
+    return "must be a finite real"
 
 
 def counting_forward(fn, lipschitz_hint=None):

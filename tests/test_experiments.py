@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import delta_reason
 
 from monosplit import experiments, rng
 from monosplit.experiments import (ExperimentConfig, config_from_dict,
@@ -119,8 +120,9 @@ def test_gen_lasso_bitwise_deterministic():
 def test_gen_lasso_rejects_a_support_size_outside_1_to_n(k):
     # k = 7 > n = 5 used to build a 5-sparse signal, and k = -1 one with
     # n - 1 nonzeros (argsort's [:k]), without an error.
-    with pytest.raises(ValueError, match=r"^k must satisfy 0 < k <= n = 5, "
-                                         f"got {k}$"):
+    reason = r"must satisfy 0 < k <= n = 5" if k > 0 else \
+        "must be an integer >= 1"
+    with pytest.raises(ValueError, match=f"^k {reason}, got {k}$"):
         gen_lasso(m=10, n=5, k=k)
 
 
@@ -185,7 +187,8 @@ def test_config_path_keeps_its_step_messages():
     # _check rejects these before make_stepsize_state sees them.
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^config field 'lambda0': "
-                                             "must be positive and finite$"):
+                                             "lambda0 must be a finite real "
+                                             f"> 0, got {value!r}$"):
             config_from_dict({"lambda0": value})
 
 
@@ -328,17 +331,17 @@ _BOTH = ["gfrb_adaptive", "gfrb_fixed"]
      "delta.gfrb_fixed", "missing"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": float("nan"),
                                   "gfrb_fixed": 0.1}},
-     "delta.gfrb_adaptive", _SCALE_REASON),
+     "delta.gfrb_adaptive", "delta must be a finite real, got nan"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1,
                                   "gfrb_fixed": float("-inf")}},
-     "delta.gfrb_fixed", _SCALE_REASON),
+     "delta.gfrb_fixed", "delta must be a finite real, got -inf"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": 1e308}},
      "delta.gfrb_fixed", _SCALE_REASON),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": True, "gfrb_fixed": 0.1}},
-     "delta.gfrb_adaptive", "bad type bool"),
+     "delta.gfrb_adaptive", "delta must be a finite real, got True"),
     ({"solvers": _BOTH, "delta": {"gfrb_adaptive": "-0.4",
                                   "gfrb_fixed": 0.1}},
-     "delta.gfrb_adaptive", "bad type str"),
+     "delta.gfrb_adaptive", "delta must be a finite real, got '-0.4'"),
     # composite lists only epdtr, so an entry for a GFRB solver names a
     # solver that is not listed.
     ({"problem": "composite", "solvers": ["epdtr"], "n": 40, "m": 30,
@@ -490,8 +493,9 @@ def test_composite_rejects_the_step_fields_epdtr_never_reads(key, value):
     (float("inf"), "delta"),
 ])
 def test_composite_delta_out_of_range_is_named(delta, name):
+    reason = delta_reason(delta if name == "delta" else delta["epdtr"])
     with pytest.raises(ValueError, match=f"^config field '{name}': delta "
-                                         f"{_SCALE_REASON}"):
+                                         f"{reason}"):
         config_from_dict(_shipped_composite(delta=delta))
 
 

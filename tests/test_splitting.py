@@ -14,7 +14,7 @@ from monosplit.splitting import (PROBE_STEP, DivergenceError,
                                  gfrb_fixed, rfb)
 from monosplit.stepsize import GROWTH_HORIZON, make_stepsize_state
 
-from conftest import RecordingResolvent, counting_forward, \
+from conftest import RecordingResolvent, counting_forward, delta_reason, \
     random_monotone_affine
 from oracles import planted_instance
 
@@ -397,8 +397,7 @@ def test_fixed_step_rejects_delta_without_a_usable_step(delta):
     inst = gen_example1(20, 0)
     x0 = np.ones(20)
     for lam in (None, 0.1):
-        with pytest.raises(ValueError, match=r"^delta must keep "
-                                             r"2\*\(1\+\|delta\|\) finite"):
+        with pytest.raises(ValueError, match=f"^delta {delta_reason(delta)}"):
             gfrb_fixed(inst.resolvent_a, inst.forward_b, x0, x0, x0, lam,
                        delta)
 

@@ -1,20 +1,26 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import counting_forward
+from conftest import CallCounter, counting_forward, delta_reason
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monosplit.experiments import config_from_dict, gen_composite
-from monosplit.operators import zero_resolvent
-from monosplit.primal_dual import EPDTRConfig, epdtr_solve, region_grid
-from monosplit.splitting import gfrb_adaptive, gfrb_fixed
+from monosplit.experiments import config_from_dict, gen_composite, gen_lasso
+from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
+                                 zero_resolvent)
+from monosplit.primal_dual import (EPDTRConfig, check_stepsizes,
+                                   default_stepsizes, epdtr_solve,
+                                   region_grid)
+from monosplit.rate_analysis import design_rate
+from monosplit.splitting import StopRule, frb, gfrb_adaptive, gfrb_fixed
 from monosplit.stepsize import (EPSILON, GROWTH_HORIZON,
                                 OperatorConsistencyError, StepSizeState,
-                                coefficient_bound, make_stepsize_state,
-                                next_step, reflection_scale)
+                                coefficient_bound, int_arg,
+                                make_stepsize_state, next_step, real_arg,
+                                reflection_scale)
 
-# reflection_scale's reason for a delta whose factor is not finite.
-_SCALE_REASON = r"must keep 2\*\(1\+\|delta\|\) finite"
 # Every kind of delta at which 2(1 + |delta|) is not a finite float.
 _UNSCALED = [1e308, -1e308, float("inf"), float("-inf"), float("nan"),
              10 ** 400]
@@ -137,21 +143,10 @@ def test_make_stepsize_state_rejects_bad_box():
     # The derived box is empty only when delta is not finite or
     # 2|delta| + 2 overflows, which reflection_scale rejects.
     for delta in (1e308, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match=f"^delta {_SCALE_REASON}"):
+        with pytest.raises(ValueError, match=f"^delta {delta_reason(delta)}"):
             make_stepsize_state(delta, 0.1)
     with pytest.raises(ValueError):
         make_stepsize_state(0.1, -0.5)
-
-
-@pytest.mark.parametrize("args, name", [
-    ((float("nan"),), "lambda0"), ((float("inf"),), "lambda0"),
-    ((0.0,), "lambda0")])
-def test_make_stepsize_state_rejects_bad_steps(args, name):
-    # A NaN or infinite step fails when the state is built, naming the
-    # argument, not later as a divergence inside the run.
-    with pytest.raises(ValueError, match=f"^{name} must be positive and "
-                                         "finite"):
-        make_stepsize_state(0.1, *args)
 
 
 def test_make_stepsize_state_takes_one_step_positionally():
@@ -238,6 +233,145 @@ def test_every_step_rule_rejects_delta_by_one_reason(delta):
         lambda: region_grid(delta, 1.0, 1.0, n=3),
         lambda: config_from_dict({"delta": delta})]
     for run in runs:
-        with pytest.raises(ValueError, match=f"delta {_SCALE_REASON}, "):
+        with pytest.raises(ValueError, match=f"delta {delta_reason(delta)}, "):
             run()
     assert calls.count == 0
+
+
+# What no real_arg (or int_arg) accepts: a bool, a string and, as a real,
+# a float that is not finite or an integer that no float holds.
+_NOT_REAL = [True, "1", float("nan"), float("inf"), float("-inf"),
+             10 ** 400]
+_NOT_INT = [True, "1", float("nan"), float("inf"), 2.5]
+
+
+def _counted_parts():
+    """A counted forward B and resolvent A, the composite problem built on
+    them with K, K* and C's resolvent counted too, the same problem
+    without a Lipschitz hint, and every counter."""
+    B, b_calls = counting_forward(lambda x: 2.0 * x, lipschitz_hint=2.0)
+    A = CallCounter(zero_resolvent())
+    problem, _ = gen_composite(6, 4, 0)
+    K = problem.linmap_k
+    apply, adjoint = CallCounter(K.apply), CallCounter(K.apply_adjoint)
+    C = CallCounter(problem.resolvent_c)
+    problem = replace(problem, resolvent_a=A, forward_b=B, resolvent_c=C,
+                      linmap_k=LinearMap(apply, adjoint, K.shape))
+    hintless = replace(problem, forward_b=ForwardOperator(B))
+    return (A, B, problem, hintless), (b_calls, A, apply, adjoint, C)
+
+
+def _config(**fields):
+    # lasso reads every instance field, so only _check can reject one.
+    return config_from_dict(dict({"problem": "lasso", "m": 8}, **fields))
+
+
+_X0 = np.ones(3)
+# Each scalar entry point: (call(value, A, B, problem, hintless), the
+# start of its message, the values it must reject).  Each list ends with
+# values past the argument's bound, or for delta and r, past the finite
+# factor or cube each needs.
+_SCALAR_ENTRY_POINTS = {
+    "ForwardOperator-lipschitz_hint":
+        (lambda v, A, B, p, h: ForwardOperator(B, lipschitz_hint=v),
+         "lipschitz_hint must ", _NOT_REAL + [-1.0]),
+    "l1_resolvent-weight": (lambda v, *_: l1_resolvent(v), "weight must ",
+                            _NOT_REAL + [-1.0]),
+    "StopRule-tol": (lambda v, *_: StopRule(tol=v), "tol must ",
+                     _NOT_REAL + [-1e-6]),
+    "StopRule-max_iter": (lambda v, *_: StopRule(max_iter=v),
+                          "max_iter must ", _NOT_INT + [0, -3]),
+    "frb-lam": (lambda v, A, B, p, h: frb(A, B, _X0, _X0, v), "lam must ",
+                _NOT_REAL + [0.1 + 0j, 0.0, -0.1]),
+    "make_stepsize_state-lambda0":
+        (lambda v, *_: make_stepsize_state(0.1, v), "lambda0 must ",
+         _NOT_REAL + [0.0, -0.5]),
+    "gfrb_adaptive-lambda0":
+        (lambda v, A, B, p, h: gfrb_adaptive(A, B, _X0, None, 0.1, v),
+         "lambda0 must ", _NOT_REAL + [None, 0.0]),
+    # delta has no bound; its factor 2(1 + |delta|) must stay finite.
+    "reflection_scale-delta": (lambda v, *_: reflection_scale(v),
+                               "delta must ", _NOT_REAL + [None, 1e308]),
+    "check_stepsizes-tau":
+        (lambda v, *_: check_stepsizes(v, 1.0, 0.0, 1.0, 1.0), "tau must ",
+         _NOT_REAL + [0.0]),
+    "check_stepsizes-sigma":
+        (lambda v, *_: check_stepsizes(1.0, v, 0.0, 1.0, 1.0),
+         "sigma must ", _NOT_REAL + [0.0]),
+    "check_stepsizes-L": (lambda v, *_: check_stepsizes(1.0, 1.0, 0.0, v, 1.0),
+                          "L must ", _NOT_REAL + [-1.0]),
+    "check_stepsizes-norm_k":
+        (lambda v, *_: check_stepsizes(1.0, 1.0, 0.0, 1.0, v),
+         "norm_k must ", _NOT_REAL + [-1.0]),
+    "default_stepsizes-L": (lambda v, *_: default_stepsizes(0.0, v, 1.0),
+                            "L must ", _NOT_REAL + [-1.0]),
+    "default_stepsizes-norm_k":
+        (lambda v, *_: default_stepsizes(0.0, 1.0, v), "norm_k must ",
+         _NOT_REAL + [-1.0]),
+    "epdtr_solve-tau":
+        (lambda v, A, B, p, h: epdtr_solve(p, EPDTRConfig(tau=v, sigma=0.5)),
+         "tau must ", _NOT_REAL + [0.0]),
+    "epdtr_solve-sigma":
+        (lambda v, A, B, p, h: epdtr_solve(p, EPDTRConfig(tau=0.1, sigma=v)),
+         "sigma must ", _NOT_REAL + [0.0]),
+    "epdtr_solve-hintless-tau":
+        (lambda v, A, B, p, h: epdtr_solve(h, EPDTRConfig(tau=v, sigma=0.5)),
+         "tau must ", _NOT_REAL + [0.0]),
+    "epdtr_solve-hintless-sigma":
+        (lambda v, A, B, p, h: epdtr_solve(h, EPDTRConfig(tau=0.1, sigma=v)),
+         "sigma must ", _NOT_REAL + [0.0]),
+    "region_grid-n": (lambda v, *_: region_grid(0.0, 1.0, 1.0, n=v),
+                      "region argument 'n' (--grid): ", _NOT_INT + [0]),
+    "region_grid-L": (lambda v, *_: region_grid(0.0, v, 1.0, n=3),
+                      "region argument 'L' (--L): ", _NOT_REAL + [-1.0]),
+    "region_grid-norm_k": (lambda v, *_: region_grid(0.0, 1.0, v, n=3),
+                           "region argument 'norm_k' (--normK): ",
+                           _NOT_REAL + [-1.0]),
+    # r has no bound; its cube must stay finite.
+    "design_rate-r": (lambda v, *_: design_rate(v),
+                      "design-rate argument 'r': ",
+                      _NOT_REAL + ["2.5", 1e103, -1e103]),
+    "gen_lasso-k": (lambda v, *_: gen_lasso(8, 10, v), "k must ",
+                    _NOT_INT + [0, -1, 11, 10 ** 400]),
+    **{f"config-{key}": (lambda v, *_, key=key: _config(**{key: v}),
+                         f"config field '{key}': ", values)
+       for key, values in (
+           ("lambda0", _NOT_REAL + [0.0]), ("tol", _NOT_REAL + [0.0]),
+           ("noise_sigma", _NOT_REAL + [-0.1]),
+           ("reg_lambda", _NOT_REAL + [-0.01]),
+           ("m", _NOT_INT + [0]), ("n", _NOT_INT + [0]),
+           ("k", _NOT_INT + [0]), ("max_iter", _NOT_INT + [0]),
+           ("seed", _NOT_INT + [-1]))},
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r:.12}")
+    for entry, (_, _, values) in _SCALAR_ENTRY_POINTS.items()
+    for value in values])
+def test_scalar_argument_is_rejected_by_name(entry, value):
+    # One rule, stepsize.real_arg or int_arg, names each bad scalar where
+    # it is passed: a constructor (ForwardOperator, l1_resolvent,
+    # StopRule) fails where it is built, not at its first use inside a
+    # solve, and a solver before B, a resolvent or K is evaluated.  None
+    # of these raises OverflowError or TypeError on 10**400 or a string.
+    call, start, _ = _SCALAR_ENTRY_POINTS[entry]
+    parts, counters = _counted_parts()
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+        call(value, *parts)
+    assert [c.count for c in counters] == [0] * len(counters)
+
+
+@pytest.mark.parametrize("value, bound, expected", [
+    (0, ">= 0", 0.0), (np.float64(2.5), "> 0", 2.5), (-3, None, -3.0),
+    (1.7976931348623157e308, None, 1.7976931348623157e308)])
+def test_real_arg_returns_an_accepted_value_as_a_float(value, bound,
+                                                       expected):
+    assert real_arg(value, "x", bound) == expected
+    assert type(real_arg(value, "x", bound)) is float
+
+
+def test_int_arg_returns_an_accepted_value_as_an_int():
+    assert int_arg(np.int64(3), "n", 1) == 3
+    assert type(int_arg(np.int64(3), "n", 1)) is int
+    assert int_arg(10 ** 400, "max_iter", 1) == 10 ** 400
