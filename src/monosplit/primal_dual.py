@@ -77,10 +77,34 @@ class PrimalDualState:
     Kx: np.ndarray
 
 
-def _slack(tau, sigma, b, L, norm_k):
-    """1 - tau*reflection_scale(b)*L - tau*sigma*norm_k**2, on arrays too;
-    check_stepsizes and region_grid share this grouping bit for bit."""
-    return 1.0 - tau * reflection_scale(b) * L - tau * sigma * norm_k ** 2
+def _budget(b, L, norm_k, heads=None):
+    """(reflection_scale(b), L, norm_k ** 2) for finite reals L, norm_k
+    >= 0 whose step budget terms 2(1+|b|)L and norm_k ** 2, and their
+    sum, are finite; else ValueError naming b, L, norm_k or both, after
+    a caller's head for that name in ``heads``."""
+    heads = heads or {}
+    scale = reflection_scale(b)
+    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
+    try:
+        coupling = norm_k ** 2
+    except OverflowError:
+        coupling = math.inf
+    for names, term, rule, got in (
+            ("L", scale * L, "2*(1+|b|)*L", f"{L!r}"),
+            ("norm_k", coupling, "norm_k*norm_k", f"{norm_k!r}"),
+            ("L and norm_k", scale * L + coupling,
+             "2*(1+|b|)*L + norm_k*norm_k", f"{L!r} and {norm_k!r}")):
+        if not math.isfinite(term):
+            raise ValueError(f"{heads.get(names, names + ' ')}must keep "
+                             f"{rule} finite, got {got}")
+    return scale, L, coupling
+
+
+def _slack(tau, sigma, scale, L, coupling):
+    """1 - tau*scale*L - tau*sigma*coupling, on arrays too, for _budget's
+    terms; check_stepsizes and region_grid share this grouping bit for
+    bit."""
+    return 1.0 - tau * scale * L - tau * sigma * coupling
 
 
 def _check_steps(tau, sigma):
@@ -93,12 +117,10 @@ def check_stepsizes(tau, sigma, b, L, norm_k):
     """Admissibility test; returns (admissible, slack).
 
     slack is ``_slack``'s; admissible means slack > 0.  ValueError naming
-    tau or sigma (a finite real > 0), L or norm_k (a finite real >= 0),
-    or b.
+    tau or sigma (a finite real > 0), or as ``_budget`` does.
     """
     tau, sigma = _check_steps(tau, sigma)
-    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
-    slack = float(_slack(tau, sigma, b, L, norm_k))
+    slack = float(_slack(tau, sigma, *_budget(b, L, norm_k)))
     return slack > 0.0, slack
 
 
@@ -106,25 +128,27 @@ def default_stepsizes(b, L, norm_k):
     """Step pair spending 95% of the admissibility bound.
 
     Splits that budget evenly between the forward term and the coupling
-    term; degenerate problems (L = 0 or norm_k = 0) spend it all on the
-    surviving term.  ValueError naming L or norm_k (a finite real >= 0)
-    or b.
+    term; degenerate problems, where a term is 0 (L = 0, norm_k = 0 or a
+    square that underflows), spend it all on the surviving term.
+    ValueError as ``_budget`` raises it, or naming the terms' L, norm_k
+    or both where the pair would not be finite reals > 0.
     """
-    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
-    budget = 0.95
-    scale = reflection_scale(b) * L
-    if L > 0.0 and norm_k > 0.0:
-        tau = (budget / 2.0) / scale
-        sigma = scale / norm_k ** 2
-    elif L > 0.0:
-        tau = budget / scale
-        sigma = tau
-    elif norm_k > 0.0:
-        tau = np.sqrt(budget) / norm_k
-        sigma = tau
+    scale, L, coupling = _budget(b, L, norm_k)
+    forward, budget = scale * L, 0.95
+    if forward > 0.0 and coupling > 0.0:
+        names, pair = "L and norm_k", ((budget / 2.0) / forward,
+                                       forward / coupling)
+    elif forward > 0.0:
+        names, pair = "L", (budget / forward,) * 2
+    elif coupling > 0.0:
+        # coupling > 0 keeps norm_k above 1e-162, so the step is finite.
+        return (float(np.sqrt(budget) / norm_k),) * 2
     else:
-        tau = sigma = 1.0
-    return float(tau), float(sigma)
+        return 1.0, 1.0
+    if not all(0.0 < step < math.inf for step in pair):
+        raise ValueError(f"{names} must give finite default steps > 0, "
+                         f"got L={L!r} and norm_k={norm_k!r}")
+    return pair
 
 
 def step_pair(problem, cfg):
@@ -264,36 +288,30 @@ def epdtr_solve(problem, cfg=None, stop=None):
     return x, y, trace
 
 
+# region_grid's head for each name of _budget's overflow messages.
+_REGION_HEADS = {
+    "L": "region argument 'L' (--L): ",
+    "norm_k": "region argument 'norm_k' (--normK): ",
+    "L and norm_k": "region arguments 'L' (--L) and 'norm_k' (--normK): "}
+
+
 def region_grid(b, L, norm_k, n=200):
     """Admissibility slack over an n-by-n grid of step pairs in (0, 1].
 
-    Returns (tau_values, sigma_values, slack) with
-    slack[i, j] = ``_slack``(tau_i, sigma_j, b, L, norm_k).
-    ValueError naming the argument and its CLI flag unless n is an
-    integer >= 1, reflection_scale accepts b, L and norm_k are finite
-    reals >= 0, and the slack's coefficients scale*L, norm_k*norm_k and
-    their sum are finite too.
+    Returns (tau_values, sigma_values, slack) with slack[i, j] the
+    ``_slack`` of (tau_i, sigma_j) and ``_budget``'s terms.  ValueError
+    naming the argument and its CLI flag unless n is an integer >= 1,
+    reflection_scale accepts b and ``_budget`` accepts L and norm_k.
     """
     n = int_arg(n, "region argument 'n' (--grid): n", 1)
     try:
-        scale = reflection_scale(b)
+        reflection_scale(b)
     except ValueError as exc:
         raise ValueError(f"region argument 'b' (--b): {exc}") from exc
     L = real_arg(L, "region argument 'L' (--L): L", ">= 0")
     norm_k = real_arg(norm_k, "region argument 'norm_k' (--normK): norm_k",
                       ">= 0")
-    # Past these the slack would be -inf, or norm_k ** 2 would raise.
-    forward_term, coupling_term = scale * L, norm_k * norm_k
-    if not math.isfinite(forward_term):
-        raise ValueError(f"region argument 'L' (--L): must keep "
-                         f"2*(1+|b|)*L finite, got {L!r}")
-    if not math.isfinite(coupling_term):
-        raise ValueError(f"region argument 'norm_k' (--normK): must keep "
-                         f"norm_k*norm_k finite, got {norm_k!r}")
-    if not math.isfinite(forward_term + coupling_term):
-        raise ValueError(f"region arguments 'L' (--L) and 'norm_k' "
-                         f"(--normK): must keep 2*(1+|b|)*L + norm_k*norm_k "
-                         f"finite, got {L!r} and {norm_k!r}")
+    terms = _budget(b, L, norm_k, _REGION_HEADS)
     steps = np.linspace(0.0, 1.0, n + 1)[1:]
-    slack = _slack(steps[:, None], steps[None, :], b, L, norm_k)
+    slack = _slack(steps[:, None], steps[None, :], *terms)
     return steps, steps.copy(), slack

@@ -54,6 +54,16 @@ _BOUNDS = {None: lambda v: True, ">= 0": lambda v: v >= 0,
            "> 0": lambda v: v > 0}
 
 
+def _shown(value):
+    """repr(value), bounded: an integer past the digits repr may print
+    (sys.get_int_max_str_digits) shows as its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {abs(int(value)).bit_length()} bits"
+
+
 def real_arg(value, name, bound=None):
     """float(value) for a real number, not a bool, finite as a float
     (NaN, +-inf and an integer such as 10**400 are not) and within
@@ -64,16 +74,21 @@ def real_arg(value, name, bound=None):
             and abs(value) <= sys.float_info.max and _BOUNDS[bound](value)):
         return float(value)
     rule = "a finite real" if bound is None else f"a finite real {bound}"
-    raise ValueError(f"{name} must be {rule}, got {value!r}")
+    raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 def int_arg(value, name, low):
-    """int(value) for an integer, not a bool, >= low; else ValueError
-    "<name> must be an integer >= <low>, got <value!r>"."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= low):
-        return int(value)
-    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    """int(value) for an integer, not a bool, from low to sys.maxsize,
+    numpy's largest index; else ValueError "<name> must be an integer
+    >= <low>, got <value!r>", or "<= <sys.maxsize>" past the top."""
+    rule = f">= {low}"
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if low <= value <= sys.maxsize:
+            return int(value)
+        if value > sys.maxsize:
+            rule = f"<= {sys.maxsize}"
+    raise ValueError(f"{name} must be an integer {rule}, got "
+                     f"{_shown(value)}")
 
 
 def reflection_scale(delta):

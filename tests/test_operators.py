@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monosplit import _partner, operators
+from monosplit import _partner
 from monosplit.operators import (ForwardOperator, LinearMap,
                                  _top_gram_eigenvalue, diagonal_resolvent,
                                  l1_resolvent, make_affine_forward,
@@ -616,7 +616,7 @@ def test_large_contiguous_A_is_placed_on_an_aligned_copy(order):
     m, n = 128, 1024
     A = np.asarray(np.random.default_rng(4).standard_normal((m, n)),
                    order=order)
-    snap = operators._snapshot(A)
+    snap = _partner._snapshot(A)
     assert snap.ctypes.data % (2 << 20) == 0
     if order == "C":
         assert snap.strides == (8 * (n + 8), 8)
@@ -630,7 +630,7 @@ def test_small_or_strided_A_is_copied_with_its_strides():
     rows = np.random.default_rng(5).standard_normal((256, 1024))
     for A in (rows[:100], np.asfortranarray(rows[:100]), rows[::2],
               rows[::-1, ::2]):
-        snap = operators._snapshot(A)
+        snap = _partner._snapshot(A)
         assert not np.shares_memory(snap, A)
         assert snap.strides == A.strides
         np.testing.assert_array_equal(snap, A)
@@ -660,7 +660,7 @@ def test_placed_copy_advises_only_the_huge_pages_it_mostly_fills(
     monkeypatch.setattr(mmap, "mmap", _RecordedAdvice)
     monkeypatch.setattr(_RecordedAdvice, "advised", [])
     A = np.random.default_rng(7).standard_normal(shape)
-    snap = operators._placed_copy(A)
+    snap = _partner._placed_copy(A)
     (option, start, length), = _RecordedAdvice.advised
     assert option == mmap.MADV_HUGEPAGE
     assert snap.ctypes.data % (2 << 20) == 0
@@ -678,7 +678,7 @@ def test_lasso_forward_falls_back_to_a_plain_copy(monkeypatch, fallback):
     A = gen.standard_normal((256, 1024))
     y = gen.standard_normal(256)
     x = gen.standard_normal(1024)
-    snap = operators._snapshot(A)
+    snap = _partner._snapshot(A)
     assert snap.base is None and snap.flags.c_contiguous
     op = make_lasso_forward(A, y)
     assert op(x).tobytes() == (A.T @ (A @ x - y)).tobytes()

@@ -96,6 +96,14 @@ def test_default_stepsizes_degenerate_cases():
     assert default_stepsizes(0.0, 0.0, 0.0) == (1.0, 1.0)
 
 
+def test_default_stepsizes_take_a_term_that_underflows_as_zero():
+    # 1e-200 ** 2 is 0.0, which used to divide sigma by zero, and 1e-320
+    # alone gave (inf, inf).
+    assert default_stepsizes(0.0, 1.0, 1e-200) == \
+        default_stepsizes(0.0, 1.0, 0.0)
+    assert default_stepsizes(0.0, 0.0, 1e-320) == (1.0, 1.0)
+
+
 def test_resolvent_of_inverse_identity_operator():
     gen = np.random.default_rng(1)
     identity_res = lambda z, lam: z / (1.0 + lam)

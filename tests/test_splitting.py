@@ -379,14 +379,6 @@ def test_steps_below_bound_do_not_warn(recwarn):
     assert not any(isinstance(w.message, StepSizeWarning) for w in recwarn)
 
 
-def test_nonpositive_step_rejected():
-    B = shifted_identity(np.zeros(2))
-    with pytest.raises(ValueError):
-        fb(zero_resolvent(), B, np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        frb(zero_resolvent(), B, np.zeros(2), np.zeros(2), -0.1)
-
-
 @pytest.mark.parametrize("delta", [1e308, float("nan"), float("inf"),
                                    float("-inf")])
 def test_fixed_step_rejects_delta_without_a_usable_step(delta):

@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,11 @@ from monosplit.primal_dual import (EPDTRConfig, check_stepsizes,
                                    default_stepsizes, epdtr_solve,
                                    region_grid)
 from monosplit.rate_analysis import design_rate
-from monosplit.splitting import StopRule, frb, gfrb_adaptive, gfrb_fixed
+from monosplit.splitting import (StopRule, fb, fbf, frb, gfrb_adaptive,
+                                 gfrb_fixed)
 from monosplit.stepsize import (EPSILON, GROWTH_HORIZON,
                                 OperatorConsistencyError, StepSizeState,
-                                coefficient_bound, int_arg,
+                                _shown, coefficient_bound, int_arg,
                                 make_stepsize_state, next_step, real_arg,
                                 reflection_scale)
 
@@ -266,23 +268,46 @@ def _config(**fields):
     return config_from_dict(dict({"problem": "lasso", "m": 8}, **fields))
 
 
+def _hinted(problem, L, norm_k):
+    """problem with Lipschitz hint L on its forward and norm hint norm_k
+    on K, so that no power iteration runs."""
+    problem = replace(problem, forward_b=ForwardOperator(
+        problem.forward_b, lipschitz_hint=L))
+    problem.linmap_k.norm_hint = norm_k
+    return problem
+
+
 _X0 = np.ones(3)
 # Each scalar entry point: (call(value, A, B, problem, hintless), the
 # start of its message, the values it must reject).  Each list ends with
 # values past the argument's bound, or for delta and r, past the finite
-# factor or cube each needs.
+# factor or cube each needs, or for L and norm_k, past a finite step
+# budget.  An integer of 5001 digits is one repr refuses to print.
 _SCALAR_ENTRY_POINTS = {
     "ForwardOperator-lipschitz_hint":
         (lambda v, A, B, p, h: ForwardOperator(B, lipschitz_hint=v),
-         "lipschitz_hint must ", _NOT_REAL + [-1.0]),
+         "lipschitz_hint must ", _NOT_REAL + ["1.0", -1.0]),
     "l1_resolvent-weight": (lambda v, *_: l1_resolvent(v), "weight must ",
-                            _NOT_REAL + [-1.0]),
+                            _NOT_REAL + [-1.0, 10 ** 5000]),
     "StopRule-tol": (lambda v, *_: StopRule(tol=v), "tol must ",
-                     _NOT_REAL + [-1e-6]),
+                     _NOT_REAL + ["1e-6", -1e-6, -1.0]),
     "StopRule-max_iter": (lambda v, *_: StopRule(max_iter=v),
-                          "max_iter must ", _NOT_INT + [0, -3]),
+                          "max_iter must ",
+                          _NOT_INT + [0, -3, -10 ** 5000, 10 ** 400]),
+    "fb-lam": (lambda v, A, B, p, h: fb(A, B, _X0, v), "lam must ", [0.0]),
+    "fbf-lam": (lambda v, A, B, p, h: fbf(A, B, _X0, v), "lam must ",
+                [0.1 + 0j]),
     "frb-lam": (lambda v, A, B, p, h: frb(A, B, _X0, _X0, v), "lam must ",
-                _NOT_REAL + [0.1 + 0j, 0.0, -0.1]),
+                _NOT_REAL + ["0.1", 0.1 + 0j, 0.0, -0.1]),
+    "gfrb_fixed-lam":
+        (lambda v, A, B, p, h: gfrb_fixed(A, B, _X0, _X0, _X0, v, 0.1),
+         "lam must ", _NOT_REAL + [0.0]),
+    "gfrb_fixed-delta":
+        (lambda v, A, B, p, h: gfrb_fixed(A, B, _X0, _X0, _X0, None, v),
+         "delta must ", _NOT_REAL + ["0.1", None, 1e308]),
+    "make_stepsize_state-delta":
+        (lambda v, *_: make_stepsize_state(v, 0.1), "delta must ",
+         _NOT_REAL + ["0.1", 1e308]),
     "make_stepsize_state-lambda0":
         (lambda v, *_: make_stepsize_state(0.1, v), "lambda0 must ",
          _NOT_REAL + [0.0, -0.5]),
@@ -299,15 +324,29 @@ _SCALAR_ENTRY_POINTS = {
         (lambda v, *_: check_stepsizes(1.0, v, 0.0, 1.0, 1.0),
          "sigma must ", _NOT_REAL + [0.0]),
     "check_stepsizes-L": (lambda v, *_: check_stepsizes(1.0, 1.0, 0.0, v, 1.0),
-                          "L must ", _NOT_REAL + [-1.0]),
+                          "L must ", _NOT_REAL + [-1.0, 1e308]),
     "check_stepsizes-norm_k":
         (lambda v, *_: check_stepsizes(1.0, 1.0, 0.0, 1.0, v),
-         "norm_k must ", _NOT_REAL + [-1.0]),
+         "norm_k must ", _NOT_REAL + [-1.0, 1e200]),
     "default_stepsizes-L": (lambda v, *_: default_stepsizes(0.0, v, 1.0),
-                            "L must ", _NOT_REAL + [-1.0]),
+                            "L must ", _NOT_REAL + [-1.0, 1e308]),
     "default_stepsizes-norm_k":
         (lambda v, *_: default_stepsizes(0.0, 1.0, v), "norm_k must ",
-         _NOT_REAL + [-1.0]),
+         _NOT_REAL + [-1.0, 1e200]),
+    # 0.95 / (2 L) overflows, so the default pair would be infinite; with
+    # norm_k = 1e150 sigma underflows to 0.
+    "default_stepsizes-L-alone":
+        (lambda v, *_: default_stepsizes(0.0, v, 0.0), "L must ",
+         [1e-320]),
+    "default_stepsizes-L-and-norm_k":
+        (lambda v, *_: default_stepsizes(0.0, v, 1e150), "L and norm_k must ",
+         [1e-300]),
+    "epdtr_solve-lipschitz_hint":
+        (lambda v, A, B, p, h: epdtr_solve(_hinted(p, v, 1.0)), "L must ",
+         [1e308]),
+    "epdtr_solve-norm_hint":
+        (lambda v, A, B, p, h: epdtr_solve(_hinted(p, 2.0, v)),
+         "norm_k must ", [1e200]),
     "epdtr_solve-tau":
         (lambda v, A, B, p, h: epdtr_solve(p, EPDTRConfig(tau=v, sigma=0.5)),
          "tau must ", _NOT_REAL + [0.0]),
@@ -321,7 +360,8 @@ _SCALAR_ENTRY_POINTS = {
         (lambda v, A, B, p, h: epdtr_solve(h, EPDTRConfig(tau=0.1, sigma=v)),
          "sigma must ", _NOT_REAL + [0.0]),
     "region_grid-n": (lambda v, *_: region_grid(0.0, 1.0, 1.0, n=v),
-                      "region argument 'n' (--grid): ", _NOT_INT + [0]),
+                      "region argument 'n' (--grid): ",
+                      _NOT_INT + [0, 10 ** 400]),
     "region_grid-L": (lambda v, *_: region_grid(0.0, v, 1.0, n=3),
                       "region argument 'L' (--L): ", _NOT_REAL + [-1.0]),
     "region_grid-norm_k": (lambda v, *_: region_grid(0.0, 1.0, v, n=3),
@@ -339,14 +379,21 @@ _SCALAR_ENTRY_POINTS = {
            ("lambda0", _NOT_REAL + [0.0]), ("tol", _NOT_REAL + [0.0]),
            ("noise_sigma", _NOT_REAL + [-0.1]),
            ("reg_lambda", _NOT_REAL + [-0.01]),
-           ("m", _NOT_INT + [0]), ("n", _NOT_INT + [0]),
+           ("m", _NOT_INT + [0, 10 ** 400]), ("n", _NOT_INT + [0]),
            ("k", _NOT_INT + [0]), ("max_iter", _NOT_INT + [0]),
-           ("seed", _NOT_INT + [-1]))},
+           ("seed", _NOT_INT + [-1, -10 ** 5000]),
+           ("delta", _NOT_REAL + [-10 ** 400]))},
+    "config-delta.gfrb_fixed":
+        (lambda v, *_: _config(solvers=["gfrb_adaptive", "gfrb_fixed"],
+                               delta={"gfrb_adaptive": 0.1,
+                                      "gfrb_fixed": v}),
+         "config field 'delta.gfrb_fixed': ", _NOT_REAL + [1e308]),
 }
 
 
 @pytest.mark.parametrize("entry, value", [
-    pytest.param(entry, value, id=f"{entry}-{value!r:.12}")
+    pytest.param(entry, value,
+                 id=f"{entry}-{_shown(value):.12}".replace(" ", "-"))
     for entry, (_, _, values) in _SCALAR_ENTRY_POINTS.items()
     for value in values])
 def test_scalar_argument_is_rejected_by_name(entry, value):
@@ -354,7 +401,8 @@ def test_scalar_argument_is_rejected_by_name(entry, value):
     # it is passed: a constructor (ForwardOperator, l1_resolvent,
     # StopRule) fails where it is built, not at its first use inside a
     # solve, and a solver before B, a resolvent or K is evaluated.  None
-    # of these raises OverflowError or TypeError on 10**400 or a string.
+    # of these raises OverflowError or TypeError on 10**400 or a string,
+    # nor fails to print a value of 5001 digits.
     call, start, _ = _SCALAR_ENTRY_POINTS[entry]
     parts, counters = _counted_parts()
     with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
@@ -374,4 +422,4 @@ def test_real_arg_returns_an_accepted_value_as_a_float(value, bound,
 def test_int_arg_returns_an_accepted_value_as_an_int():
     assert int_arg(np.int64(3), "n", 1) == 3
     assert type(int_arg(np.int64(3), "n", 1)) is int
-    assert int_arg(10 ** 400, "max_iter", 1) == 10 ** 400
+    assert int_arg(sys.maxsize, "max_iter", 1) == sys.maxsize
