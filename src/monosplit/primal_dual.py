@@ -84,7 +84,8 @@ def _budget(b, L, norm_k, heads=None):
     a caller's head for that name in ``heads``."""
     heads = heads or {}
     scale = reflection_scale(b)
-    L, norm_k = real_arg(L, "L", ">= 0"), real_arg(norm_k, "norm_k", ">= 0")
+    L = real_arg(L, heads.get("L", "") + "L", ">= 0")
+    norm_k = real_arg(norm_k, heads.get("norm_k", "") + "norm_k", ">= 0")
     try:
         coupling = norm_k ** 2
     except OverflowError:
@@ -102,8 +103,8 @@ def _budget(b, L, norm_k, heads=None):
 
 def _slack(tau, sigma, scale, L, coupling):
     """1 - tau*scale*L - tau*sigma*coupling, on arrays too, for _budget's
-    terms; check_stepsizes and region_grid share this grouping bit for
-    bit."""
+    terms; check_stepsizes, step_pair and region_grid share this
+    grouping bit for bit."""
     return 1.0 - tau * scale * L - tau * sigma * coupling
 
 
@@ -155,14 +156,15 @@ def step_pair(problem, cfg):
     """The step pair a solve of ``problem`` runs, and its slack.
 
     Returns (cfg, slack): cfg with an unset pair filled by
-    ``default_stepsizes`` at cfg.b, and check_stepsizes' slack.  L is
+    ``default_stepsizes`` at cfg.b, and the pair's ``_slack``.  L is
     the forward operator's lipschitz_hint; ||K|| is the map's norm_hint,
     else a 1%-inflated power-iteration estimate stored as that hint, so
     each map is estimated once.  Both uses of ||K|| need L: without a
     hint the slack is None, no power iteration runs, and an unset pair
-    raises ValueError.  Before any of that, ValueError names a cfg.b that
-    the GFRB delta rule ``stepsize.reflection_scale`` rejects, a pair
-    with one step set, and a set step that ``_check_steps`` rejects.
+    raises ValueError.  First, ValueError names a cfg.b that the GFRB
+    delta rule ``stepsize.reflection_scale`` rejects, a pair with one
+    step set, a set step that ``_check_steps`` rejects, and then, before
+    K is applied, an L that ``_budget`` rejects.
     """
     reflection_scale(cfg.b)
     unset = [name for name in ("tau", "sigma") if getattr(cfg, name) is None]
@@ -178,13 +180,15 @@ def step_pair(problem, cfg):
                              "the forward operator; pass both steps in "
                              "the EPDTRConfig")
         return cfg, None
+    _budget(cfg.b, L, 0.0)
     K = problem.linmap_k
     if K.norm_hint is None:
         K.norm_hint = 1.01 * power_norm(K)
     if unset:
         tau, sigma = default_stepsizes(cfg.b, L, K.norm_hint)
         cfg = replace(cfg, tau=tau, sigma=sigma)
-    return cfg, check_stepsizes(cfg.tau, cfg.sigma, cfg.b, L, K.norm_hint)[1]
+    terms = _budget(cfg.b, L, K.norm_hint)
+    return cfg, float(_slack(cfg.tau, cfg.sigma, *terms))
 
 
 def resolvent_of_inverse(resolvent_c, sigma, y):
@@ -288,7 +292,7 @@ def epdtr_solve(problem, cfg=None, stop=None):
     return x, y, trace
 
 
-# region_grid's head for each name of _budget's overflow messages.
+# region_grid's head for each name of _budget's messages.
 _REGION_HEADS = {
     "L": "region argument 'L' (--L): ",
     "norm_k": "region argument 'norm_k' (--normK): ",
@@ -308,9 +312,6 @@ def region_grid(b, L, norm_k, n=200):
         reflection_scale(b)
     except ValueError as exc:
         raise ValueError(f"region argument 'b' (--b): {exc}") from exc
-    L = real_arg(L, "region argument 'L' (--L): L", ">= 0")
-    norm_k = real_arg(norm_k, "region argument 'norm_k' (--normK): norm_k",
-                      ">= 0")
     terms = _budget(b, L, norm_k, _REGION_HEADS)
     steps = np.linspace(0.0, 1.0, n + 1)[1:]
     slack = _slack(steps[:, None], steps[None, :], *terms)

@@ -12,9 +12,15 @@ product space in the metric [[tau^{-1} I, -K*], [-K, sigma^{-1} I]];
 hand-expanded form it had before it shared splitting's reflected kernel;
 ``planted_instance`` is a random inclusion built around a planted
 solution, so it is known exactly without a reference solve.
+``linear_composite_instance`` is a random linear composite problem, and
+``run_epdtr_steps`` runs the package's epdtr_step on it with dense
+resolvents, the trajectory the metric and two-term oracles check.
 """
 
 import numpy as np
+
+from monosplit.operators import LinearMap
+from monosplit.primal_dual import PrimalDualState, epdtr_step
 
 
 def build_matrix(B, lam, delta, r=None):
@@ -154,3 +160,41 @@ def planted_instance(n, s, w, seed):
         return np.sign(z) * np.maximum(np.abs(z) - lam * w, 0.0)
 
     return resolvent, AffineForward(M, -(M @ x_star + v)), x_star
+
+
+def linear_composite_instance(seed, n=4, m=3):
+    """(A, C^{-1}, B, b, K, x0, y0) of a linear composite problem: A,
+    C^{-1} and B symmetric positive semidefinite (C^{-1} and B definite),
+    B(x) = B x + b, K of shape (m, n), all from default_rng(seed)."""
+    gen = np.random.default_rng(seed)
+    Ra = gen.standard_normal((n, n))
+    A_mat = Ra @ Ra.T / n
+    Rc = gen.standard_normal((m, m))
+    Cinv_mat = Rc @ Rc.T / m + 0.5 * np.eye(m)
+    Rb = gen.standard_normal((n, n))
+    B_mat = Rb @ Rb.T / n + 0.3 * np.eye(n)
+    b_vec = gen.standard_normal(n)
+    K = gen.standard_normal((m, n)) / 2.0
+    x0 = gen.standard_normal(n)
+    y0 = gen.standard_normal(m)
+    return A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0
+
+
+def run_epdtr_steps(parts, cfg, steps):
+    """The (x, y) rows of ``steps`` epdtr_step passes under cfg on the
+    linear_composite_instance ``parts``, from histories seeded at x0."""
+    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
+    n, m = x0.size, y0.size
+    res_a = (
+        lambda z, lam: np.linalg.solve(np.eye(n) + lam * A_mat, z))
+    res_cinv = lambda v, s: np.linalg.solve(np.eye(m) + s * Cinv_mat, v)
+    fwd = lambda x: B_mat @ x + b_vec
+    lin = LinearMap.from_matrix(K)
+    Bx0 = fwd(x0)
+    state = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0, Bx=Bx0,
+                            Bx_prev=Bx0, Bx_prev2=Bx0, Kx=K @ x0)
+    out = []
+    for _ in range(steps):
+        state = epdtr_step(state, cfg, res_a, fwd, lin, res_cinv)
+        out.append(np.concatenate([state.x, state.y]))
+    return np.array(out)

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 from conftest import RecordingResolvent, random_monotone_affine
 from oracles import (build_matrix, coupling_matrix, gfrb_in_metric,
-                     metric_matrix, spectral_radius)
+                     linear_composite_instance, metric_matrix,
+                     run_epdtr_steps, spectral_radius)
 
-from monosplit.operators import (ForwardOperator, LinearMap, l1_resolvent,
+from monosplit.operators import (ForwardOperator, l1_resolvent,
                                  soft_threshold, zero_resolvent)
-from monosplit.primal_dual import (EPDTRConfig, PrimalDualState,
-                                   default_stepsizes, epdtr_solve,
-                                   epdtr_step, region_grid)
+from monosplit.primal_dual import (EPDTRConfig, default_stepsizes,
+                                   epdtr_solve, region_grid)
 from monosplit.rate_analysis import (ROTATION, TABLE_DELTAS, design_rate,
                                      rate_table)
 from monosplit.splitting import (DivergenceError, StopRule, fb, frb,
@@ -306,48 +306,15 @@ def test_criterion_07_reduction_equivalences(monkeypatch):
            f"max deviation {worst_fixed:.2e} (both <= 1e-14)")
 
 
-def _linear_composite_instance(seed, n=4, m=3):
-    gen = np.random.default_rng(seed)
-    Ra = gen.standard_normal((n, n))
-    A_mat = Ra @ Ra.T / n
-    Rc = gen.standard_normal((m, m))
-    Cinv_mat = Rc @ Rc.T / m + 0.5 * np.eye(m)
-    Rb = gen.standard_normal((n, n))
-    B_mat = Rb @ Rb.T / n + 0.3 * np.eye(n)
-    b_vec = gen.standard_normal(n)
-    K = gen.standard_normal((m, n)) / 2.0
-    x0 = gen.standard_normal(n)
-    y0 = gen.standard_normal(m)
-    return A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0
-
-
-def _run_pd_steps(parts, cfg, steps):
-    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
-    n, m = x0.size, y0.size
-    res_a = (
-        lambda z, lam: np.linalg.solve(np.eye(n) + lam * A_mat, z))
-    res_cinv = lambda v, s: np.linalg.solve(np.eye(m) + s * Cinv_mat, v)
-    fwd = lambda x: B_mat @ x + b_vec
-    lin = LinearMap.from_matrix(K)
-    Bx0 = fwd(x0)
-    state = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0, Bx=Bx0,
-                            Bx_prev=Bx0, Bx_prev2=Bx0, Kx=K @ x0)
-    out = []
-    for _ in range(steps):
-        state = epdtr_step(state, cfg, res_a, fwd, lin, res_cinv)
-        out.append(np.concatenate([state.x, state.y]))
-    return np.array(out)
-
-
 def test_criterion_08_primal_dual_matches_metric_oracle():
     worst_metric, worst_plain = 0.0, 0.0
     for seed in range(10):
-        parts = _linear_composite_instance(seed)
+        parts = linear_composite_instance(seed)
         A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
         n, m = x0.size, y0.size
 
         cfg = EPDTRConfig(tau=0.11, sigma=0.17, b=0.7)
-        traj = _run_pd_steps(parts, cfg, 50)
+        traj = run_epdtr_steps(parts, cfg, 50)
         M = metric_matrix(cfg.tau, cfg.sigma, K)
         G = coupling_matrix(A_mat, Cinv_mat, K)
         F_mat = np.zeros((n + m, n + m))
@@ -358,7 +325,7 @@ def test_criterion_08_primal_dual_matches_metric_oracle():
         worst_metric = max(worst_metric, float(np.max(np.abs(traj - ref))))
 
         cfg0 = EPDTRConfig(tau=0.12, sigma=0.15, b=0.0)
-        traj0 = _run_pd_steps(parts, cfg0, 50)
+        traj0 = run_epdtr_steps(parts, cfg0, 50)
         x, y = x0.copy(), y0.copy()
         Bx = Bx_prev = B_mat @ x + b_vec
         Kx = K @ x

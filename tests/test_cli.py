@@ -363,6 +363,11 @@ def test_composite_experiment_estimates_norm_k_once(tmp_path, monkeypatch,
       "k": 7}, "'k'"),
     # b_reflect is removed: delta is epdtr's reflection weight.
     ({"problem": "example1", "m": 20, "b_reflect": 3}, "'b_reflect'"),
+    # Only gfrb_adaptive reads lambda0, and only the delta readers delta.
+    ({"problem": "example1", "m": 20, "solvers": ["frb"], "lambda0": 0.5},
+     "'lambda0'"),
+    ({"problem": "example1", "m": 20, "solvers": ["frb"], "delta": 0.3},
+     "'delta'"),
 ])
 def test_validate_config_rejects_fields_the_solvers_never_read(
         tmp_path, capsys, payload, field):

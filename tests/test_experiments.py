@@ -354,27 +354,6 @@ def test_per_solver_delta_rejects_a_bad_entry_by_name(payload, name, reason):
         config_from_dict(dict({"problem": "example1", "m": 20}, **payload))
 
 
-_HUGE = 10 ** 400
-
-
-@pytest.mark.parametrize("payload, name", [
-    ({"delta": _HUGE}, "delta"),
-    ({"delta": -_HUGE}, "delta"),
-    ({"lambda0": _HUGE}, "lambda0"),
-    ({"tol": _HUGE}, "tol"),
-    ({"problem": "lasso", "noise_sigma": _HUGE}, "noise_sigma"),
-    ({"problem": "lasso", "reg_lambda": _HUGE}, "reg_lambda"),
-    ({"solvers": _BOTH, "delta": {"gfrb_adaptive": 0.1, "gfrb_fixed": _HUGE}},
-     "delta.gfrb_fixed"),
-], ids=["delta", "delta-negative", "lambda0", "tol", "noise_sigma",
-        "reg_lambda", "delta.gfrb_fixed"])
-def test_an_integer_too_large_for_a_float_is_named(payload, name):
-    # JSON reads a long digit string as an int, and math.isfinite raises
-    # OverflowError on one past the float range; it is a bad value.
-    with pytest.raises(ValueError, match=f"^config field '{name}': "):
-        config_from_dict(dict({"problem": "example1", "m": 20}, **payload))
-
-
 def test_per_solver_delta_is_checked_on_a_hand_built_config():
     cfg = ExperimentConfig(solvers=("gfrb_adaptive", "frb"),
                            delta={"gfrb_adaptive": 1e308})
@@ -480,9 +459,10 @@ def test_composite_config_with_b_reflect_is_rejected(value):
 
 @pytest.mark.parametrize("key, value", [("lambda0", 0.1)])
 def test_composite_rejects_the_step_fields_epdtr_never_reads(key, value):
-    with pytest.raises(ValueError, match=f"^config field '{key}': epdtr, "
-                                         "the solver of 'composite', does "
-                                         "not read it$"):
+    with pytest.raises(ValueError, match=f"^config field '{key}': read "
+                                         r"only by \('gfrb_adaptive',\), "
+                                         "and the config names none of "
+                                         "them$"):
         config_from_dict(_shipped_composite(**{key: value}))
 
 
@@ -731,8 +711,10 @@ def test_run_benchmark_checks_like_the_cli(monkeypatch, payload, match):
     (ExperimentConfig(solvers="frb"), "'solvers'"),
     (ExperimentConfig(seed=1.5), "'seed'"),
     (ExperimentConfig(m=True), "'m'"),
+    # An array compared with each name would raise numpy's own error.
+    (ExperimentConfig(problem=np.array(["lasso", "x"])), "'problem'"),
 ], ids=["tol", "solvers", "m", "m-str", "tol-str", "solvers-str",
-        "seed-float", "m-bool"])
+        "seed-float", "m-bool", "problem-array"])
 def test_run_benchmark_checks_a_hand_built_config(monkeypatch, cfg, field):
     calls = []
     for name in ("generate", "run_solver"):
@@ -748,7 +730,7 @@ def test_check_names_a_field_of_the_wrong_type(monkeypatch, name):
     calls = []
     monkeypatch.setattr("monosplit.experiments.generate",
                         lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=f"config field '{name}': bad type"):
+    with pytest.raises(ValueError, match=f"^config field '{name}': "):
         resolve(ExperimentConfig(**{name: object()}))
     assert calls == []
 

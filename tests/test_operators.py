@@ -58,14 +58,6 @@ def test_l1_resolvent_satisfies_optimality(z, lam, weight):
     assert np.all(np.abs(grad[~on]) <= lam * weight + 1e-12)
 
 
-@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
-def test_l1_resolvent_rejects_a_bad_weight(weight):
-    # A negative weight would map 0.5 to 1.5 at lam = 1, expanding, and a
-    # NaN one would return NaN; both fail when the resolvent is built.
-    with pytest.raises(ValueError, match="^weight must be"):
-        l1_resolvent(weight)
-
-
 def test_l1_resolvent_weights_zero_and_one():
     z = np.array([2.0, -0.5, 0.3, -0.0, 0.0, -3.0])
     assert l1_resolvent(0.0)(z, 0.7).tobytes() == z.tobytes()
@@ -769,11 +761,3 @@ def test_forward_operator_wraps_callable():
     op = ForwardOperator(lambda x: 3.0 * x, lipschitz_hint=3.0)
     np.testing.assert_allclose(op(np.array([1.0, -2.0])), [3.0, -6.0])
     assert op.lipschitz_hint == 3.0
-
-
-@pytest.mark.parametrize("hint", [np.inf, np.nan, -1.0, "1.0"])
-def test_forward_operator_rejects_a_bad_lipschitz_hint(hint):
-    # Default steps scale like 1/L: an infinite hint would run lam = 0,
-    # which stops at once as converged, and a NaN hint a NaN step.
-    with pytest.raises(ValueError, match="lipschitz_hint"):
-        ForwardOperator(lambda x: x, lipschitz_hint=hint)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import CallCounter, counting_forward, delta_reason
 from oracles import (coupling_matrix, expanded_epdtr_drive, gfrb_in_metric,
-                     metric_matrix)
+                     linear_composite_instance, metric_matrix,
+                     run_epdtr_steps)
 
 from monosplit import primal_dual
 from monosplit.experiments import gen_composite
@@ -16,39 +17,6 @@ from monosplit.primal_dual import (CompositeProblem, EPDTRConfig,
                                    default_stepsizes, epdtr_solve, epdtr_step,
                                    region_grid, resolvent_of_inverse)
 from monosplit.splitting import StepSizeWarning, StopRule
-
-
-def linear_instance(seed, n=4, m=3):
-    gen = np.random.default_rng(seed)
-    Ra = gen.standard_normal((n, n))
-    A_mat = Ra @ Ra.T / n
-    Rc = gen.standard_normal((m, m))
-    Cinv_mat = Rc @ Rc.T / m + 0.5 * np.eye(m)
-    Rb = gen.standard_normal((n, n))
-    B_mat = Rb @ Rb.T / n + 0.3 * np.eye(n)
-    b_vec = gen.standard_normal(n)
-    K = gen.standard_normal((m, n)) / 2.0
-    x0 = gen.standard_normal(n)
-    y0 = gen.standard_normal(m)
-    return A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0
-
-
-def run_epdtr_steps(A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0, cfg, steps):
-    n, m = x0.size, y0.size
-    res_a = (
-        lambda z, lam: np.linalg.solve(np.eye(n) + lam * A_mat, z))
-    res_cinv = (
-        lambda v, s: np.linalg.solve(np.eye(m) + s * Cinv_mat, v))
-    fwd = lambda x: B_mat @ x + b_vec
-    lin = LinearMap.from_matrix(K)
-    Bx0 = fwd(x0)
-    state = PrimalDualState(x=x0, x_prev=x0, x_prev2=x0, y=y0, Bx=Bx0,
-                            Bx_prev=Bx0, Bx_prev2=Bx0, Kx=K @ x0)
-    out = []
-    for _ in range(steps):
-        state = epdtr_step(state, cfg, res_a, fwd, lin, res_cinv)
-        out.append(np.concatenate([state.x, state.y]))
-    return np.array(out)
 
 
 def test_check_stepsizes_formula_and_strictness():
@@ -123,11 +91,11 @@ def test_resolvent_of_inverse_l1_gives_box_projection():
 
 def test_epdtr_step_matches_metric_recursion():
     for seed in range(3):
-        A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = linear_instance(seed)
+        parts = linear_composite_instance(seed)
+        A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
         n, m = x0.size, y0.size
         cfg = EPDTRConfig(tau=0.11, sigma=0.17, b=0.7)
-        traj = run_epdtr_steps(A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0,
-                               cfg, 50)
+        traj = run_epdtr_steps(parts, cfg, 50)
         M = metric_matrix(cfg.tau, cfg.sigma, K)
         G = coupling_matrix(A_mat, Cinv_mat, K)
         F_mat = np.zeros((n + m, n + m))
@@ -139,10 +107,11 @@ def test_epdtr_step_matches_metric_recursion():
 
 
 def test_epdtr_b_zero_matches_two_term_recursion():
-    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = linear_instance(21)
+    parts = linear_composite_instance(21)
+    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = parts
     n, m = x0.size, y0.size
     cfg = EPDTRConfig(tau=0.12, sigma=0.15, b=0.0)
-    traj = run_epdtr_steps(A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0, cfg, 50)
+    traj = run_epdtr_steps(parts, cfg, 50)
     # Plain two-term reflected primal-dual recursion, written directly.
     x, x_prev, y = x0.copy(), x0.copy(), y0.copy()
     Bx, Bx_prev = B_mat @ x + b_vec, B_mat @ x + b_vec
@@ -445,7 +414,7 @@ def test_region_grid_rejects_slack_coefficients_that_overflow(b, L, norm_k,
 
 
 def test_gfrb_in_metric_shapes():
-    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = linear_instance(2)
+    A_mat, Cinv_mat, B_mat, b_vec, K, x0, y0 = linear_composite_instance(2)
     n, m = x0.size, y0.size
     M = metric_matrix(0.1, 0.1, K)
     G = coupling_matrix(A_mat, Cinv_mat, K)

@@ -9,11 +9,10 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monosplit"
 
 # (module, function) that may name numbers.Real or numbers.Integral: the
-# two rules, and the config's type table, which names a field's type.
+# two rules and nothing else.
 ALLOWED = {
     ("stepsize", "real_arg"),
     ("stepsize", "int_arg"),
-    ("experiments", "_accepted_types"),
 }
 
 
@@ -41,7 +40,7 @@ def number_type_uses(path):
     return found
 
 
-def test_only_the_scalar_rules_and_the_type_table_name_number_types():
+def test_only_the_scalar_rules_name_number_types():
     found = set().union(*(number_type_uses(path)
                           for path in SRC.glob("*.py")))
     assert found == ALLOWED

@@ -29,18 +29,6 @@ def test_stop_rule_defaults():
     assert rule.max_iter == 5000
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
-    ({"tol": -1.0}, "tol"), ({"tol": "1e-6"}, "tol"),
-    ({"max_iter": -3}, "max_iter"), ({"max_iter": 0}, "max_iter"),
-    ({"max_iter": 2.5}, "max_iter"), ({"max_iter": True}, "max_iter")])
-def test_stop_rule_rejects_bad_input(kwargs, name):
-    # Caught when the rule is built, not as a silent run to max_iter, an
-    # empty trace or a TypeError inside range.
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        StopRule(**kwargs)
-
-
 @given(st.integers(0, 2048), st.floats(-150.0, 150.0),
        st.integers(0, 2**32 - 1))
 def test_norm_is_numpys_norm_bitwise(size, exponent, seed):
@@ -283,42 +271,6 @@ def test_forward_value_must_have_iterate_shape(solver):
     B = ForwardOperator(lambda x: float(x[0]) - 2.0, lipschitz_hint=1.0)
     with pytest.raises(ValueError, match=r"shape \(\); .* shape \(1,\)"):
         _run_scalar_seed(solver, B)
-
-
-@pytest.mark.parametrize("build, name", [
-    (lambda: ForwardOperator(lambda x: x, lipschitz_hint=True),
-     "lipschitz_hint"),
-    (lambda: l1_resolvent(True), "weight"),
-    (lambda: make_stepsize_state(True, 0.1), "delta"),
-    (lambda: make_stepsize_state(0.1, True), "lambda0"),
-    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                        np.ones(2), np.ones(2), None, True), "delta"),
-    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                        np.ones(2), np.ones(2), True, 0.1), "lam"),
-    (lambda: frb(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                 np.ones(2), "0.1"), "lam"),
-    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                        np.ones(2), np.ones(2), None, "0.1"), "delta"),
-    (lambda: gfrb_fixed(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                        np.ones(2), np.ones(2), None, None), "delta"),
-    (lambda: make_stepsize_state("0.1", 0.1), "delta"),
-    (lambda: gfrb_adaptive(l1_resolvent(), shifted_identity(0.0),
-                           np.ones(2), None, 0.1, None), "lambda0"),
-    (lambda: fbf(l1_resolvent(), shifted_identity(0.0), np.ones(2),
-                 0.1 + 0j), "lam"),
-], ids=["ForwardOperator-lipschitz_hint", "l1_resolvent-weight",
-        "make_stepsize_state-delta", "make_stepsize_state-lambda0",
-        "gfrb_fixed-delta", "gfrb_fixed-lam", "frb-lam-str",
-        "gfrb_fixed-delta-str", "gfrb_fixed-delta-None",
-        "make_stepsize_state-delta-str", "gfrb_adaptive-lambda0-None",
-        "fbf-lam-complex"])
-def test_bool_is_not_taken_as_the_number_one(build, name):
-    # A bool is a numbers.Real, so without its own test True would run as
-    # 1; each input fails by name instead, as StopRule's do.  So does any
-    # other value that is not a real number, which failed deep inside
-    # (a TypeError from isfinite, abs or float) before.
-    with pytest.raises(ValueError, match=f"\\b{name} must be"):
-        build()
 
 
 _HISTORY_SEEDS = {

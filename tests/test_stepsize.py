@@ -270,7 +270,8 @@ def _config(**fields):
 
 def _hinted(problem, L, norm_k):
     """problem with Lipschitz hint L on its forward and norm hint norm_k
-    on K, so that no power iteration runs."""
+    on K; with norm_k None, step_pair would estimate ||K|| by applying
+    K, so a rejection there must come before the power iteration."""
     problem = replace(problem, forward_b=ForwardOperator(
         problem.forward_b, lipschitz_hint=L))
     problem.linmap_k.norm_hint = norm_k
@@ -342,7 +343,7 @@ _SCALAR_ENTRY_POINTS = {
         (lambda v, *_: default_stepsizes(0.0, v, 1e150), "L and norm_k must ",
          [1e-300]),
     "epdtr_solve-lipschitz_hint":
-        (lambda v, A, B, p, h: epdtr_solve(_hinted(p, v, 1.0)), "L must ",
+        (lambda v, A, B, p, h: epdtr_solve(_hinted(p, v, None)), "L must ",
          [1e308]),
     "epdtr_solve-norm_hint":
         (lambda v, A, B, p, h: epdtr_solve(_hinted(p, 2.0, v)),
